@@ -412,8 +412,12 @@ impl NodeCtx<'_> {
             if tun.iface == ifx {
                 let mut binding = self.node.tun.take().expect("just checked");
                 match &mut binding.role {
-                    TunRole::Client(c) => c.consume_tun_frame(self.now, &mut self.node.host, &bytes),
-                    TunRole::Server(s) => s.consume_tun_frame(self.now, &mut self.node.host, &bytes),
+                    TunRole::Client(c) => {
+                        c.consume_tun_frame(self.now, &mut self.node.host, &bytes)
+                    }
+                    TunRole::Server(s) => {
+                        s.consume_tun_frame(self.now, &mut self.node.host, &bytes)
+                    }
                 }
                 self.node.tun = Some(binding);
                 return;
@@ -429,14 +433,10 @@ impl NodeCtx<'_> {
             return;
         }
         // Wireless NIC?
-        let radio = self
-            .node
-            .radios
-            .iter()
-            .position(|rb| match &rb.role {
-                RadioRole::Sta { iface, .. } | RadioRole::ApLocal { iface, .. } => *iface == ifx,
-                _ => false,
-            });
+        let radio = self.node.radios.iter().position(|rb| match &rb.role {
+            RadioRole::Sta { iface, .. } | RadioRole::ApLocal { iface, .. } => *iface == ifx,
+            _ => false,
+        });
         if let Some(r) = radio {
             let Some(eth) = EthFrame::decode(&bytes) else {
                 return;
@@ -525,6 +525,14 @@ struct NodesView {
 }
 unsafe impl Send for NodesView {}
 unsafe impl Sync for NodesView {}
+
+impl NodesView {
+    /// Pointer to node `i`. A closure that calls this captures the whole
+    /// view, so the `Send`/`Sync` promises above cover it.
+    fn node(self, i: usize) -> *mut Node {
+        self.ptr.wrapping_add(i)
+    }
+}
 
 thread_local! {
     /// Per-worker pooled buffers for parallel burst execution.
@@ -1549,9 +1557,6 @@ impl World {
             let results: Vec<Vec<(u32, u64, Vec<Op>)>> = chains
                 .par_iter()
                 .map(|chain| {
-                    // Capture the whole view (not its raw-ptr field) so
-                    // the Send/Sync promises on `NodesView` apply.
-                    let view = view;
                     EXEC_SCRATCH.with(|cell| {
                         let scratch = &mut *cell.borrow_mut();
                         let mut out = Vec::with_capacity(chain.len());
@@ -1559,7 +1564,7 @@ impl World {
                             let task = &tasks_ref[ti as usize];
                             // Safety: this chain is the unique owner of
                             // `task.node` for the whole region.
-                            let node = unsafe { &mut *view.ptr.add(task.node as usize) };
+                            let node = unsafe { &mut *view.node(task.node as usize) };
                             let mut ops = Vec::new();
                             let c0 = profile::now();
                             let mut cx = NodeCtx {
@@ -1575,7 +1580,9 @@ impl World {
                                     bytes,
                                     rssi_dbm,
                                     channel,
-                                } => cx.receive_on_radio(*radio as usize, bytes, *rssi_dbm, *channel),
+                                } => {
+                                    cx.receive_on_radio(*radio as usize, bytes, *rssi_dbm, *channel)
+                                }
                                 TaskKind::TouchPoll => cx.poll_node(),
                                 TaskKind::PollEvent => {
                                     cx.ops.push(Op::PollFired { node: task.node });

@@ -34,10 +34,9 @@ pub struct CoveragePrediction {
 /// where an AP falling silent (or a rogue appearing far louder than the
 /// site survey predicts) is meaningful rather than expected.
 ///
-/// Estimates are served from the medium's shared pairwise path-loss
-/// cache, so a site-wide prediction matrix costs one geometry solve per
-/// (ap, sensor) pair — repeat audits and the medium's own decode path
-/// reuse the same entries.
+/// Estimates are served from the medium's pairwise path-loss cache, so a
+/// site-wide prediction matrix costs one geometry solve per (ap, sensor)
+/// pair, and repeat audits reuse the entries until either end moves.
 pub fn predict_coverage(
     medium: &Medium,
     aps: &[RadioId],

@@ -707,13 +707,15 @@ impl Host {
         for h in handles {
             self.flush_tcp(now, h);
         }
-        // ARP retries.
-        let due: Vec<Ipv4Addr> = self
+        // ARP retries, in address order: `pending_arp` iterates in
+        // `HashMap` order, and the order of the retry frames is observable.
+        let mut due: Vec<Ipv4Addr> = self
             .pending_arp
             .iter()
             .filter(|(_, p)| p.deadline <= now)
             .map(|(ip, _)| *ip)
             .collect();
+        due.sort_unstable();
         for ip in due {
             let (ifindex, give_up) = {
                 let p = self.pending_arp.get_mut(&ip).expect("collected above");
@@ -840,6 +842,30 @@ mod tests {
         assert!(a
             .take_events()
             .contains(&HostEvent::ArpFailed { dst: IP_B }));
+    }
+
+    #[test]
+    fn simultaneous_arp_retries_are_sent_in_address_order() {
+        const IP_C: Ipv4Addr = Ipv4Addr::new(192, 168, 0, 3);
+        // The ARP retries sent at one poll, after pinging `dsts` at once.
+        let retries = |dsts: &[Ipv4Addr]| {
+            let mut a = Host::new("a", SimRng::new(Seed(1)));
+            a.add_iface(MacAddr::local(1), IP_A, 24);
+            for &dst in dsts {
+                a.ping(SimTime::ZERO, dst, 1);
+            }
+            a.take_frames();
+            a.poll(SimTime::ZERO + ARP_RETRY);
+            a.take_frames()
+        };
+        let mut in_order = retries(&[IP_B]);
+        in_order.extend(retries(&[IP_C]));
+        // Each host hashes with its own random keys, so repeat to make an
+        // order that leaks from the map show up.
+        for _ in 0..8 {
+            assert_eq!(retries(&[IP_B, IP_C]), in_order);
+            assert_eq!(retries(&[IP_C, IP_B]), in_order);
+        }
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! Lazily-filled symmetric pairwise path-loss cache.
+//! Lazily-filled symmetric pairwise path-loss cache for the estimate API.
 //!
-//! `path_loss_db` runs a `sqrt` + `powi` + `log10` chain; the dense
-//! medium used to evaluate it for every registered radio on every frame.
-//! Positions change rarely (mobility steps) relative to frame rates, so
-//! the loss between a pair of radios is a near-constant: this cache keys
-//! it on the unordered radio pair plus each end's *position epoch* (a
-//! per-radio counter bumped by `set_pos`), recomputing only when either
-//! end has actually moved. Channel changes do not touch positions and
-//! therefore never invalidate an entry.
+//! `path_loss_db` runs a `sqrt` + `powi` + `log10` chain. This cache keys
+//! its result on the unordered radio pair plus each end's *position
+//! epoch* (a per-radio counter bumped by `set_pos`), recomputing only
+//! when either end has actually moved. Channel changes do not touch
+//! positions and therefore never invalidate an entry.
 //!
-//! Lookups go through interior mutability so read-shaped APIs
-//! ([`crate::Medium::rssi_estimate_dbm`], site-audit range predictions)
-//! can fill the cache from `&self`. Since PR 8 the interior mutability
-//! is thread-safe (`Mutex` + atomics, not `RefCell` + `Cell`): the
-//! sharded loop shares `&Medium` across the rayon pool during its
-//! read-only plan phase, which requires `Medium: Sync`. The plan phase
-//! itself never touches the cache — fills happen only in serial code —
-//! and every fill is a pure function of its key, so the swap cannot
-//! perturb a single cached bit.
+//! It serves [`crate::Medium::rssi_estimate_dbm`] and with it site-audit
+//! range predictions, which ask about the same (AP, sensor) pairs audit
+//! after audit. The frame path does not use it: an audible row is
+//! rebuilt only after the geometry changed, so its pairs rarely repeat,
+//! and at city scale the lookups cost more than the path loss they saved
+//! while the entries dominated the medium's memory.
+//!
+//! Lookups fill the cache from `&self` through a `Mutex` and atomic
+//! counters, so `Medium` stays `Sync` for the parallel plan phase. Every
+//! fill is a pure function of its key.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -3,9 +3,9 @@
 //! Protocol flow per transmission:
 //!
 //! 1. A MAC hands bytes to [`Medium::begin_tx`]; the medium computes the
-//!    airtime and the received power at every radio that can possibly
-//!    hear the frame (sampling shadowing deterministically from the
-//!    medium RNG when enabled).
+//!    airtime and fixes the received power at every radio that can
+//!    possibly hear the frame (drawing shadowing deterministically from
+//!    the medium RNG when enabled; a sample is evaluated when first read).
 //! 2. The world schedules a completion event at the returned end time and
 //!    then calls [`Medium::complete_tx`], which decides per radio whether
 //!    the frame decodes: on-channel, above sensitivity, and with
@@ -19,25 +19,27 @@
 //!
 //! With shadowing disabled (`shadowing_sigma_db == 0.0`, every experiment
 //! except E1) received power is a pure function of geometry, so the
-//! medium takes three shortcuts that keep a campus-scale registry out of
+//! medium takes two shortcuts that keep a campus-scale registry out of
 //! the per-frame path:
 //!
-//! * a lazily-filled **pairwise path-loss cache** keyed on (radio pair,
-//!   position epochs) — the `sqrt`/`powi`/`log10` chain runs once per
-//!   pair per move, not once per frame ([`crate::cache`]);
 //! * a **uniform spatial grid** plus per-source **audible-row cache**, so
 //!   `begin_tx` stores a sparse `(radio, dBm)` list covering only radios
 //!   inside the decode/CCA horizon ([`crate::grid`],
-//!   [`propagation::max_range_m`]);
+//!   [`propagation::max_range_m`]); a row is rebuilt, straight from
+//!   [`path_loss_db`], only after the geometry changed;
 //! * in-flight transmissions live in a **generation-checked slab** (a
 //!   [`TxHandle`] resolves with a bounds check, no hashing) and are
 //!   indexed **by channel** (only channels within the 5-channel
 //!   interaction span can exchange energy) and **by source** (the
 //!   half-duplex check), both as dense slot vectors.
 //!
-//! The audible floor is a **uniform far-field cutoff** (PR 9): a signal
-//! below it can neither decode, nor trip CCA, nor contribute to an
-//! interference sum. The sparse path is bit-identical to the dense fill
+//! The pairwise path-loss cache ([`crate::cache`]) serves only the
+//! estimate API, [`Medium::rssi_estimate_dbm`]; the frame path never
+//! consults it.
+//!
+//! The audible floor is a **uniform far-field cutoff**: a signal below
+//! it can neither decode, nor trip CCA, nor contribute to an
+//! interference sum. The sparse path is bit-identical to the dense map
 //! under that cutoff: a sparse row omits exactly the entries the dense
 //! path's explicit floor comparison rejects, mid-flight moves pin the
 //! begin-era sample into an override list (floor-checked like any other
@@ -45,11 +47,24 @@
 //! The cutoff is also what makes city-scale interference tractable: a
 //! completion's interferer set is culled to transmitters whose audible
 //! disc can reach the candidate set at all (`plan_complete`), instead
-//! of recomputing provably sub-floor far-field power per pair. With
-//! `sigma > 0` the dense fill is kept as-is so the sequential
-//! registration-order RNG draws — and therefore every E1 shadowing
-//! result — stay byte-identical.
+//! of recomputing provably sub-floor far-field power per pair.
+//!
+//! # Shadowing: a lazy dense map
+//!
+//! With `sigma > 0` the medium RNG stream is part of the reproducible
+//! contract — every E1 shadowing result depends on it: each `begin_tx`
+//! draws two values per registered radio, in registration order. It
+//! still does, but keeps only what regenerates a draw: an RNG checkpoint
+//! every `CHECKPOINT_EVERY` radios, and the begin-era positions, one
+//! `Arc` shared by every tx begun under the same geometry. A sample's
+//! dBm is computed when a completion or carrier-sense probe first reads
+//! it and is memoized per (tx, radio), as is its same-channel
+//! interference power in mW; most samples are never read. The memo cells
+//! are atomics: planners on different threads may race to fill one, but
+//! each stores the same pure function of frozen inputs, so concurrent
+//! plans equal serial ones and `Medium` stays `Sync`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -117,13 +132,39 @@ struct Radio {
 /// begun while the geometry holds.
 type AudibleRow = Arc<Vec<(u32, f64)>>;
 
+/// Radios per medium-RNG checkpoint in a shadowed transmission: reading
+/// a sample replays at most `2 * (CHECKPOINT_EVERY - 1)` draws, and a
+/// 32-byte checkpoint costs two bytes per radio.
+const CHECKPOINT_EVERY: usize = 16;
+
+/// An empty [`LazyPower`] cell. Arithmetic on finite inputs never yields
+/// this NaN payload; a value that did would just be recomputed on every
+/// read.
+const UNSET: u64 = u64::MAX;
+
+/// The dense received-power map of one transmission: a sample for every
+/// radio registered at begin time, each evaluated on first read.
+#[derive(Debug)]
+struct LazyPower {
+    /// Begin-era radio positions, shared by every tx begun under the same
+    /// `geom_epoch`.
+    positions: Arc<[Pos]>,
+    /// σ > 0 only: at index `k`, the medium RNG before the shadowing
+    /// draws of radio `k * CHECKPOINT_EVERY`.
+    checkpoints: Vec<SimRng>,
+    /// Per radio, `[dBm, same-channel interference mW]` as f64 bits, or
+    /// [`UNSET`]. Relaxed ordering suffices: a cell publishes nothing but
+    /// its own value, and every writer stores the same one.
+    cells: Box<[[AtomicU64; 2]]>,
+}
+
 /// Received power samples of one transmission.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum TxPower {
     /// Power at every radio registered at begin time, by index — the
-    /// σ > 0 shadowing path, whose sequential registration-order RNG
-    /// draws force a full fill.
-    Dense(Vec<f64>),
+    /// σ > 0 shadowing path, whose registration-order RNG draws cover
+    /// the whole registry (and `force_dense` at σ == 0).
+    Dense(LazyPower),
     /// Only the radios at or above the audible floor, sorted by index
     /// (shared with the per-source row cache), plus begin-era samples
     /// pinned by `set_pos` for radios that moved mid-flight.
@@ -133,7 +174,7 @@ enum TxPower {
     },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Transmission {
     id: u64,
     src: RadioId,
@@ -147,6 +188,9 @@ struct Transmission {
     /// interferer cull in [`Medium::plan_complete`].
     src_pos: Pos,
     tx_power_dbm: f64,
+    /// [`max_range_m`] down to the audible floor: the radius of the
+    /// far-field interferer cull and of shard-boundary classification.
+    audible_range_m: f64,
     /// Radios registered later are treated as out of range.
     radios_at_start: u32,
     /// Geometry epoch at begin time. While it still equals the medium's
@@ -260,6 +304,9 @@ pub struct Medium {
     /// Per-source audible rows, valid while `geom_epoch` is unchanged.
     /// Dense, indexed by radio.
     audible_rows: Vec<Option<(u64, AudibleRow)>>,
+    /// Every radio's position, shared by the dense txs begun while
+    /// `geom_epoch` (the first field) holds.
+    begin_positions: Option<(u64, Arc<[Pos]>)>,
     /// Scratch for the grid query in [`Self::audible_row`] (reused).
     cand_scratch: Vec<u32>,
     /// Scratch for the freed-source list in [`Self::prune`] (reused).
@@ -310,6 +357,7 @@ impl Medium {
             grid: SpatialGrid::default(),
             cache: PathLossCache::default(),
             audible_rows: Vec::new(),
+            begin_positions: None,
             cand_scratch: Vec::new(),
             prune_src_scratch: Vec::new(),
             geom_epoch: 0,
@@ -369,11 +417,12 @@ impl Medium {
         // Pin the begin-era sample into every retained sparse tx that
         // doesn't already cover this radio: it may still be read as
         // interference while the tx (or an overlapper) is in flight, and
-        // the dense fill would have sampled the pre-move geometry. Pin
-        // even a sub-floor sample — `covered` must become true on the
-        // *first* move, or a second move would pin from intermediate
-        // geometry instead of begin-era geometry. Read-time floor
-        // comparisons reject sub-floor values on both paths identically.
+        // must come from the pre-move geometry, as a dense tx's samples do
+        // through its position snapshot. Pin even a sub-floor sample —
+        // `covered` must become true on the *first* move, or a second
+        // move would pin from intermediate geometry instead of begin-era
+        // geometry. Read-time floor comparisons reject sub-floor values
+        // on both paths identically.
         let (ref_loss, exponent) = (self.params.ref_loss_db, self.params.path_loss_exponent);
         for s in &mut self.txs {
             let Some(t) = s.tx.as_mut() else { continue };
@@ -459,9 +508,9 @@ impl Medium {
     /// The audible set of `src` at its current position: every other
     /// radio whose received power clears the audible floor, sorted by
     /// index. Served from the per-source row cache while the geometry is
-    /// unchanged; rebuilt from the spatial grid + path-loss cache
-    /// otherwise.
-    fn audible_row(&mut self, src: u32, src_pos: Pos, tx_power_dbm: f64) -> AudibleRow {
+    /// unchanged; rebuilt from the spatial grid otherwise. `range` is the
+    /// source's audible radius.
+    fn audible_row(&mut self, src: u32, src_pos: Pos, tx_power_dbm: f64, range: f64) -> AudibleRow {
         if let Some((epoch, row)) = &self.audible_rows[src as usize] {
             if *epoch == self.geom_epoch {
                 self.row_reuses += 1;
@@ -469,12 +518,6 @@ impl Medium {
             }
         }
         let floor = self.audible_floor_dbm;
-        let range = max_range_m(
-            tx_power_dbm,
-            floor,
-            self.params.ref_loss_db,
-            self.params.path_loss_exponent,
-        );
         let mut cand = std::mem::take(&mut self.cand_scratch);
         cand.clear();
         if range.is_finite() {
@@ -485,20 +528,14 @@ impl Medium {
         } else {
             cand.extend(0..self.radios.len() as u32);
         }
-        let src_epoch = self.radios[src as usize].pos_epoch;
+        let (ref_loss, exponent) = (self.params.ref_loss_db, self.params.path_loss_exponent);
         let mut audible = Vec::with_capacity(cand.len());
         for &ri in &cand {
             if ri == src {
                 continue;
             }
-            let r = &self.radios[ri as usize];
-            let loss = self.cache.loss_db(
-                (src, src_pos, src_epoch),
-                (ri, r.pos, r.pos_epoch),
-                self.params.ref_loss_db,
-                self.params.path_loss_exponent,
-            );
-            let p = tx_power_dbm - loss;
+            let d = src_pos.distance(self.radios[ri as usize].pos);
+            let p = tx_power_dbm - path_loss_db(d, ref_loss, exponent);
             if p >= floor {
                 audible.push((ri, p));
             }
@@ -508,6 +545,37 @@ impl Medium {
         let row = Arc::new(audible);
         self.audible_rows[src as usize] = Some((self.geom_epoch, Arc::clone(&row)));
         row
+    }
+
+    /// A lazy dense map for a tx beginning now. At σ > 0 this advances
+    /// the medium RNG past every registered radio's two shadowing draws,
+    /// in registration order, keeping a checkpoint every
+    /// `CHECKPOINT_EVERY` radios to replay them from.
+    fn lazy_power(&mut self) -> LazyPower {
+        let n = self.radios.len();
+        let positions = match &self.begin_positions {
+            Some((epoch, p)) if *epoch == self.geom_epoch => Arc::clone(p),
+            _ => {
+                let p: Arc<[Pos]> = self.radios.iter().map(|r| r.pos).collect();
+                self.begin_positions = Some((self.geom_epoch, Arc::clone(&p)));
+                p
+            }
+        };
+        let mut checkpoints = Vec::new();
+        if self.params.shadowing_sigma_db > 0.0 {
+            checkpoints.reserve(n.div_ceil(CHECKPOINT_EVERY));
+            for first in (0..n).step_by(CHECKPOINT_EVERY) {
+                checkpoints.push(self.rng.clone());
+                self.rng.skip_gaussians(CHECKPOINT_EVERY.min(n - first));
+            }
+        }
+        LazyPower {
+            positions,
+            checkpoints,
+            cells: (0..n)
+                .map(|_| [AtomicU64::new(UNSET), AtomicU64::new(UNSET)])
+                .collect(),
+        }
     }
 
     /// Begin transmitting `bytes` from `src` at `bitrate` on the radio's
@@ -527,27 +595,17 @@ impl Medium {
         let tx_power = radio.tx_power_dbm;
         let src_pos = radio.pos;
 
-        let sigma = self.params.shadowing_sigma_db;
-        let power = if sigma > 0.0 || self.force_dense {
-            // Dense fill: power at every radio, shadowing drawn from the
-            // medium RNG in registration order (the σ > 0 contract).
-            let mut rx_power = Vec::with_capacity(self.radios.len());
-            for r in &self.radios {
-                let mut p = tx_power
-                    - path_loss_db(
-                        src_pos.distance(r.pos),
-                        self.params.ref_loss_db,
-                        self.params.path_loss_exponent,
-                    );
-                if sigma > 0.0 {
-                    p += self.rng.gaussian(0.0, sigma);
-                }
-                rx_power.push(p);
-            }
-            TxPower::Dense(rx_power)
+        let audible_range_m = max_range_m(
+            tx_power,
+            self.audible_floor_dbm,
+            self.params.ref_loss_db,
+            self.params.path_loss_exponent,
+        );
+        let power = if self.params.shadowing_sigma_db > 0.0 || self.force_dense {
+            TxPower::Dense(self.lazy_power())
         } else {
             TxPower::Sparse {
-                audible: self.audible_row(src.0, src_pos, tx_power),
+                audible: self.audible_row(src.0, src_pos, tx_power, audible_range_m),
                 overrides: Vec::new(),
             }
         };
@@ -565,6 +623,7 @@ impl Medium {
             bytes,
             src_pos,
             tx_power_dbm: tx_power,
+            audible_range_m,
             radios_at_start: self.radios.len() as u32,
             geom_epoch_at_start: self.geom_epoch,
             power,
@@ -650,16 +709,9 @@ impl Medium {
         // world this one distance check removes ~99% of the interferer
         // set per plan.
         let cull_radius = (self.geom_epoch == tx.geom_epoch_at_start
-            && matches!(tx.power, TxPower::Sparse { .. }))
-        .then(|| {
-            max_range_m(
-                tx.tx_power_dbm,
-                self.audible_floor_dbm,
-                self.params.ref_loss_db,
-                self.params.path_loss_exponent,
-            )
-        })
-        .filter(|r| r.is_finite());
+            && matches!(tx.power, TxPower::Sparse { .. })
+            && tx.audible_range_m.is_finite())
+        .then_some(tx.audible_range_m);
         INTERF_SCRATCH.with(|cell| {
             let mut interferers = cell.borrow_mut();
             interferers.clear();
@@ -676,16 +728,10 @@ impl Medium {
                         if self.geom_epoch == o.geom_epoch_at_start
                             && matches!(o.power, TxPower::Sparse { .. })
                         {
-                            let r_o = max_range_m(
-                                o.tx_power_dbm,
-                                self.audible_floor_dbm,
-                                self.params.ref_loss_db,
-                                self.params.path_loss_exponent,
-                            );
                             // The pad mirrors the audible-row build's
                             // rounding absorption; it only ever keeps an
                             // interferer the exact check would drop.
-                            let reach = (r_tx + r_o) * (1.0 + 1e-9) + 1.0;
+                            let reach = (r_tx + o.audible_range_m) * (1.0 + 1e-9) + 1.0;
                             if reach.is_finite() && o.src_pos.distance(tx.src_pos) > reach {
                                 continue;
                             }
@@ -702,12 +748,16 @@ impl Medium {
             let mut sinr_drops = 0;
 
             // Candidate receivers: every begin-time radio for a dense
-            // fill, only the audible set for a sparse one. Both ascend
-            // by radio index, so delivery order matches the historical
-            // dense scan — and neither materializes a candidate list.
+            // map, only the audible set for a sparse one, narrowed to the
+            // radios that can receive at all before a dense sample is
+            // evaluated. Both ascend by radio index, so delivery order
+            // matches the historical dense scan — and neither
+            // materializes a candidate list.
             match &tx.power {
-                TxPower::Dense(v) => self.scan_candidates(
-                    v.iter().enumerate().map(|(i, &p)| (i, p)),
+                TxPower::Dense(lp) => self.scan_candidates(
+                    (0..lp.cells.len())
+                        .filter(|&ri| self.listens(ri, tx))
+                        .map(|ri| (ri, self.lazy_dbm(tx, lp, ri))),
                     tx,
                     handle.slot,
                     &interferers,
@@ -717,7 +767,10 @@ impl Medium {
                     &mut sinr_drops,
                 ),
                 TxPower::Sparse { audible, .. } => self.scan_candidates(
-                    audible.iter().map(|&(i, p)| (i as usize, p)),
+                    audible
+                        .iter()
+                        .map(|&(i, p)| (i as usize, p))
+                        .filter(|&(ri, _)| self.listens(ri, tx)),
                     tx,
                     handle.slot,
                     &interferers,
@@ -748,7 +801,8 @@ impl Medium {
 
     /// The per-candidate decode loop of [`Self::plan_complete`], generic
     /// over the (dense or sparse) candidate iterator so neither path
-    /// allocates a candidate list.
+    /// allocates a candidate list. Candidates arrive with their signal,
+    /// already narrowed to the radios that [listen](Self::listens).
     #[allow(clippy::too_many_arguments)]
     fn scan_candidates<I: Iterator<Item = (usize, f64)>>(
         &self,
@@ -761,14 +815,10 @@ impl Medium {
         halfduplex_misses: &mut u64,
         sinr_drops: &mut u64,
     ) {
-        let (tx_src, tx_channel, tx_bitrate) = (tx.src, tx.channel, tx.bitrate);
+        let (tx_channel, tx_bitrate) = (tx.channel, tx.bitrate);
         let (tx_start, tx_end) = (tx.start, tx.end);
         for (ri, signal_dbm) in candidates {
-            let radio = &self.radios[ri];
             let rid = RadioId(ri as u32);
-            if rid == tx_src || !radio.enabled || radio.channel != tx_channel {
-                continue;
-            }
             if signal_dbm < tx_bitrate.sensitivity_dbm() {
                 continue;
             }
@@ -785,31 +835,15 @@ impl Medium {
                 *halfduplex_misses += 1;
                 continue;
             }
-            // Interference from every other overlapping transmission.
+            // Interference from every other overlapping transmission, in
+            // ascending id order. A zero term leaves the non-negative
+            // sum's bits unchanged, exactly as skipping it would.
             let mut interf_mw = 0.0;
             for &oslot in interferers {
                 let o = self.txs[oslot as usize].tx.as_ref().unwrap();
-                if o.src == rid {
-                    continue;
+                if o.src != rid {
+                    interf_mw += self.interference_mw(o, ri, o.channel.abs_diff(tx_channel));
                 }
-                let offset = o.channel.abs_diff(radio.channel);
-                let Some(rej) = aci_rejection_db(offset) else {
-                    continue;
-                };
-                // Uniform audible-floor cutoff (PR 9): power below the
-                // floor was already invisible to decode and CCA; it now
-                // contributes no interference either. The dense arm
-                // stores sub-floor samples, so the explicit comparison
-                // keeps the dense and sparse paths bit-identical: a
-                // sparse row omits exactly the entries the dense check
-                // rejects.
-                let Some(p) = stored_rx_power_at(o, ri) else {
-                    continue;
-                };
-                if p < self.audible_floor_dbm {
-                    continue;
-                }
-                interf_mw += dbm_to_mw(p - rej);
             }
             let sinr_db = signal_dbm - 10.0 * (noise_mw + interf_mw).log10();
             if sinr_db < tx_bitrate.sinr_threshold_db() {
@@ -823,6 +857,91 @@ impl Medium {
                 channel: tx_channel,
                 bitrate: tx_bitrate,
             });
+        }
+    }
+
+    /// Can radio `ri` receive `tx` at all: not its source, powered on,
+    /// and tuned to its channel?
+    fn listens(&self, ri: usize, tx: &Transmission) -> bool {
+        let r = &self.radios[ri];
+        ri as u32 != tx.src.0 && r.enabled && r.channel == tx.channel
+    }
+
+    /// The begin-era power sample `tx` holds for radio `ri`, if any. A
+    /// sparse miss means the radio sat below the audible floor at begin
+    /// time; a radio registered mid-flight has no sample on either path.
+    fn rx_dbm(&self, tx: &Transmission, ri: usize) -> Option<f64> {
+        if ri as u32 >= tx.radios_at_start {
+            return None;
+        }
+        match &tx.power {
+            TxPower::Dense(lp) => Some(self.lazy_dbm(tx, lp, ri)),
+            TxPower::Sparse { audible, overrides } => audible
+                .binary_search_by_key(&(ri as u32), |e| e.0)
+                .ok()
+                .map(|k| audible[k].1)
+                .or_else(|| overrides.iter().find(|e| e.0 == ri as u32).map(|e| e.1)),
+        }
+    }
+
+    /// Sample `ri` of the dense map `lp` of `tx`, evaluated on first
+    /// read: begin-era path loss plus, at σ > 0, the radio's shadowing
+    /// draw replayed from the nearest checkpoint — the same draws and the
+    /// same f64 expression as an eager registration-order fill.
+    fn lazy_dbm(&self, tx: &Transmission, lp: &LazyPower, ri: usize) -> f64 {
+        let cell = &lp.cells[ri][0];
+        let bits = cell.load(Ordering::Relaxed);
+        if bits != UNSET {
+            return f64::from_bits(bits);
+        }
+        let mut p = tx.tx_power_dbm
+            - path_loss_db(
+                tx.src_pos.distance(lp.positions[ri]),
+                self.params.ref_loss_db,
+                self.params.path_loss_exponent,
+            );
+        let sigma = self.params.shadowing_sigma_db;
+        if sigma > 0.0 {
+            let mut rng = lp.checkpoints[ri / CHECKPOINT_EVERY].clone();
+            rng.skip_gaussians(ri % CHECKPOINT_EVERY);
+            p += rng.gaussian(0.0, sigma);
+        }
+        cell.store(p.to_bits(), Ordering::Relaxed);
+        p
+    }
+
+    /// Interference, in mW, that `tx` puts on radio `ri` tuned `offset`
+    /// channels away: zero when the channels cannot interact, when `tx`
+    /// holds no sample for the radio, or when the sample sits below the
+    /// audible floor — the uniform cutoff that keeps the dense and sparse
+    /// paths bit-identical, since a sparse row omits exactly the entries
+    /// this comparison rejects. A dense tx memoizes its same-channel term
+    /// per radio: every completion it overlaps adds the same one.
+    fn interference_mw(&self, tx: &Transmission, ri: usize, offset: u8) -> f64 {
+        let Some(rej) = aci_rejection_db(offset) else {
+            return 0.0;
+        };
+        if let (0, TxPower::Dense(lp)) = (offset, &tx.power) {
+            if let Some([_, cell]) = lp.cells.get(ri) {
+                let bits = cell.load(Ordering::Relaxed);
+                if bits != UNSET {
+                    return f64::from_bits(bits);
+                }
+                // No rejection on the same channel: `p - rej` is `p`.
+                let p = self.lazy_dbm(tx, lp, ri);
+                let mw = if p < self.audible_floor_dbm {
+                    0.0
+                } else {
+                    dbm_to_mw(p)
+                };
+                cell.store(mw.to_bits(), Ordering::Relaxed);
+                return mw;
+            }
+        }
+        match self.rx_dbm(tx, ri) {
+            Some(p) if p < self.audible_floor_dbm => 0.0,
+            Some(p) => dbm_to_mw(p - rej),
+            None => 0.0,
         }
     }
 
@@ -867,7 +986,8 @@ impl Medium {
                     let Some(rej) = aci_rejection_db(t.channel.abs_diff(r.channel)) else {
                         continue;
                     };
-                    if stored_rx_power_at(t, radio.0 as usize)
+                    if self
+                        .rx_dbm(t, radio.0 as usize)
                         .is_some_and(|p| p - rej >= self.params.cca_threshold_dbm)
                     {
                         return true;
@@ -895,13 +1015,7 @@ impl Medium {
     /// Used with [`crate::RegionMap::disc_crosses_region`] to classify
     /// boundary events.
     pub fn tx_audible_range_m(&self, handle: TxHandle) -> f64 {
-        let t = self.tx_ref(handle);
-        max_range_m(
-            t.tx_power_dbm,
-            self.audible_floor_dbm,
-            self.params.ref_loss_db,
-            self.params.path_loss_exponent,
-        )
+        self.tx_ref(handle).audible_range_m
     }
 
     /// Transmission records currently retained (in-flight plus completed
@@ -920,7 +1034,7 @@ impl Medium {
             .iter()
             .filter_map(|s| s.tx.as_ref())
             .map(|t| match &t.power {
-                TxPower::Dense(v) => v.len(),
+                TxPower::Dense(lp) => lp.cells.len(),
                 TxPower::Sparse { audible, overrides } => audible.len() + overrides.len(),
             })
             .sum()
@@ -939,8 +1053,8 @@ impl Medium {
     }
 
     /// Validation hook: route every subsequent `begin_tx` through the
-    /// dense O(registry) fill even at σ == 0, exactly as the pre-cull
-    /// medium did. The sparse fast path is required to be delivery- and
+    /// dense O(registry) map even at σ == 0, as the pre-cull medium did.
+    /// The sparse fast path is required to be delivery- and
     /// counter-identical to this reference (see the
     /// `medium_sparse_equiv` property suite).
     pub fn force_dense(&mut self, on: bool) {
@@ -1007,24 +1121,6 @@ thread_local! {
     /// (which runs concurrently on the rayon pool in the sharded loop).
     static INTERF_SCRATCH: std::cell::RefCell<Vec<u32>> =
         const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// The power sample `tx` stored for radio `ri`, if any. A sparse miss
-/// means the radio sat below the audible floor at begin time (or
-/// registered mid-flight) — enough to rule out decode and CCA without
-/// touching geometry.
-fn stored_rx_power_at(tx: &Transmission, ri: usize) -> Option<f64> {
-    if ri as u32 >= tx.radios_at_start {
-        return None;
-    }
-    match &tx.power {
-        TxPower::Dense(v) => v.get(ri).copied(),
-        TxPower::Sparse { audible, overrides } => audible
-            .binary_search_by_key(&(ri as u32), |e| e.0)
-            .ok()
-            .map(|k| audible[k].1)
-            .or_else(|| overrides.iter().find(|e| e.0 == ri as u32).map(|e| e.1)),
-    }
 }
 
 #[cfg(test)]
