@@ -1642,11 +1642,21 @@ impl World {
             }
 
             // ---- Barrier: commit in global (time, seq) order. ----
+            // Retune-hazard audit (debug builds): the split above trusts
+            // the `*_may_retune` predicates, so a prefix event that does
+            // commit a `SetChannel` means one of them lied, and any later
+            // frozen plan was computed against a stale channel map.
+            let mut retuned = false;
             let mut task_cursor = 0usize;
             for (i, &(shard, kind, task_end)) in ev_meta.iter().enumerate() {
                 self.current_shard = shard;
                 let c0 = profile::now();
                 if let Some(plan) = plans_by_event[i].take() {
+                    debug_assert!(
+                        !retuned,
+                        "retune hazard: a frozen plan commits after a prefix event's \
+                         SetChannel at t={t:?}; a *_may_retune predicate returned false"
+                    );
                     self.sim_plans_committed += 1;
                     let t0 = profile::now();
                     let _ = self.medium.commit_complete(plan);
@@ -1657,6 +1667,9 @@ impl World {
                 while task_cursor < task_end as usize {
                     nops += ops_by_task[task_cursor].len() as u64;
                     for op in std::mem::take(&mut ops_by_task[task_cursor]) {
+                        if cfg!(debug_assertions) {
+                            retuned |= matches!(op, Op::SetChannel { .. });
+                        }
                         self.commit_op(t, op);
                     }
                     task_cursor += 1;

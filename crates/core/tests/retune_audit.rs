@@ -1,0 +1,130 @@
+//! The parallel burst executor's retune-hazard audit (DESIGN.md §17).
+//!
+//! The executor commits a burst prefix's completion plans unvalidated
+//! ("frozen"), trusting the `*_may_retune` predicates to end the prefix
+//! before any event that could retune a radio. This test plants a
+//! scripted injector that retunes at an instant where three completions
+//! on other channels share its burst, with later seqs:
+//!
+//! - declared honestly (`may_retune() == true`), the burst dispatches
+//!   serially and the run matches the 1-shard loop;
+//! - declared falsely (`false`), the prefix swallows the completions and
+//!   the barrier's debug audit must fire before their frozen plans
+//!   commit.
+
+use rogue_attack::{DeauthFlooder, FrameInjector};
+use rogue_core::world::World;
+use rogue_dot11::output::MacOutput;
+use rogue_dot11::MacAddr;
+use rogue_phy::{Bitrate, MediumParams, Pos};
+use rogue_sim::{Seed, SimTime};
+
+/// One deauth-sized frame at 1 Mbps.
+fn frame() -> bytes::Bytes {
+    DeauthFlooder::forge(MacAddr::local(1), MacAddr::BROADCAST).encode()
+}
+
+/// The transmitters' start instant; their completions land at
+/// `TX_AT + airtime`.
+const TX_AT: SimTime = SimTime::from_micros(1_000);
+
+/// Either one transmission or one retune, at a fixed instant.
+struct Scripted {
+    at: SimTime,
+    retune_to: Option<u8>,
+    declares_retune: bool,
+    done: bool,
+}
+
+impl FrameInjector for Scripted {
+    fn next_wake(&self) -> SimTime {
+        if self.done {
+            SimTime::FOREVER
+        } else {
+            self.at
+        }
+    }
+
+    fn poll(&mut self, now: SimTime, out: &mut Vec<MacOutput>) {
+        if self.done || now < self.at {
+            return;
+        }
+        self.done = true;
+        out.push(match self.retune_to {
+            Some(ch) => MacOutput::SetChannel(ch),
+            None => MacOutput::Tx {
+                bytes: frame(),
+                bitrate: Bitrate::B1,
+            },
+        });
+    }
+
+    fn may_retune(&self) -> bool {
+        self.declares_retune
+    }
+}
+
+/// Three transmitters on channels 1/6/11, each heard by a monitor on
+/// its channel, plus the retuning injector. The retuner is added first
+/// and polls at t = 0, so its poll at the completion instant carries a
+/// lower seq than the completions scheduled at `TX_AT`.
+fn run(shards: usize, threads: usize, declares_retune: bool) -> (u64, u64, Vec<usize>) {
+    rayon::with_num_threads(threads, || {
+        let mut w = World::new(Seed(17), MediumParams::default());
+        let done_at = TX_AT + Bitrate::B1.airtime(frame().len());
+        let retuner = w.add_node("retuner");
+        w.add_injector(
+            retuner,
+            Pos::new(0.0, 50.0),
+            15.0,
+            1,
+            Scripted {
+                at: done_at,
+                retune_to: Some(6),
+                declares_retune,
+                done: false,
+            },
+        );
+        let mut monitors = Vec::new();
+        for (i, ch) in [1u8, 6, 11].into_iter().enumerate() {
+            let x = 400.0 * i as f64;
+            let tx = w.add_node("tx");
+            w.add_injector(
+                tx,
+                Pos::new(x, 0.0),
+                15.0,
+                ch,
+                Scripted {
+                    at: TX_AT,
+                    retune_to: None,
+                    declares_retune: false,
+                    done: false,
+                },
+            );
+            let mon = w.add_node("mon");
+            w.add_monitor(mon, Pos::new(x + 5.0, 0.0), ch);
+            monitors.push(mon);
+        }
+        if shards > 1 {
+            w.set_shards(shards);
+        }
+        w.run_until(SimTime::from_micros(10_000));
+        let captured = monitors.iter().map(|&m| w.sniffer(m, 0).len()).collect();
+        (w.medium.frames_sent, w.events_dispatched(), captured)
+    })
+}
+
+#[test]
+fn honest_retuner_serializes_the_burst() {
+    let serial = run(1, 1, true);
+    assert_eq!(serial.0, 3, "all three frames went on the air");
+    assert_eq!(serial.2, vec![1, 1, 1], "each monitor heard its channel");
+    assert_eq!(run(2, 2, true), serial);
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "retune hazard")]
+fn lying_retuner_trips_the_audit() {
+    run(2, 2, false);
+}
