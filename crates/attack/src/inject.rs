@@ -19,6 +19,12 @@ use rogue_sim::SimTime;
 pub trait FrameInjector: Send {
     /// Earliest instant this injector needs a poll
     /// ([`SimTime::FOREVER`] when done).
+    ///
+    /// Contract: a poll before this instant does nothing — it emits no
+    /// output and leaves this value unchanged. The world skips such
+    /// polls after a radio completion (an injector hears no frame, so it
+    /// never has input); debug builds poll anyway and assert the
+    /// contract.
     fn next_wake(&self) -> SimTime;
 
     /// Emit every frame due at or before `now`.

@@ -140,6 +140,22 @@ enum RadioRole {
     },
 }
 
+impl RadioRole {
+    /// Would this radio hand `bytes` to its MAC? Managed-mode radios
+    /// (station and AP) filter by receiver address as their MAC does;
+    /// a monitor hears everything; an injector hears nothing, since its
+    /// receive path drops every frame. Reads only configured addresses,
+    /// so the answer for given bytes never changes (DESIGN §17.7).
+    fn hears(&self, bytes: &[u8]) -> bool {
+        match self {
+            RadioRole::Sta { mac, .. } => mac.hears(bytes),
+            RadioRole::ApLocal { mac, .. } | RadioRole::ApBridge { mac, .. } => mac.hears(bytes),
+            RadioRole::Monitor { .. } => true,
+            RadioRole::Injector { .. } => false,
+        }
+    }
+}
+
 struct RadioBinding {
     radio: RadioId,
     role: RadioRole,
@@ -171,6 +187,27 @@ struct Node {
     /// exactly while `scheduled_poll != FOREVER`, and the entry fires at
     /// `scheduled_poll`.
     poll_event: Option<(usize, EventId)>,
+}
+
+impl Node {
+    /// Must a completion at `now` poll this node? Only with new input
+    /// (`input`: one of its radios heard the frame) or a poll due at
+    /// this instant. Any other poll would run before the node's next
+    /// wake with no input since its last poll, which the
+    /// [`node_next_wake`] contract makes a no-op (DESIGN §17.7).
+    fn completion_polls(&self, now: SimTime, input: bool) -> bool {
+        input || self.scheduled_poll <= now
+    }
+}
+
+/// Note that a completion's delivery reached `node`, keeping nodes in
+/// first-delivery order (the order their polls commit in) and whether
+/// any of their radios heard the frame.
+fn touch(touched: &mut Vec<(usize, bool)>, node: usize, heard: bool) {
+    match touched.iter_mut().find(|(n, _)| *n == node) {
+        Some((_, h)) => *h |= heard,
+        None => touched.push((node, heard)),
+    }
 }
 
 /// A deferred shared-state effect produced by node-local event work.
@@ -455,6 +492,11 @@ impl NodeCtx<'_> {
 }
 
 /// Earliest instant any of the node's components needs a poll.
+///
+/// Contract, inherited from every component's `next_wake`: a poll
+/// before this instant, with no input since the last poll, does nothing
+/// — it emits no op and leaves this value unchanged. Completions skip
+/// such polls; debug builds audit every skip (DESIGN §17.7).
 fn node_next_wake(n: &Node) -> SimTime {
     let mut wake = n.host.next_wake();
     for rb in &n.radios {
@@ -477,12 +519,37 @@ fn node_next_wake(n: &Node) -> SimTime {
     wake
 }
 
+/// Debug audit of a poll a completion skipped (DESIGN §17.7): poll the
+/// node anyway, drop the ops, and check the [`node_next_wake`] contract
+/// held — nothing was emitted but a `SchedulePoll` at or after the
+/// pending poll (a no-op at commit), and the next wake did not move.
+fn audit_skipped_poll(now: SimTime, idx: usize, node: &mut Node, scratch: &mut NodeScratch) {
+    let (pending, wake) = (node.scheduled_poll, node_next_wake(node));
+    let mut ops = Vec::new();
+    NodeCtx {
+        now,
+        idx,
+        node,
+        ops: &mut ops,
+        scratch,
+    }
+    .poll_node();
+    let quiet = ops
+        .iter()
+        .all(|op| matches!(op, Op::SchedulePoll { wake, .. } if *wake >= pending));
+    assert!(
+        quiet && node_next_wake(node) == wake,
+        "poll skip: node {idx} acted on a poll at t={now:?} before its next wake \
+         {wake:?} with no input; a next_wake() understates when it needs a poll"
+    );
+}
+
 /// One unit of node-local work inside a parallel burst: everything a
 /// single event does to a single node, with shared-state effects
 /// deferred as [`Op`]s. Tasks are built in canonical order — event
-/// order; within a `TxComplete`, deliveries in plan order, then
-/// first-touch polls — so committing task ops in task order replays
-/// the serial schedule exactly.
+/// order; within a `TxComplete`, heard deliveries in plan order, then
+/// polls in first-touch order — so committing task ops in task order
+/// replays the serial schedule exactly.
 enum TaskKind {
     /// Deliver decoded PHY bytes to one radio (from a frozen plan).
     Receive {
@@ -491,7 +558,8 @@ enum TaskKind {
         rssi_dbm: f64,
         channel: u8,
     },
-    /// Post-delivery poll of a node touched by a `TxComplete`.
+    /// Post-delivery poll of a node a `TxComplete` must poll
+    /// ([`Node::completion_polls`]).
     TouchPoll,
     /// A `NodePoll` event: clears the poll handle (as its first op),
     /// then polls.
@@ -512,24 +580,91 @@ struct Task {
     kind: TaskKind,
 }
 
+/// A burst prefix's tasks in canonical order, grouped into per-node
+/// chains (the execution units) as they are pushed.
+#[derive(Default)]
+struct PrefixTasks {
+    tasks: Vec<Task>,
+    /// Task indices per chain; a chain holds every task of one node.
+    chains: Vec<Vec<u32>>,
+}
+
+impl PrefixTasks {
+    /// Append a task to its node's chain. `chain_map` maps node → chain
+    /// index, `u32::MAX` while the node has no task in this burst.
+    fn push(&mut self, chain_map: &mut [u32], event: u32, node: u32, kind: TaskKind) {
+        let ti = self.tasks.len() as u32;
+        let slot = &mut chain_map[node as usize];
+        if *slot == u32::MAX {
+            *slot = self.chains.len() as u32;
+            self.chains.push(vec![ti]);
+        } else {
+            self.chains[*slot as usize].push(ti);
+        }
+        self.tasks.push(Task { event, node, kind });
+    }
+
+    /// Reset the `chain_map` entries this prefix set.
+    fn release(&self, chain_map: &mut [u32]) {
+        for chain in &self.chains {
+            chain_map[self.tasks[chain[0] as usize].node as usize] = u32::MAX;
+        }
+    }
+
+    /// Debug check behind [`NodesView`]: every node appears in exactly
+    /// one chain.
+    fn assert_disjoint(&self) {
+        let mut owners: Vec<u32> = self
+            .chains
+            .iter()
+            .map(|chain| {
+                let node = self.tasks[chain[0] as usize].node;
+                let same = chain.iter().all(|&ti| self.tasks[ti as usize].node == node);
+                assert!(same, "chain mixes nodes");
+                node
+            })
+            .collect();
+        owners.sort_unstable();
+        owners.dedup();
+        assert_eq!(owners.len(), self.chains.len(), "node in two chains");
+    }
+}
+
 /// Raw-pointer view of the world's node slab, shared with the rayon
-/// pool during a parallel burst.
-///
-/// Safety: the dispatcher groups tasks into per-node chains and hands
-/// each chain to exactly one worker, so no two workers ever reach the
-/// same `Node`; the owning `Vec` is neither resized nor dropped while
-/// the view is live.
+/// pool during a parallel burst. The owning `Vec` is neither resized
+/// nor dropped while the view is live.
 #[derive(Clone, Copy)]
 struct NodesView {
     ptr: *mut Node,
+    len: usize,
 }
+// SAFETY: `ptr` and `len` describe a live `&mut [Node]` for the whole
+// parallel region, and workers reach nodes only through `node(i)`, each
+// for the one node its chain owns (see the dereference in
+// `dispatch_burst_parallel`). `Node` is `Send` — its apps and injectors
+// are `Send` trait objects — so moving that exclusive access to another
+// thread is sound.
 unsafe impl Send for NodesView {}
+// SAFETY: as for `Send`: a shared view only hands out pointers, and no
+// two workers dereference the same one.
 unsafe impl Sync for NodesView {}
 
 impl NodesView {
+    fn new(nodes: &mut [Node]) -> NodesView {
+        NodesView {
+            ptr: nodes.as_mut_ptr(),
+            len: nodes.len(),
+        }
+    }
+
     /// Pointer to node `i`. A closure that calls this captures the whole
     /// view, so the `Send`/`Sync` promises above cover it.
     fn node(self, i: usize) -> *mut Node {
+        debug_assert!(
+            i < self.len,
+            "node {i} outside the node slab of {}",
+            self.len
+        );
         self.ptr.wrapping_add(i)
     }
 }
@@ -607,7 +742,7 @@ pub struct World {
     // Pooled scratch buffers, reused across every event dispatch.
     ops_scratch: Vec<Op>,
     node_scratch: NodeScratch,
-    touched_scratch: Vec<usize>,
+    touched_scratch: Vec<(usize, bool)>,
     /// Node → chain index during parallel burst construction
     /// (`u32::MAX` = unassigned); sized to the node count, entries
     /// reset after every burst so no O(nodes) clear on the hot path.
@@ -1403,155 +1538,90 @@ impl World {
             }
         }
 
-        // A trivial prefix, or one whose work all lands on a single
-        // node, cannot use the pool — demote to all-serial replay
+        // Build the prefix's tasks in canonical order — event order;
+        // within a `TxComplete`, receives in plan order, then polls in
+        // first-delivery order — grouping them into per-node chains as
+        // they go. A trivial prefix, or one whose work all lands on a
+        // single node, cannot use the pool: demote to all-serial replay
         // (which still reuses the speculative plans).
-        if split < MIN_PARALLEL_EVENTS {
-            split = 0;
-        } else {
-            let mut marks: Vec<usize> = Vec::new();
-            for (i, (ev, _)) in burst.iter().take(split).enumerate() {
-                match ev {
-                    Event::TxComplete { .. } => {
-                        let plan = plans_by_event[i].as_ref().expect("completion was planned");
-                        for d in plan.deliveries() {
-                            let (node, _) = self.radio_owner[d.to.0 as usize];
-                            if self.chain_map[node] == u32::MAX {
-                                self.chain_map[node] = 0;
-                                marks.push(node);
-                            }
-                        }
-                    }
-                    Event::NodePoll { node } => {
-                        let n = *node as usize;
-                        if self.chain_map[n] == u32::MAX {
-                            self.chain_map[n] = 0;
-                            marks.push(n);
-                        }
-                    }
-                    Event::WireDeliver(f) => {
-                        let n = f.node as usize;
-                        if self.chain_map[n] == u32::MAX {
-                            self.chain_map[n] = 0;
-                            marks.push(n);
-                        }
-                    }
-                    Event::BridgeDeliver(f) => {
-                        let n = f.node as usize;
-                        if self.chain_map[n] == u32::MAX {
-                            self.chain_map[n] = 0;
-                            marks.push(n);
-                        }
-                    }
-                    Event::TapDeliver(f) => {
-                        let n = f.node as usize;
-                        if self.chain_map[n] == u32::MAX {
-                            self.chain_map[n] = 0;
-                            marks.push(n);
-                        }
-                    }
-                }
-            }
-            let distinct = marks.len();
-            for n in marks {
-                self.chain_map[n] = u32::MAX;
-            }
-            if distinct < 2 {
-                split = 0;
-            }
-        }
-
-        if split > 0 {
-            // ---- Build the prefix task list in canonical order. ----
-            let mut tasks: Vec<Task> = Vec::with_capacity(split * 2);
-            // Per prefix event: (shard, kind index, end of its task range).
-            let mut ev_meta: Vec<(usize, usize, u32)> = Vec::with_capacity(split);
+        let mut prefix = PrefixTasks::default();
+        // Per prefix event: (shard, kind index, end of its task range).
+        let mut ev_meta: Vec<(usize, usize, u32)> = Vec::with_capacity(split);
+        if split >= MIN_PARALLEL_EVENTS {
             let mut touched = std::mem::take(&mut self.touched_scratch);
-            for (i, (ev, shard)) in burst.drain(..split).enumerate() {
-                let kind = self.prof_kinds[event_kind(&ev)];
+            for (i, (ev, shard)) in burst[..split].iter().enumerate() {
                 let event = i as u32;
+                let chain_map = &mut self.chain_map;
                 match ev {
                     Event::TxComplete { .. } => {
                         let plan = plans_by_event[i].as_ref().expect("completion was planned");
-                        touched.clear();
                         for d in plan.deliveries() {
                             let (node, radio) = self.radio_owner[d.to.0 as usize];
-                            tasks.push(Task {
-                                event,
-                                node: node as u32,
-                                kind: TaskKind::Receive {
+                            let heard = self.nodes[node].radios[radio].role.hears(&d.bytes);
+                            if heard {
+                                let kind = TaskKind::Receive {
                                     radio: radio as u32,
                                     bytes: d.bytes.clone(),
                                     rssi_dbm: d.rssi_dbm,
                                     channel: d.channel,
-                                },
-                            });
-                            if !touched.contains(&node) {
-                                touched.push(node);
+                                };
+                                prefix.push(chain_map, event, node as u32, kind);
+                            }
+                            touch(&mut touched, node, heard);
+                        }
+                        // A node with an earlier task in the burst counts
+                        // as having input: its ops commit only at the
+                        // barrier, so its `scheduled_poll` may be stale.
+                        for (node, heard) in touched.drain(..) {
+                            let tasked = chain_map[node] != u32::MAX;
+                            if self.nodes[node].completion_polls(t, heard || tasked) {
+                                prefix.push(chain_map, event, node as u32, TaskKind::TouchPoll);
                             }
                         }
-                        for &node in &touched {
-                            tasks.push(Task {
-                                event,
-                                node: node as u32,
-                                kind: TaskKind::TouchPoll,
-                            });
-                        }
                     }
-                    Event::NodePoll { node } => tasks.push(Task {
-                        event,
-                        node,
-                        kind: TaskKind::PollEvent,
-                    }),
-                    Event::WireDeliver(f) => tasks.push(Task {
-                        event,
-                        node: f.node,
-                        kind: TaskKind::HostRx {
-                            iface: f.iface,
-                            bytes: f.bytes,
-                        },
-                    }),
-                    Event::BridgeDeliver(f) => tasks.push(Task {
-                        event,
-                        node: f.node,
-                        kind: TaskKind::BridgeRx {
-                            radio: f.radio,
-                            bytes: f.bytes,
-                        },
-                    }),
-                    Event::TapDeliver(f) => tasks.push(Task {
-                        event,
-                        node: f.node,
-                        kind: TaskKind::Tap { bytes: f.bytes },
-                    }),
+                    Event::NodePoll { node } => {
+                        prefix.push(chain_map, event, *node, TaskKind::PollEvent)
+                    }
+                    Event::WireDeliver(f) => {
+                        let (iface, bytes) = (f.iface, f.bytes.clone());
+                        prefix.push(chain_map, event, f.node, TaskKind::HostRx { iface, bytes });
+                    }
+                    Event::BridgeDeliver(f) => {
+                        let (radio, bytes) = (f.radio, f.bytes.clone());
+                        prefix.push(
+                            chain_map,
+                            event,
+                            f.node,
+                            TaskKind::BridgeRx { radio, bytes },
+                        );
+                    }
+                    Event::TapDeliver(f) => {
+                        let bytes = f.bytes.clone();
+                        prefix.push(chain_map, event, f.node, TaskKind::Tap { bytes });
+                    }
                 }
-                ev_meta.push((shard, kind, tasks.len() as u32));
+                let kind = self.prof_kinds[event_kind(ev)];
+                ev_meta.push((*shard, kind, prefix.tasks.len() as u32));
             }
-            touched.clear();
             self.touched_scratch = touched;
+            prefix.release(&mut self.chain_map);
+        }
+        if prefix.chains.len() < 2 {
+            split = 0;
+        }
 
-            // Group tasks into per-node chains (execution units).
-            let mut chains: Vec<Vec<u32>> = Vec::new();
-            for (ti, task) in tasks.iter().enumerate() {
-                let ci = self.chain_map[task.node as usize];
-                if ci == u32::MAX {
-                    self.chain_map[task.node as usize] = chains.len() as u32;
-                    chains.push(vec![ti as u32]);
-                } else {
-                    chains[ci as usize].push(ti as u32);
-                }
+        if split > 0 {
+            burst.drain(..split);
+            if cfg!(debug_assertions) {
+                prefix.assert_disjoint();
             }
-            for task in &tasks {
-                self.chain_map[task.node as usize] = u32::MAX;
-            }
+            let PrefixTasks { tasks, chains } = prefix;
 
             // ---- Exec: run chains on the pool. Node work never
             // touches shared state (the mutation-epoch check enforces
             // the medium half of that claim).
             let epoch = self.medium.mutation_epoch();
-            let view = NodesView {
-                ptr: self.nodes.as_mut_ptr(),
-            };
+            let view = NodesView::new(&mut self.nodes);
             let tasks_ref = &tasks;
             let wall0 = profile::now();
             let results: Vec<Vec<(u32, u64, Vec<Op>)>> = chains
@@ -1562,8 +1632,13 @@ impl World {
                         let mut out = Vec::with_capacity(chain.len());
                         for &ti in chain {
                             let task = &tasks_ref[ti as usize];
-                            // Safety: this chain is the unique owner of
-                            // `task.node` for the whole region.
+                            // SAFETY: `task.node` is inside the slab
+                            // (`NodesView::node` debug-asserts it), and
+                            // this chain is the only one holding tasks
+                            // for that node (`PrefixTasks::push` builds
+                            // one chain per node; debug builds check it
+                            // in `assert_disjoint`), so no other worker
+                            // reaches this `Node` during the region.
                             let node = unsafe { &mut *view.node(task.node as usize) };
                             let mut ops = Vec::new();
                             let c0 = profile::now();
@@ -1844,29 +1919,36 @@ impl World {
                 debug_assert!(touched.is_empty());
                 for d in deliveries {
                     let (node, radio) = self.radio_owner[d.to.0 as usize];
-                    NodeCtx {
-                        now,
-                        idx: node,
-                        node: &mut self.nodes[node],
-                        ops: &mut ops,
-                        scratch: &mut scratch,
+                    let n = &mut self.nodes[node];
+                    let heard = n.radios[radio].role.hears(&d.bytes);
+                    if heard {
+                        NodeCtx {
+                            now,
+                            idx: node,
+                            node: n,
+                            ops: &mut ops,
+                            scratch: &mut scratch,
+                        }
+                        .receive_on_radio(radio, &d.bytes, d.rssi_dbm, d.channel);
                     }
-                    .receive_on_radio(radio, &d.bytes, d.rssi_dbm, d.channel);
-                    if !touched.contains(&node) {
-                        touched.push(node);
-                    }
+                    touch(&mut touched, node, heard);
                 }
                 self.prof.record(Phase::Deliver, t0);
                 let t0 = profile::now();
-                for &node in &touched {
-                    NodeCtx {
-                        now,
-                        idx: node,
-                        node: &mut self.nodes[node],
-                        ops: &mut ops,
-                        scratch: &mut scratch,
+                for &(node, heard) in &touched {
+                    let n = &mut self.nodes[node];
+                    if n.completion_polls(now, heard) {
+                        NodeCtx {
+                            now,
+                            idx: node,
+                            node: n,
+                            ops: &mut ops,
+                            scratch: &mut scratch,
+                        }
+                        .poll_node();
+                    } else if cfg!(debug_assertions) {
+                        audit_skipped_poll(now, node, n, &mut scratch);
                     }
-                    .poll_node();
                 }
                 self.prof.record(Phase::Poll, t0);
                 touched.clear();
@@ -2212,6 +2294,17 @@ mod tests {
         w.kick(n);
         w.run_until(SimTime::from_millis(1));
         assert_eq!(w.events_dispatched() - base, 1, "one poll, not three");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "outside the node slab")]
+    fn nodes_view_rejects_an_index_past_the_slab() {
+        let mut w = World::new(Seed(13), MediumParams::default());
+        w.add_node("only");
+        let view = NodesView::new(&mut w.nodes);
+        let _ = view.node(0);
+        let _ = view.node(1);
     }
 
     #[test]

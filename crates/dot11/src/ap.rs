@@ -14,7 +14,7 @@ use rogue_sim::{SimDuration, SimRng, SimTime};
 
 use crate::addr::MacAddr;
 use crate::frame::{
-    decode_llc, encode_llc, Frame, FrameBody, MgmtInfo, CAP_ESS, CAP_PRIVACY, LLC_SNAP_LEN,
+    decode_llc, encode_llc, Frame, FrameBody, Header, MgmtInfo, CAP_ESS, CAP_PRIVACY, LLC_SNAP_LEN,
 };
 use crate::output::{MacEvent, MacOutput};
 use crate::txq::TxQueue;
@@ -199,6 +199,19 @@ impl ApMac {
         self.txq.push(now, f, Bitrate::B1, !client.is_multicast());
     }
 
+    /// Would [`Self::on_receive`] act on `bytes`? False for anything not
+    /// addressed to our BSSID, except probe requests, which are
+    /// broadcast. A header too short to read counts as heard (decoding
+    /// rejects it). Reads only the configured BSSID, so the answer for
+    /// given bytes never changes.
+    pub fn hears(&self, bytes: &[u8]) -> bool {
+        let Some(h) = Header::peek(bytes) else {
+            return true;
+        };
+        // Probe request: management subtype 4.
+        h.addr1 == self.cfg.bssid || (h.typ, h.subtype) == (0, 4)
+    }
+
     /// Handle a decoded PHY delivery.
     pub fn on_receive(
         &mut self,
@@ -208,20 +221,20 @@ impl ApMac {
         _channel: u8,
         out: &mut Vec<MacOutput>,
     ) {
+        if !self.hears(bytes) {
+            return;
+        }
         let Ok(frame) = Frame::decode(bytes) else {
             return;
         };
         if now < self.active_from {
             return; // not powered up yet
         }
+        // Heard, so a probe request or addressed to our BSSID.
         if let FrameBody::Ack = frame.body {
-            if frame.addr1 == self.cfg.bssid {
-                self.txq.on_ack(now);
-            }
+            self.txq.on_ack(now);
             return;
         }
-
-        // Probe requests are broadcast; everything else must target us.
         if let FrameBody::ProbeReq { ssid } = &frame.body {
             let matches = ssid.as_deref().is_none_or(|s| s == self.cfg.ssid);
             if matches {
@@ -236,9 +249,6 @@ impl ApMac {
             return;
         }
 
-        if frame.addr1 != self.cfg.bssid {
-            return;
-        }
         // ACK unicast frames addressed to us, with duplicate suppression.
         self.txq.emit_ack(now, frame.addr2, out);
         if frame.retry {

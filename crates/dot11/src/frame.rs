@@ -136,6 +136,32 @@ pub struct Frame {
     pub body: FrameBody,
 }
 
+/// The leading fields of a frame, read without checking the FCS: what a
+/// NIC's receive filter looks at before it hands a frame to the host.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Header {
+    /// Frame type (0 management, 1 control, 2 data).
+    pub typ: u8,
+    /// Frame subtype.
+    pub subtype: u8,
+    /// Receiver address (Addr1).
+    pub addr1: MacAddr,
+}
+
+impl Header {
+    /// Peek the header of wire bytes; `None` when they are too short to
+    /// hold Addr1.
+    pub fn peek(bytes: &[u8]) -> Option<Header> {
+        let addr1 = MacAddr(bytes.get(4..10)?.try_into().ok()?);
+        let fc = u16::from_le_bytes([bytes[0], bytes[1]]);
+        Some(Header {
+            typ: ((fc >> 2) & 0x3) as u8,
+            subtype: ((fc >> 4) & 0xF) as u8,
+            addr1,
+        })
+    }
+}
+
 /// Frame parse failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameError {
@@ -346,16 +372,9 @@ impl Frame {
         let body = match (typ, subtype) {
             (0, 8) => FrameBody::Beacon(parse_mgmt_info(body)?),
             (0, 5) => FrameBody::ProbeResp(parse_mgmt_info(body)?),
-            (0, 4) => {
-                let ies = parse_ies(body)?;
-                let ssid = ies
-                    .iter()
-                    .find(|(id, _)| *id == 0)
-                    .map(|(_, v)| String::from_utf8_lossy(v).into_owned());
-                FrameBody::ProbeReq {
-                    ssid: ssid.filter(|s| !s.is_empty()),
-                }
-            }
+            (0, 4) => FrameBody::ProbeReq {
+                ssid: ssid_element(&parse_ies(body)?)?.filter(|s| !s.is_empty()),
+            },
             (0, 11) => {
                 if body.len() < 6 {
                     return Err(FrameError::Truncated);
@@ -371,12 +390,7 @@ impl Frame {
                     return Err(FrameError::Truncated);
                 }
                 let capability = u16::from_le_bytes([body[0], body[1]]);
-                let ies = parse_ies(&body[4..])?;
-                let ssid = ies
-                    .iter()
-                    .find(|(id, _)| *id == 0)
-                    .map(|(_, v)| String::from_utf8_lossy(v).into_owned())
-                    .ok_or(FrameError::BadElements)?;
+                let ssid = ssid_element(&parse_ies(&body[4..])?)?.ok_or(FrameError::BadElements)?;
                 FrameBody::AssocReq { capability, ssid }
             }
             (0, 1) => {
@@ -452,6 +466,19 @@ fn parse_ies(mut body: &[u8]) -> Result<Vec<(u8, Vec<u8>)>, FrameError> {
     Ok(out)
 }
 
+/// The SSID element's text, if the element is present. SSIDs are kept
+/// as `String`, so one that is not UTF-8 is rejected, not replaced
+/// lossily: a lossy copy can outgrow the element's 255-byte limit and
+/// would not re-encode to the frame that carried it.
+fn ssid_element(ies: &[(u8, Vec<u8>)]) -> Result<Option<String>, FrameError> {
+    match ies.iter().find(|(id, _)| *id == 0) {
+        Some((_, v)) => String::from_utf8(v.clone())
+            .map(Some)
+            .map_err(|_| FrameError::BadElements),
+        None => Ok(None),
+    }
+}
+
 fn parse_mgmt_info(body: &[u8]) -> Result<MgmtInfo, FrameError> {
     if body.len() < 12 {
         return Err(FrameError::Truncated);
@@ -460,11 +487,7 @@ fn parse_mgmt_info(body: &[u8]) -> Result<MgmtInfo, FrameError> {
     let beacon_interval_tu = u16::from_le_bytes([body[8], body[9]]);
     let capability = u16::from_le_bytes([body[10], body[11]]);
     let ies = parse_ies(&body[12..])?;
-    let ssid = ies
-        .iter()
-        .find(|(id, _)| *id == 0)
-        .map(|(_, v)| String::from_utf8_lossy(v).into_owned())
-        .ok_or(FrameError::BadElements)?;
+    let ssid = ssid_element(&ies)?.ok_or(FrameError::BadElements)?;
     let channel = ies
         .iter()
         .find(|(id, _)| *id == 3)
@@ -661,6 +684,22 @@ mod tests {
         let mut bytes = f.encode().to_vec();
         bytes[5] ^= 0x01; // flip an addr1 bit
         assert_eq!(Frame::decode(&bytes.into()), Err(FrameError::BadFcs));
+    }
+
+    #[test]
+    fn header_peek_skips_the_fcs() {
+        let f = Frame::new(a(1), a(2), a(3), FrameBody::Deauth { reason: 1 });
+        let mut bytes = f.encode().to_vec();
+        let n = bytes.len();
+        bytes[n - 1] ^= 0xFF;
+        let want = Header {
+            typ: 0,
+            subtype: 12,
+            addr1: a(1),
+        };
+        assert_eq!(Header::peek(&bytes), Some(want));
+        assert_eq!(Header::peek(&bytes[..10]), Some(want));
+        assert_eq!(Header::peek(&bytes[..9]), None);
     }
 
     #[test]

@@ -18,7 +18,9 @@ use rogue_phy::Bitrate;
 use rogue_sim::{SimDuration, SimRng, SimTime};
 
 use crate::addr::MacAddr;
-use crate::frame::{decode_llc, encode_llc, Frame, FrameBody, CAP_ESS, CAP_PRIVACY, LLC_SNAP_LEN};
+use crate::frame::{
+    decode_llc, encode_llc, Frame, FrameBody, Header, CAP_ESS, CAP_PRIVACY, LLC_SNAP_LEN,
+};
 use crate::output::{MacEvent, MacOutput};
 use crate::txq::TxQueue;
 
@@ -238,6 +240,23 @@ impl StaMac {
         true
     }
 
+    /// Would [`Self::on_receive`] act on `bytes`? False only for a
+    /// unicast frame addressed to another station that is neither a
+    /// beacon nor a probe response: a managed-mode NIC drops those before
+    /// the host sees them, while beacons and probe responses are learned
+    /// passively whoever they are addressed to. A header too short to
+    /// read counts as heard (decoding rejects it). Reads only the
+    /// configured address, so the answer for given bytes never changes.
+    pub fn hears(&self, bytes: &[u8]) -> bool {
+        let Some(h) = Header::peek(bytes) else {
+            return true;
+        };
+        h.addr1 == self.cfg.mac
+            || h.addr1.is_multicast()
+            // Probe response (5) or beacon (8).
+            || matches!((h.typ, h.subtype), (0, 5) | (0, 8))
+    }
+
     /// Handle a decoded PHY delivery.
     pub fn on_receive(
         &mut self,
@@ -247,6 +266,9 @@ impl StaMac {
         channel: u8,
         out: &mut Vec<MacOutput>,
     ) {
+        if !self.hears(bytes) {
+            return;
+        }
         let Ok(frame) = Frame::decode(bytes) else {
             return;
         };
@@ -271,9 +293,9 @@ impl StaMac {
             _ => {}
         }
 
-        // Unicast frames addressed to us get an ACK (even duplicates).
-        let unicast_to_us = frame.addr1 == self.cfg.mac;
-        if unicast_to_us {
+        // Heard, so addressed to us or to a group. Unicast frames
+        // addressed to us get an ACK (even duplicates).
+        if frame.addr1 == self.cfg.mac {
             self.txq.emit_ack(now, frame.addr2, out);
             // Duplicate suppression on retransmissions.
             if frame.retry {
@@ -284,8 +306,6 @@ impl StaMac {
                 }
             }
             self.dedup.insert(frame.addr2, frame.seq);
-        } else if !frame.addr1.is_multicast() {
-            return; // unicast for someone else
         }
 
         match frame.body.clone() {

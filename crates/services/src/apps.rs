@@ -21,6 +21,12 @@ pub trait App: std::any::Any + Send {
     fn poll(&mut self, now: SimTime, host: &mut Host, out: &mut Vec<AppEvent>);
 
     /// Earliest instant this app needs a poll independent of I/O.
+    ///
+    /// Contract: a poll before this instant, with no input since the
+    /// last poll, does nothing — it emits no event and leaves this value
+    /// unchanged. The world skips such polls after a radio completion
+    /// (debug builds poll anyway and assert the contract), so an app
+    /// that acts on its own must say when here.
     fn next_wake(&self) -> SimTime {
         SimTime::FOREVER
     }
