@@ -109,10 +109,6 @@ impl MacRandomizingRogue {
 }
 
 impl FrameInjector for MacRandomizingRogue {
-    fn may_retune(&self) -> bool {
-        false // fixed-channel injection schedule
-    }
-
     fn next_wake(&self) -> SimTime {
         if self.next_tx < self.stop_at {
             self.next_tx
@@ -187,10 +183,6 @@ impl KarmaProbeRogue {
 }
 
 impl FrameInjector for KarmaProbeRogue {
-    fn may_retune(&self) -> bool {
-        false // fixed-channel injection schedule
-    }
-
     fn next_wake(&self) -> SimTime {
         let next = self.next_beacon.min(self.next_resp);
         if next < self.stop_at {
@@ -280,10 +272,6 @@ impl SpoofBeaconer {
 }
 
 impl FrameInjector for SpoofBeaconer {
-    fn may_retune(&self) -> bool {
-        false // fixed-channel injection schedule
-    }
-
     fn next_wake(&self) -> SimTime {
         if self.next_tx < self.stop_at {
             self.next_tx
@@ -360,10 +348,6 @@ impl PulsedDeauthFlooder {
 }
 
 impl FrameInjector for PulsedDeauthFlooder {
-    fn may_retune(&self) -> bool {
-        false // fixed-channel injection schedule
-    }
-
     fn next_wake(&self) -> SimTime {
         let at = self.schedule(self.injected);
         if at < self.stop_at {

@@ -13,9 +13,7 @@ use rogue_sim::SimTime;
 
 /// A raw-frame injection schedule.
 ///
-/// `Send` because the world's parallel burst dispatcher may poll
-/// injectors from a rayon worker thread (each node is still owned by
-/// exactly one worker at a time).
+/// `Send`, so that a world holding injectors is `Send` too.
 pub trait FrameInjector: Send {
     /// Earliest instant this injector needs a poll
     /// ([`SimTime::FOREVER`] when done).
@@ -29,15 +27,6 @@ pub trait FrameInjector: Send {
 
     /// Emit every frame due at or before `now`.
     fn poll(&mut self, now: SimTime, out: &mut Vec<MacOutput>);
-
-    /// Could a `poll` ever emit [`MacOutput::SetChannel`]? The world's
-    /// parallel burst dispatcher treats a node whose injector may
-    /// retune as a hazard and serializes the rest of the burst behind
-    /// it, so keep this `false` (the default is the conservative
-    /// `true`) whenever the injector transmits on a fixed channel.
-    fn may_retune(&self) -> bool {
-        true
-    }
 }
 
 impl FrameInjector for crate::DeauthFlooder {
@@ -47,9 +36,5 @@ impl FrameInjector for crate::DeauthFlooder {
 
     fn poll(&mut self, now: SimTime, out: &mut Vec<MacOutput>) {
         crate::DeauthFlooder::poll(self, now, out)
-    }
-
-    fn may_retune(&self) -> bool {
-        false // emits only deauth Tx on the victim channel
     }
 }

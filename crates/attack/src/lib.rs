@@ -22,6 +22,8 @@
 //! * [`evasion`] — WIDS-evading attacker variants: MAC-randomizing and
 //!   karma/cloaked rogues, low-power spoof beaconing, pulsed deauth.
 
+#![forbid(unsafe_code)]
+
 pub mod airsnort;
 pub mod arpspoof;
 pub mod deauth;

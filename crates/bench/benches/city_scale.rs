@@ -1,4 +1,5 @@
-//! city_scale — the sharded event loop at city scale (≥100k radios).
+//! city_scale — the event loop at city scale (≥100k radios), serial and
+//! sharded.
 //!
 //! City-wide topology: radios on a uniform 30 m grid covering ~9.5 km
 //! per side. Every 25th grid position (a 150 m AP lattice) carries an
@@ -7,16 +8,15 @@
 //! city SSID and associating with whichever AP beacons loudest. The
 //! first simulated seconds are the busiest this world ever gets: every
 //! station sweeps channels, then the auth/assoc exchanges pile onto the
-//! APs while beacons keep firing in 100 ms lockstep — exactly the
-//! synchronized completion bursts the sharded loop's parallel plan
-//! phase feeds on.
+//! APs while beacons keep firing in 100 ms lockstep.
 //!
-//! Protocol: run the world serially, then re-run it under 2 and 8
+//! Protocol: run the world on one shard, then re-run it under 2 and 8
 //! shards and **assert the MAC trace and medium counters are
 //! bit-identical before reporting any number**. Only then print
-//! events/s for each mode and the sharded-vs-serial speedup. A sharded
-//! run that diverges by one bit is a correctness bug, not a data point
-//! (DESIGN.md §15).
+//! events/s for each mode and the sharded-vs-serial ratio. Every shard
+//! count runs the same serial dispatcher, so the ratio measures what
+//! the shard layout costs; a sharded run that diverges by one bit is a
+//! correctness bug, not a data point (DESIGN.md §15).
 //!
 //! Results go to `BENCH_city_scale.json` at the workspace root so CI
 //! can archive the perf trajectory per PR. `-- --test` runs a
@@ -46,8 +46,6 @@ struct Mode {
     elapsed_s: f64,
     events_per_sec: f64,
     windows: u64,
-    plans_parallel: u64,
-    plans_stale: u64,
     fingerprint: (u64, usize, u64, u64, u64),
     profile: rogue_sim::profile::Snapshot,
 }
@@ -124,11 +122,7 @@ fn run(side: usize, shards: usize, horizon: SimTime, seed: Seed) -> Mode {
         (t.as_nanos(), n.0, format!("{e:?}")).hash(&mut h);
     }
     let events = w.events_dispatched();
-    let (windows, planned, stale) = (
-        w.metrics.counter("sim.windows"),
-        w.metrics.counter("sim.plans_parallel"),
-        w.metrics.counter("sim.plans_stale"),
-    );
+    let windows = w.metrics.counter("sim.windows");
     Mode {
         label: if shards > 1 {
             format!("sharded x{shards}")
@@ -140,8 +134,6 @@ fn run(side: usize, shards: usize, horizon: SimTime, seed: Seed) -> Mode {
         elapsed_s: elapsed,
         events_per_sec: events as f64 / elapsed,
         windows,
-        plans_parallel: planned,
-        plans_stale: stale,
         fingerprint: (
             h.finish(),
             w.mac_events.len(),
@@ -156,16 +148,7 @@ fn run(side: usize, shards: usize, horizon: SimTime, seed: Seed) -> Mode {
 /// Render a profiler snapshot as a JSON object: per-phase and per-kind
 /// `{ns, count}` rows plus the measured probe overhead (the acceptance
 /// budget is overhead_permille ≤ 20, i.e. ≤ 2 % of dispatch time).
-///
-/// Sharded runs also carry `per_shard` — one row set per queue shard,
-/// covering the work whose owning shard is known. All `ns` figures are
-/// *cumulative worker time*: on a multi-thread pool the `deliver`,
-/// `poll` and `medium_plan` rows sum time across rayon workers and can
-/// exceed the run's wall clock. `exec_wall` is the exception — it is
-/// wall time of the parallel exec regions measured from the
-/// coordinating thread, so `exec_wall / (deliver + poll + medium_plan)`
-/// reads directly as parallel efficiency (1.0 = no speedup, 1/N =
-/// perfect N-way). EXPERIMENTS.md walks through a recorded example.
+/// Dispatch is serial at every shard count, so `exec_wall` reads 0.
 fn profile_json(p: &rogue_sim::profile::Snapshot) -> String {
     let row_set = |rows: &[(&'static str, u64, u64)]| -> String {
         rows.iter()
@@ -173,21 +156,13 @@ fn profile_json(p: &rogue_sim::profile::Snapshot) -> String {
             .collect::<Vec<_>>()
             .join(", ")
     };
-    let per_shard = p
-        .per_shard
-        .iter()
-        .enumerate()
-        .map(|(s, rows)| format!("\"shard{s}\": {{{}}}", row_set(rows)))
-        .collect::<Vec<_>>()
-        .join(", ");
     format!(
         concat!(
-            "{{\"phases\": {{{}}}, \"kinds\": {{{}}}, \"per_shard\": {{{}}}, ",
+            "{{\"phases\": {{{}}}, \"kinds\": {{{}}}, ",
             "\"overhead_ns\": {}, \"dispatch_ns\": {}, \"overhead_permille\": {}}}"
         ),
         row_set(&p.phases),
         row_set(&p.kinds),
-        per_shard,
         p.overhead_ns,
         p.dispatch_ns,
         p.overhead_permille(),
@@ -260,6 +235,7 @@ fn main() {
         "  {:<11} {:>9} events in {:>6.2}s   {:>10.0} events/s",
         serial.label, serial.events, serial.elapsed_s, serial.events_per_sec
     );
+    println!("    fingerprint: {:?}", serial.fingerprint);
     for &(label, ns, count) in serial.profile.phases.iter().chain(&serial.profile.kinds) {
         if count > 0 {
             println!(
@@ -285,15 +261,13 @@ fn main() {
         );
         assert_eq!(m.events, modes[0].events, "event counts diverged");
         println!(
-            "  {:<11} {:>9} events in {:>6.2}s   {:>10.0} events/s   {:.2}x vs serial (bit-identical; {} windows, {} plans parallel, {} stale)",
+            "  {:<11} {:>9} events in {:>6.2}s   {:>10.0} events/s   {:.2}x vs serial (bit-identical; {} windows)",
             m.label,
             m.events,
             m.elapsed_s,
             m.events_per_sec,
             m.events_per_sec / modes[0].events_per_sec,
             m.windows,
-            m.plans_parallel,
-            m.plans_stale,
         );
         modes.push(m);
     }

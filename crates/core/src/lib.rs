@@ -30,6 +30,8 @@
 //! assert!(result.md5_check_passed, "and the victim's MD5 check must pass");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod policy;
 pub mod report;

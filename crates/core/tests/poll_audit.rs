@@ -14,8 +14,7 @@
 //!   `should_panic`), the audit fires at the first skipped poll.
 //! - A node made due again by input at the very instant of a
 //!   completion it only overhears is still polled at the completion's
-//!   position, serially and in a parallel burst, where the input is an
-//!   earlier task of the same burst.
+//!   position, at one shard and at two shards on a two-thread pool.
 
 use std::any::Any;
 
@@ -220,10 +219,6 @@ impl FrameInjector for OneShot {
             }
         }
     }
-
-    fn may_retune(&self) -> bool {
-        false
-    }
 }
 
 /// At `ARRIVE_AT`, in `(time, seq)` order: a datagram reaches node X
@@ -263,7 +258,7 @@ fn due_at_completion(shards: usize, threads: usize) -> Vec<NodeId> {
         w.add_injector(z, Pos::new(5.0, 0.0), 15.0, 1, shot);
         // Tickers faster than the frame's airtime: their polls at
         // ARRIVE_AT are scheduled after the frame began, so they follow
-        // the completion in the burst.
+        // the completion at that instant.
         for name in ["w", "v"] {
             let n = w.add_node(name);
             let period = SimDuration::from_micros(100);

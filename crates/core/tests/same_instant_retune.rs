@@ -1,16 +1,11 @@
-//! The parallel burst executor's retune-hazard audit (DESIGN.md §17).
+//! A retune that shares an instant with later-seq completions.
 //!
-//! The executor commits a burst prefix's completion plans unvalidated
-//! ("frozen"), trusting the `*_may_retune` predicates to end the prefix
-//! before any event that could retune a radio. This test plants a
-//! scripted injector that retunes at an instant where three completions
-//! on other channels share its burst, with later seqs:
-//!
-//! - declared honestly (`may_retune() == true`), the burst dispatches
-//!   serially and the run matches the 1-shard loop;
-//! - declared falsely (`false`), the prefix swallows the completions and
-//!   the barrier's debug audit must fire before their frozen plans
-//!   commit.
+//! A scripted injector retunes its radio at the instant three
+//! transmissions on channels 1, 6 and 11 complete, with a lower seq than
+//! their completions, so the retune commits before any of them is
+//! planned. The run at two shards on a two-thread pool must equal the
+//! one-shard run: every shard count dispatches through the same serial
+//! loop in `(time, seq)` order.
 
 use rogue_attack::{DeauthFlooder, FrameInjector};
 use rogue_core::world::World;
@@ -32,7 +27,6 @@ const TX_AT: SimTime = SimTime::from_micros(1_000);
 struct Scripted {
     at: SimTime,
     retune_to: Option<u8>,
-    declares_retune: bool,
     done: bool,
 }
 
@@ -58,17 +52,13 @@ impl FrameInjector for Scripted {
             },
         });
     }
-
-    fn may_retune(&self) -> bool {
-        self.declares_retune
-    }
 }
 
 /// Three transmitters on channels 1/6/11, each heard by a monitor on
 /// its channel, plus the retuning injector. The retuner is added first
 /// and polls at t = 0, so its poll at the completion instant carries a
 /// lower seq than the completions scheduled at `TX_AT`.
-fn run(shards: usize, threads: usize, declares_retune: bool) -> (u64, u64, Vec<usize>) {
+fn run(shards: usize, threads: usize) -> (u64, u64, Vec<usize>) {
     rayon::with_num_threads(threads, || {
         let mut w = World::new(Seed(17), MediumParams::default());
         let done_at = TX_AT + Bitrate::B1.airtime(frame().len());
@@ -81,7 +71,6 @@ fn run(shards: usize, threads: usize, declares_retune: bool) -> (u64, u64, Vec<u
             Scripted {
                 at: done_at,
                 retune_to: Some(6),
-                declares_retune,
                 done: false,
             },
         );
@@ -97,7 +86,6 @@ fn run(shards: usize, threads: usize, declares_retune: bool) -> (u64, u64, Vec<u
                 Scripted {
                     at: TX_AT,
                     retune_to: None,
-                    declares_retune: false,
                     done: false,
                 },
             );
@@ -115,16 +103,9 @@ fn run(shards: usize, threads: usize, declares_retune: bool) -> (u64, u64, Vec<u
 }
 
 #[test]
-fn honest_retuner_serializes_the_burst() {
-    let serial = run(1, 1, true);
+fn retune_at_a_completion_instant_matches_one_shard() {
+    let serial = run(1, 1);
     assert_eq!(serial.0, 3, "all three frames went on the air");
     assert_eq!(serial.2, vec![1, 1, 1], "each monitor heard its channel");
-    assert_eq!(run(2, 2, true), serial);
-}
-
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "retune hazard")]
-fn lying_retuner_trips_the_audit() {
-    run(2, 2, false);
+    assert_eq!(run(2, 2), serial);
 }

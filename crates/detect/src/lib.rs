@@ -21,6 +21,8 @@
 //!   detector stays silent — the rogue never touches the wired LAN —
 //!   which is exactly the limitation §1 points out.)
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod seqmon;
 pub mod wired;

@@ -22,6 +22,8 @@
 //! upward deliveries, events). Nothing here talks to the scheduler
 //! directly, which keeps the layer unit-testable frame by frame.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod ap;
 pub mod frame;

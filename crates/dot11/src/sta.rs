@@ -551,57 +551,6 @@ impl StaMac {
         }
     }
 
-    /// Conservative "could the next `poll` at `now` emit `SetChannel`?"
-    /// predicate for the parallel burst dispatcher's hazard scan. Must
-    /// over-approximate: returning `true` merely forces the event onto
-    /// the serial path; returning `false` for a poll that *does* retune
-    /// would break bit-identity. Every path in [`Self::poll`] that can
-    /// reach `start_scan`/`finish_scan`/`fail_target` (the only
-    /// `SetChannel` emitters) is covered: a pending roam, an expired
-    /// state deadline, or beacon loss.
-    pub fn poll_may_retune(&self, now: SimTime) -> bool {
-        if self.pending_roam {
-            return true;
-        }
-        match self.state {
-            StaState::Scanning | StaState::Authenticating | StaState::Associating => {
-                now >= self.state_deadline
-            }
-            StaState::Associated => now >= self.last_beacon.saturating_add(BEACON_LOSS),
-            StaState::Detached => false,
-        }
-    }
-
-    /// Conservative "could receiving `bytes` lead to a `SetChannel`
-    /// within this burst?" predicate, the receive-side half of the
-    /// hazard scan. Considers both direct retunes (a Deauth triggering
-    /// `start_scan` inside `on_receive`) and *enabling* ones: a weak
-    /// beacon while associated can arm `pending_roam`, which retunes at
-    /// a later poll in the same burst. All other transitions only push
-    /// deadlines forward, so they cannot newly enable a retune that
-    /// [`Self::poll_may_retune`] did not already flag.
-    pub fn rx_may_retune(&self, bytes: &[u8], rssi_dbm: f64) -> bool {
-        if bytes.len() < 2 {
-            return false;
-        }
-        let fc = u16::from_le_bytes([bytes[0], bytes[1]]);
-        if (fc >> 2) & 0x3 != 0 {
-            return false; // only management frames drive the join FSM
-        }
-        match (fc >> 4) & 0xF {
-            // Disassoc / Deauth: may force an immediate rescan.
-            10 | 12 => true,
-            // Auth response: a bad status fails the target and rescans.
-            11 => self.state == StaState::Authenticating,
-            // Assoc response: same failure path.
-            1 => self.state == StaState::Associating,
-            // Beacon / ProbeResp: only hazardous as a weak-signal roam
-            // trigger on the current association.
-            8 | 5 => self.state == StaState::Associated && rssi_dbm < self.cfg.min_rssi_dbm,
-            _ => false,
-        }
-    }
-
     fn finish_scan(&mut self, now: SimTime, out: &mut Vec<MacOutput>) {
         // Pick the strongest usable candidate — the cloned-SSID rogue AP
         // wins exactly when its signal beats the legitimate AP's.
@@ -1011,59 +960,6 @@ mod tests {
         let bytes_retry = f.encode();
         sta.on_receive(SimTime::from_secs(1), &bytes_retry, -50.0, 1, &mut out);
         assert_eq!(sta.data_rx, 1, "duplicate dropped");
-    }
-
-    #[test]
-    fn retune_predicates_over_approximate_set_channel() {
-        let ap = MacAddr::local(99);
-
-        // Freshly associated, beacon just heard: no timer can fire, no
-        // roam pending — polling now must neither be flagged nor retune.
-        let mut sta = associated_station(ap);
-        let now = SimTime::from_secs(1);
-        assert!(!sta.poll_may_retune(now));
-        let mut out = Vec::new();
-        sta.poll(now, &mut out);
-        assert!(!out.iter().any(|o| matches!(o, MacOutput::SetChannel(_))));
-
-        // Past the beacon-loss horizon the predicate must flag (and the
-        // poll does retune).
-        let late = now + BEACON_LOSS + BEACON_LOSS;
-        assert!(sta.poll_may_retune(late));
-
-        // Receive-side: a data frame can never retune.
-        let mut data = Frame::new(
-            sta.mac(),
-            ap,
-            MacAddr::local(50),
-            FrameBody::Data {
-                payload: Bytes::from(encode_llc(0x0800, b"x")),
-            },
-        );
-        data.from_ds = true;
-        assert!(!sta.rx_may_retune(&data.encode(), -50.0));
-
-        // A deauth from our BSS must be flagged — it retunes immediately.
-        let deauth = Frame::new(sta.mac(), ap, ap, FrameBody::Deauth { reason: 7 }).encode();
-        assert!(sta.rx_may_retune(&deauth, -50.0));
-        let mut out = Vec::new();
-        sta.on_receive(now, &deauth, -50.0, 1, &mut out);
-        assert!(out.iter().any(|o| matches!(o, MacOutput::SetChannel(_))));
-
-        // A weak own-BSS beacon is an *enabling* hazard: it can arm
-        // pending_roam, which the poll-side predicate then catches.
-        let mut sta = associated_station(ap);
-        let weak = beacon(ap, "CORP", CAP_ESS, 1);
-        assert!(sta.rx_may_retune(&weak, -95.0));
-        assert!(
-            !sta.rx_may_retune(&weak, -50.0),
-            "strong beacons only refresh timers"
-        );
-        for _ in 0..sta.cfg.roam_weak_beacons {
-            let mut out = Vec::new();
-            sta.on_receive(now, &weak, -95.0, 1, &mut out);
-        }
-        assert!(sta.poll_may_retune(now), "armed roam must be flagged");
     }
 
     // --- helpers -------------------------------------------------------

@@ -22,6 +22,8 @@
 //! Frames are real byte buffers end to end; a sniffer on the wire sees
 //! exactly what the stack sent.
 
+#![forbid(unsafe_code)]
+
 pub mod arp;
 pub mod ethernet;
 pub mod host;

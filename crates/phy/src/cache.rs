@@ -14,8 +14,8 @@
 //! while the entries dominated the medium's memory.
 //!
 //! Lookups fill the cache from `&self` through a `Mutex` and atomic
-//! counters, so `Medium` stays `Sync` for the parallel plan phase. Every
-//! fill is a pure function of its key.
+//! counters, so `Medium` stays `Sync` and may be read from several
+//! threads at once. Every fill is a pure function of its key.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

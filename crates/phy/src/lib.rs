@@ -17,6 +17,8 @@
 //! receives the bytes — including an attacker's monitor-mode radio, which
 //! is all "sniffing" is.
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod grid;
 pub mod medium;

@@ -1,6 +1,6 @@
-//! Spatial regions: the shard-ownership partition for the lockstep loop.
+//! Spatial regions: the shard-ownership partition of the event queue.
 //!
-//! The sharded event loop (DESIGN.md §15) partitions the world into
+//! The sharded event queue (DESIGN.md §15) partitions the world into
 //! vertical stripes built on the same grid-cell quantisation as
 //! [`crate::grid`]: a radio's region is a pure function of its position,
 //! so region assignment is deterministic and free of tie-breaking. A

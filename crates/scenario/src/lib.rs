@@ -27,6 +27,8 @@
 //! The parser is hand-rolled ([`toml`]) — the reproduction takes no new
 //! dependencies — and every error carries the line/column it came from.
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod generate;
 pub mod mobility;

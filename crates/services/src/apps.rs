@@ -13,9 +13,7 @@ use crate::site::SiteContent;
 
 /// An application bound to one host, driven by the world loop.
 ///
-/// `Send` because the world's parallel burst dispatcher may poll apps
-/// from a rayon worker thread (each node — and thus each app — is
-/// still owned by exactly one worker at a time).
+/// `Send`, so that a world holding apps is `Send` too.
 pub trait App: std::any::Any + Send {
     /// Make progress: read sockets, write sockets, fire timers.
     fn poll(&mut self, now: SimTime, host: &mut Host, out: &mut Vec<AppEvent>);

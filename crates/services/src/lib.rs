@@ -19,6 +19,8 @@
 //! * [`traffic`] — ping and UDP constant-bit-rate generators/sinks used
 //!   by the connectivity and VPN-overhead experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod http;
 pub mod netsed;

@@ -13,13 +13,12 @@
 //! * [`trace`] — a lightweight event trace and counter/histogram recorder
 //!   used by the experiment harness.
 //!
-//! Design rule (see DESIGN.md §5, revised by §15): one simulation world
+//! Design rule (see DESIGN.md §5 and §15): one simulation world
 //! dispatches events serially and deterministically; parallelism happens
 //! *across* worlds (seeds, parameter points) in the `rogue-core`
-//! experiment drivers, and — since PR 8 — *inside* a world only in the
-//! read-only plan phase of the sharded lockstep loop ([`ShardedQueue`]),
-//! whose merged dispatch order is provably identical to a single
-//! [`EventQueue`].
+//! experiment drivers. A world's queue may be split into region shards
+//! ([`ShardedQueue`]), whose merged dispatch order is provably identical
+//! to a single [`EventQueue`].
 
 pub mod profile;
 pub mod queue;

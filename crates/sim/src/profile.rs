@@ -43,12 +43,10 @@ pub enum Phase {
     /// Applying deferred ops (medium mutations, queue inserts, switch
     /// forwarding) at the commit point, in canonical order.
     OpCommit = 6,
-    /// Wall-clock time of parallel regions (plan batches, chain
-    /// execution). Unlike every other phase — which accumulates
-    /// *cumulative* worker time and can exceed wall time on a
-    /// multi-thread pool — this one is measured from the coordinating
-    /// thread, so `exec_wall / (deliver + poll + medium_plan)` reads
-    /// directly as parallel efficiency.
+    /// Wall-clock time of parallel dispatch regions. The dispatcher is
+    /// serial, so nothing records this phase and it reads 0; it stays
+    /// because the repository benchmark still reports it
+    /// (`core.exec_wall_s`).
     ExecWall = 7,
 }
 
@@ -105,12 +103,6 @@ pub struct Snapshot {
     pub phases: Vec<SnapshotRow>,
     /// Per-event-kind `(label, ns, count)` rows, in registration order.
     pub kinds: Vec<SnapshotRow>,
-    /// Per-shard per-phase rows (`per_shard[shard][phase]`), populated
-    /// only when the owner called [`Profiler::ensure_shards`] — i.e. by
-    /// the sharded event loop. Shard cells mirror a *subset* of the
-    /// global phase cells (the work whose owning shard is known), so
-    /// column sums may undershoot the global row.
-    pub per_shard: Vec<Vec<SnapshotRow>>,
     /// Estimated profiler self-cost across all probes, in ns.
     pub overhead_ns: u64,
     /// Total ns attributed to event kinds (the dispatch denominator).
@@ -132,8 +124,6 @@ impl Snapshot {
 pub struct Profiler {
     phases: [Cell; NUM_PHASES],
     kinds: Vec<(&'static str, Cell)>,
-    /// Per-shard phase cells; empty until [`Self::ensure_shards`].
-    shards: Vec<[Cell; NUM_PHASES]>,
     /// Actual probe pairs taken. Distinct from cell counts since
     /// [`Self::record_many`]: one probe can account for many events.
     probes: u64,
@@ -166,7 +156,6 @@ impl Profiler {
         Profiler {
             phases: [Cell::default(); NUM_PHASES],
             kinds: Vec::new(),
-            shards: Vec::new(),
             probes: 0,
             anchor_instant: Instant::now(),
             anchor_cycles: now(),
@@ -180,13 +169,6 @@ impl Profiler {
         self.kinds.len() - 1
     }
 
-    /// Size the per-shard cell table (idempotent; never shrinks).
-    pub fn ensure_shards(&mut self, n: usize) {
-        if self.shards.len() < n {
-            self.shards.resize(n, [Cell::default(); NUM_PHASES]);
-        }
-    }
-
     /// Attribute `now() - t0` to `phase`.
     #[inline(always)]
     pub fn record(&mut self, phase: Phase, t0: u64) {
@@ -197,37 +179,14 @@ impl Profiler {
     }
 
     /// Attribute `now() - t0` to `phase`, counting `n` items under the
-    /// single probe — the bulk-drain variant: a burst pop loop takes one
-    /// probe pair but dequeues `n` events, and the cell count must stay
-    /// comparable with the serial loop's one-probe-per-pop accounting.
+    /// single probe — the bulk variant: committing an event's `n` ops
+    /// takes one probe pair, and the cell counts ops, not probes.
     #[inline(always)]
     pub fn record_many(&mut self, phase: Phase, t0: u64, n: u64) {
         let c = &mut self.phases[phase as usize];
         c.cycles = c.cycles.wrapping_add(now().wrapping_sub(t0));
         c.count += n;
         self.probes += 1;
-    }
-
-    /// Fold externally measured cycles into `phase` — the merge path for
-    /// spans taken on pool workers, where `&mut self` is unavailable.
-    /// `probes` is how many `now()` pairs produced the total, so the
-    /// self-cost estimate stays honest.
-    #[inline]
-    pub fn add_cycles(&mut self, phase: Phase, cycles: u64, count: u64, probes: u64) {
-        let c = &mut self.phases[phase as usize];
-        c.cycles = c.cycles.wrapping_add(cycles);
-        c.count += count;
-        self.probes += probes;
-    }
-
-    /// Fold externally measured cycles into shard `s`'s `phase` cell.
-    /// No probe accounting: shard cells only mirror totals already
-    /// folded through [`Self::add_cycles`] or recorded directly.
-    #[inline]
-    pub fn add_shard_cycles(&mut self, s: usize, phase: Phase, cycles: u64, count: u64) {
-        let c = &mut self.shards[s][phase as usize];
-        c.cycles = c.cycles.wrapping_add(cycles);
-        c.count += count;
     }
 
     /// Attribute `now() - t0` to the registered kind `idx`.
@@ -237,15 +196,6 @@ impl Profiler {
         c.cycles = c.cycles.wrapping_add(now().wrapping_sub(t0));
         c.count += 1;
         self.probes += 1;
-    }
-
-    /// Fold externally measured cycles into kind `idx` (pool merge path).
-    #[inline]
-    pub fn add_kind_cycles(&mut self, idx: usize, cycles: u64, count: u64, probes: u64) {
-        let c = &mut self.kinds[idx].1;
-        c.cycles = c.cycles.wrapping_add(cycles);
-        c.count += count;
-        self.probes += probes;
     }
 
     /// Calibrate cycles→ns against the wall clock and convert every cell.
@@ -270,23 +220,11 @@ impl Profiler {
             .iter()
             .map(|(label, c)| (*label, to_ns(c.cycles), c.count))
             .collect();
-        let per_shard: Vec<Vec<SnapshotRow>> = self
-            .shards
-            .iter()
-            .map(|cells| {
-                cells
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (PHASE_NAMES[i], to_ns(c.cycles), c.count))
-                    .collect()
-            })
-            .collect();
         let overhead_ns = to_ns(self.probes.saturating_mul(self.pair_cost_cycles));
         let dispatch_ns = kinds.iter().map(|(_, ns, _)| ns).sum();
         Snapshot {
             phases,
             kinds,
-            per_shard,
             overhead_ns,
             dispatch_ns,
         }
@@ -344,24 +282,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let s = p.snapshot();
         assert_eq!(s.phases[Phase::QueuePop as usize].2, 40);
-    }
-
-    #[test]
-    fn shard_cells_convert_in_snapshot() {
-        let mut p = Profiler::new();
-        p.ensure_shards(2);
-        p.add_shard_cycles(1, Phase::Poll, 1_000_000, 5);
-        p.add_cycles(Phase::Poll, 1_000_000, 5, 5);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let s = p.snapshot();
-        assert_eq!(s.per_shard.len(), 2);
-        assert_eq!(s.per_shard[1][Phase::Poll as usize].2, 5);
-        assert_eq!(s.per_shard[0][Phase::Poll as usize].2, 0);
-        assert_eq!(
-            s.per_shard[1][Phase::Poll as usize].1,
-            s.phases[Phase::Poll as usize].1,
-            "identical cycle totals must convert to identical ns"
-        );
     }
 
     #[test]

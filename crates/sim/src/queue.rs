@@ -448,10 +448,11 @@ impl<E> EventQueue<E> {
     ///   *after* `run_until(now)`, so a TX that completes exactly on a
     ///   tick boundary must be delivered before the detector samples —
     ///   an exclusive boundary would defer it one whole tick.
-    /// - The sharded lockstep loop uses window edges as deadlines; a
-    ///   window `[start, end]` owns events with `t <= end`, and the next
-    ///   window starts strictly after. Inclusive-here / exclusive-next
-    ///   partitions the timeline with no event falling between windows.
+    /// - The sharded loop's lockstep windows (`sim.windows`) follow the
+    ///   same convention: a window `[start, end]` owns events with
+    ///   `t <= end`, and the next window starts strictly after.
+    ///   Inclusive-here / exclusive-next partitions the timeline with no
+    ///   event falling between windows.
     ///
     /// Callers audited for off-by-one window assumptions (PR 8):
     /// `World::run_until` is the only non-test caller; the medium's
@@ -473,19 +474,6 @@ impl<E> EventQueue<E> {
             .into_iter()
             .filter_map(|s| s.event.map(|e| (s.at, s.seq, e)))
             .collect()
-    }
-
-    /// Iterate every pending (non-cancelled) event in **unspecified
-    /// order**, yielding `(fire_time, seq, &event)`.
-    ///
-    /// This is a read-only snapshot used by the sharded loop's plan
-    /// phase to gather the events inside a lockstep window without
-    /// popping them; dispatch order still comes exclusively from
-    /// [`Self::pop`]'s `(time, seq)` ordering.
-    pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.slab
-            .iter()
-            .filter_map(|s| s.event.as_ref().map(|e| (s.at, s.seq, e)))
     }
 
     /// Lazy tombstone compaction: once cancelled nodes outnumber live

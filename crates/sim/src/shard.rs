@@ -11,11 +11,9 @@
 //! in `tests/queue_props.rs` checks it empirically under arbitrary
 //! schedule/cancel/pop interleavings).
 //!
-//! What sharding buys is not a different event order but *structure*:
-//! within a lockstep window the events pending on different shards are
-//! guaranteed spatially independent, so their expensive read-only parts
-//! (SINR planning in `rogue-phy`) can run on the rayon pool while the
-//! mutation replay stays serial and bit-identical.
+//! Sharding changes the queue's layout, never the event order: the
+//! world pops the merged queue one event at a time and dispatches
+//! serially at any shard count.
 
 use crate::queue::{EventId, EventQueue};
 use crate::time::SimTime;
@@ -163,56 +161,12 @@ impl<E> ShardedQueue<E> {
 
     /// Pop the globally next event only if it fires **at or before**
     /// `deadline` — the same inclusive boundary as
-    /// [`EventQueue::pop_until`], on which the lockstep windows rely.
+    /// [`EventQueue::pop_until`].
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E, usize)> {
         match self.peek_time() {
             Some(t) if t <= deadline => self.pop(),
             _ => None,
         }
-    }
-
-    /// Drain the entire head *instant*: pop every event firing at the
-    /// globally earliest pending time `t` (provided `t <= deadline`),
-    /// appending `(event, shard)` pairs to `into` in `(time, seq)`
-    /// order. Returns the drained instant, or `None` when nothing is
-    /// pending at or before `deadline`. Advances the merged clock and
-    /// the dispatch counter exactly as the equivalent `pop_until` loop
-    /// would — this exists so the burst loop can account one
-    /// `queue_pop` probe for `n` pops without calling `peek` twice per
-    /// event.
-    pub fn pop_instant_into(
-        &mut self,
-        deadline: SimTime,
-        into: &mut Vec<(E, usize)>,
-    ) -> Option<SimTime> {
-        let instant = match self.peek_time() {
-            Some(t) if t <= deadline => t,
-            _ => return None,
-        };
-        while let Some((shard, t, _)) = self.peek_shard() {
-            if t != instant {
-                break;
-            }
-            let (_, event) = self.shards[shard].pop().expect("peeked head vanished");
-            into.push((event, shard));
-            self.dispatched += 1;
-        }
-        self.now = instant;
-        Some(instant)
-    }
-
-    /// Read-only snapshot of every pending event with `t <= deadline`,
-    /// as `(shard, time, seq, &event)` in unspecified order. The plan
-    /// phase uses this to gather a window's events without popping.
-    pub fn iter_pending_until(
-        &self,
-        deadline: SimTime,
-    ) -> impl Iterator<Item = (usize, SimTime, u64, &E)> {
-        self.shards.iter().enumerate().flat_map(move |(i, s)| {
-            s.iter_pending()
-                .filter(move |(t, _, _)| *t <= deadline)
-                .map(move |(t, seq, e)| (i, t, seq, e))
-        })
     }
 }
 
@@ -268,21 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_pending_until_snapshots_window() {
-        let mut q = ShardedQueue::new(2);
-        q.schedule(0, SimTime::from_millis(1), 10);
-        q.schedule(1, SimTime::from_millis(2), 20);
-        q.schedule(0, SimTime::from_millis(5), 99);
-        let mut window: Vec<i32> = q
-            .iter_pending_until(SimTime::from_millis(2))
-            .map(|(_, _, _, e)| *e)
-            .collect();
-        window.sort_unstable();
-        assert_eq!(window, vec![10, 20]);
-        assert_eq!(q.len(), 3, "snapshot must not consume");
-    }
-
-    #[test]
     fn cancel_on_is_shard_targeted() {
         let mut q = ShardedQueue::new(4);
         let id = q.schedule(2, SimTime::from_millis(1), "doomed");
@@ -292,60 +231,6 @@ mod tests {
         assert!(q.cancel_on(2, id));
         assert!(!q.cancel_on(2, id), "double cancel is a no-op");
         assert_eq!(q.pop().unwrap().1, "kept");
-    }
-
-    #[test]
-    fn pop_instant_drains_exactly_one_instant_in_seq_order() {
-        let mut q = ShardedQueue::new(3);
-        let t1 = SimTime::from_millis(1);
-        let t2 = SimTime::from_millis(2);
-        q.schedule(2, t1, "a");
-        q.schedule(0, t1, "b");
-        q.schedule(1, t2, "later");
-        q.schedule(1, t1, "c");
-        let mut burst = Vec::new();
-        assert_eq!(q.pop_instant_into(t2, &mut burst), Some(t1));
-        let got: Vec<(&str, usize)> = burst.clone();
-        assert_eq!(got, vec![("a", 2), ("b", 0), ("c", 1)]);
-        assert_eq!(q.now(), t1);
-        assert_eq!(q.dispatched(), 3);
-        burst.clear();
-        // Deadline before the next instant: nothing drained, clock holds.
-        assert_eq!(q.pop_instant_into(t1, &mut burst), None);
-        assert!(burst.is_empty());
-        assert_eq!(q.now(), t1);
-        assert_eq!(q.pop_instant_into(t2, &mut burst), Some(t2));
-        assert_eq!(burst, vec![("later", 1)]);
-    }
-
-    #[test]
-    fn pop_instant_matches_pop_until_loop() {
-        // Differential check: draining via pop_instant_into must be
-        // indistinguishable from the pop_until loop it replaces.
-        let build = || {
-            let mut q = ShardedQueue::new(4);
-            for i in 0..200u64 {
-                let t = SimTime::from_millis((i * 7919) % 13);
-                q.schedule((i % 4) as usize, t, i);
-            }
-            q
-        };
-        let deadline = SimTime::from_millis(9);
-        let mut a = build();
-        let mut b = build();
-        let mut via_instants: Vec<(SimTime, u64, usize)> = Vec::new();
-        let mut burst = Vec::new();
-        while let Some(t) = a.pop_instant_into(deadline, &mut burst) {
-            via_instants.extend(burst.drain(..).map(|(e, s)| (t, e, s)));
-        }
-        let mut via_pops = Vec::new();
-        while let Some((t, e, s)) = b.pop_until(deadline) {
-            via_pops.push((t, e, s));
-        }
-        assert_eq!(via_instants, via_pops);
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.dispatched(), b.dispatched());
-        assert_eq!(a.len(), b.len());
     }
 
     #[test]

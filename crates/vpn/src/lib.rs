@@ -24,6 +24,8 @@
 //!   UDP traffic is subject to unnecessary retransmission by TCP"
 //!   (experiment E5 measures the resulting TCP-over-TCP penalty).
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

@@ -35,6 +35,8 @@
 //!   selects per-frame serial dispatch or the sharded batched engine;
 //!   the two are bit-identical by construction.
 
+#![forbid(unsafe_code)]
+
 pub mod correlate;
 pub mod detector;
 pub mod detectors;

@@ -39,8 +39,8 @@ fn every_report_is_byte_identical_across_shard_counts() {
     // loop must be unobservable in every rendered table, whatever the
     // combination of shard count and pool size. Shard count 1 is the
     // classic serial loop (the baseline); 2 and 8 exercise region
-    // routing, burst planning, and the (time, seq) merge under both a
-    // serial and a parallel plan phase.
+    // routing and the (time, seq) merge, on a one- and a four-thread
+    // pool.
     let reps = 2;
     let baseline: Vec<String> = rayon::with_num_threads(1, || {
         report_builders()

@@ -4,7 +4,9 @@
 //! silently ignores typos ("deauht = true") is worse than no config
 //! language — these tests pin the loud path.
 
-use rogue_scenario::{load_source, parse_scenario};
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rogue_scenario::{apply_override, load_source, parse, parse_scenario};
 
 /// A minimal valid scenario all the malformed variants derive from.
 const VALID: &str = r#"
@@ -213,4 +215,257 @@ fn overriding_a_nonexistent_path_is_a_spanned_error() {
         .expect_err("descending through a scalar must fail");
     assert!(err.msg.contains("not a table"), "{err}");
     assert_eq!(err.span.line, 4, "`duration` lives on line 4: {err}");
+}
+
+// --- Hostile TOML -----------------------------------------------------
+//
+// Whatever a scenario author (or an attacker who controls the file)
+// writes, the parser and validator answer `Ok` or a spanned `Err`, and
+// never panic. Inputs are mutated copies of every shipped scenario file
+// and arbitrary `key.path=value` overrides.
+
+/// Every `.toml` under `scenarios/` and `scenarios/evasion/`.
+fn shipped_scenarios() -> Vec<(String, String)> {
+    let root = format!("{}/../../scenarios", env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in [root.clone(), format!("{root}/evasion")] {
+        for entry in std::fs::read_dir(&dir).expect("scenario directory") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|e| e == "toml") {
+                let text = std::fs::read_to_string(&path).expect("scenario file");
+                files.push((path.display().to_string(), text));
+            }
+        }
+    }
+    files.sort();
+    assert!(files.len() >= 7, "found {} scenario files", files.len());
+    files
+}
+
+/// SplitMix64 driven by one proptest-sampled seed.
+struct Mutator(u64);
+
+impl Mutator {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+        from[self.below(from.len())]
+    }
+
+    /// A char boundary of `s`, end included.
+    fn boundary(&mut self, s: &str) -> usize {
+        let mut cuts: Vec<usize> = s.char_indices().map(|(i, _)| i).collect();
+        cuts.push(s.len());
+        cuts[self.below(cuts.len())]
+    }
+}
+
+/// Fragments of TOML syntax, spliced in anywhere.
+const TOKENS: &[&str] = &[
+    "[",
+    "]",
+    "[[",
+    "]]",
+    "=",
+    "\"",
+    "\"\"\"",
+    "'",
+    ",",
+    ".",
+    "#",
+    "\n",
+    "\t",
+    "{",
+    "}",
+    "\\",
+    "\\u",
+    "-",
+    "+",
+    "0x",
+    "_",
+    "e",
+    "[[ap]]\n",
+    "[[population]]\n",
+    "[population.traffic]\n",
+    "[wids]\n",
+    "x = 1\n",
+    "= =",
+    "\u{0}",
+    "\u{feff}",
+    "é",
+    "日本",
+    "\u{1F600}",
+    "\r",
+];
+
+/// Values a hostile author puts where a well-formed one stood.
+const VALUES: &[&str] = &[
+    "99999999999999999999999",
+    "9223372036854775807",
+    "-9223372036854775808",
+    "18446744073709551616",
+    "-1",
+    "0",
+    "0x",
+    "0xFFFFFFFFFFFFFFFFFF",
+    "1e400",
+    "-1e400",
+    "nan",
+    "inf",
+    "-inf",
+    "1.7976931348623157e308",
+    "\"-5s\"",
+    "\"18446744073709551616ms\"",
+    "\"99999999999999h\"",
+    "\"1e30s\"",
+    "\"nan s\"",
+    "\"5\"",
+    "\"ms\"",
+    "\"0s\"",
+    "\"aa:bb:cc:dd:ee\"",
+    "\"zz:bb:cc:dd:ee:ff\"",
+    "\"aa:bb:cc:dd:ee:ff:00\"",
+    "\"ff:ff:ff:ff:ff:ff\"",
+    "\"256.0.0.1\"",
+    "\"10.0.0\"",
+    "\"::1\"",
+    "\"10.0.0.1/33\"",
+    "\"ñandú\"",
+    "\"日本語\"",
+    "\"\u{1F600}\"",
+    "\"\"",
+    "[]",
+    "[[]]",
+    "[1e308, -1e308]",
+    "[nan, inf]",
+    "[-1.0, -1.0, -1.0, -1.0]",
+    "[0.0, 0.0, 0.0, 0.0]",
+    "true",
+    "{}",
+];
+
+/// Apply one random mutation to `src`: a token insert, a span deletion,
+/// a truncation, or a value swapped for a hostile one.
+fn mutate(src: &str, m: &mut Mutator) -> String {
+    let mut s = src.to_string();
+    match m.below(4) {
+        0 => {
+            let at = m.boundary(&s);
+            s.insert_str(at, m.pick(TOKENS));
+        }
+        1 => {
+            let a = m.boundary(&s);
+            let b = m.boundary(&s);
+            let (a, b) = (a.min(b), a.max(b));
+            s.replace_range(a..b, "");
+        }
+        2 => {
+            let at = m.boundary(&s);
+            s.truncate(at);
+        }
+        _ => {
+            let values: Vec<usize> = s.match_indices('=').map(|(i, _)| i + 1).collect();
+            if let Some(&at) = values.get(m.below(values.len().max(1))) {
+                let end = s[at..].find('\n').map_or(s.len(), |n| at + n);
+                let value = format!(" {}", m.pick(VALUES));
+                s.replace_range(at..end, &value);
+            }
+        }
+    }
+    s
+}
+
+/// `Ok`, or an `Err` whose span lies inside the source (line ≤ its line
+/// count + 1, both coordinates 1-based).
+fn check_span<T>(
+    what: &str,
+    src: &str,
+    result: Result<T, rogue_scenario::Error>,
+) -> Result<(), TestCaseError> {
+    if let Err(err) = result {
+        let lines = src.lines().count() as u32;
+        prop_assert!(
+            err.span.line >= 1 && err.span.col >= 1 && err.span.line <= lines + 1,
+            "{what}: span {} outside a {lines}-line source: {err}",
+            err.span
+        );
+    }
+    Ok(())
+}
+
+/// Key paths that exist in `src` (`section.key` and `array.N.key`),
+/// plus a few that do not.
+fn key_paths(src: &str) -> Vec<String> {
+    let mut paths = vec![
+        "name".to_string(),
+        "nope".to_string(),
+        "ap.0.channel".to_string(),
+        "ap.99999999999999999999.ssid".to_string(),
+        "population.0.traffic.0.kind".to_string(),
+        "wids.channels".to_string(),
+    ];
+    let mut section = String::new();
+    for line in src.lines() {
+        let line = line.trim();
+        if let Some(h) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
+            section = format!("{h}.0.");
+        } else if let Some(h) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            section = format!("{h}.");
+        } else if let Some((key, _)) = line.split_once('=') {
+            paths.push(format!("{section}{}", key.trim()));
+        }
+    }
+    paths
+}
+
+proptest! {
+    /// Mutated scenario files load or fail with an in-range span.
+    #[test]
+    fn mutated_scenarios_never_panic(seed in any::<u64>()) {
+        let mut m = Mutator(seed);
+        for (name, text) in shipped_scenarios() {
+            for _ in 0..4 {
+                let mut src = text.clone();
+                for _ in 0..1 + m.below(3) {
+                    src = mutate(&src, &mut m);
+                }
+                check_span(&name, &src, load_source(&src, &[]))?;
+            }
+        }
+    }
+
+    /// Arbitrary `key.path=value` overrides, on real and invented paths,
+    /// applied to every shipped file directly and through `load_source`.
+    #[test]
+    fn hostile_overrides_never_panic(seed in any::<u64>()) {
+        let mut m = Mutator(seed);
+        for (name, text) in shipped_scenarios() {
+            let paths = key_paths(&text);
+            for _ in 0..4 {
+                let path = &paths[m.below(paths.len())];
+                let value = m.pick(VALUES);
+                let spec = match m.below(4) {
+                    0 => format!("{path}={value}"),
+                    1 => mutate(&format!("{path}={value}"), &mut m),
+                    2 => format!("{path}.{}={value}", m.pick(&["0", "x", "", "1.2"])),
+                    _ => (0..m.below(24))
+                        .map(|_| char::from_u32(m.next() as u32 % 0x800).unwrap_or('='))
+                        .collect(),
+                };
+                let mut root = parse(&text).expect("shipped scenario parses");
+                check_span(&name, &text, apply_override(&mut root, &spec))?;
+                check_span(&name, &text, load_source(&text, &[spec]))?;
+            }
+        }
+    }
 }
