@@ -1,27 +1,27 @@
 //! WIDS engine throughput: events/s and incidents/s at N monitor
-//! sensors, the sharded batched engine against the per-frame baseline.
+//! sensors, the pipeline's per-event engine against the seed engine.
 //!
 //! The baseline is the engine this repository shipped before the
-//! sharded rewrite: five detectors behind `Box<dyn Detector>`, one
+//! bounded-state rewrite: five detectors behind `Box<dyn Detector>`, one
 //! virtual call per detector per frame, per-source state in
 //! `std::collections` maps (SipHash on every lookup), and a
 //! scratch-to-correlator drain after every event. The [`seed`] module
 //! reconstructs it verbatim from the pre-rewrite sources so the
-//! comparison measures engine architecture, not detector tuning — both
-//! engines run the same thresholds over the same pre-staged event
-//! batches, and the bench asserts their incident lists are
-//! bit-identical before it reports a single number.
+//! comparison measures per-source state layout, not detector tuning —
+//! both engines run the same thresholds over the same pre-staged event
+//! slices, and the bench asserts their incident lists are bit-identical
+//! before it reports a single number.
 //!
 //! The workload is a deterministic multi-sensor campus under attack:
 //! per sensor, a pool of well-behaved clients plus an interleaved MAC
 //! spoof, a deauth burst, a wrong-channel BSSID clone, an evil twin, a
 //! wired ARP poisoner — and a MAC-randomizing rogue spraying frames
 //! from a never-repeating source address (the evasion suite's flagship
-//! attacker). The randomizer is where the architectures diverge: the
-//! seed engine grows a fresh hash-map entry per forged address and
-//! slides into cache-miss territory, while the bounded tables recycle
-//! slots at fixed cost. Incidents still have to match bit for bit —
-//! the persistent attackers' slots survive the churn by LRU.
+//! attacker). The randomizer is where the two diverge: the seed engine
+//! grows a fresh hash-map entry per forged address and slides into
+//! cache-miss territory, while the bounded tables recycle slots at fixed
+//! cost. Incidents still have to match bit for bit — the persistent
+//! attackers' slots survive the churn by LRU.
 //!
 //! Run modes:
 //!   cargo bench -p rogue-bench --bench wids_throughput            # full
@@ -40,12 +40,11 @@ use rogue_sim::rng::{Seed, SplitMix64};
 use rogue_sim::SimTime;
 use rogue_wids::event::ArpEvent;
 use rogue_wids::{
-    Dot11Event, Dot11Kind, EngineMode, IncidentCategory, SensorEvent, SensorId, WidsConfig,
-    WidsPipeline,
+    Dot11Event, Dot11Kind, IncidentCategory, SensorEvent, SensorId, WidsConfig, WidsPipeline,
 };
 
 /// The pre-rewrite per-frame engine, reconstructed from the sources at
-/// the revision before the sharded engine landed. Detector logic is
+/// the revision before the bounded-state engine landed. Detector logic is
 /// copied unchanged (same thresholds, same latches, same alert weights);
 /// only `detail` strings are trimmed — the equivalence check compares
 /// incident fields, which never include them.
@@ -652,38 +651,26 @@ fn run_seed(sensors: usize, slices: Vec<Vec<SensorEvent>>) -> (f64, Vec<Incident
     (dt, rows(pipe.incidents()), pipe.alerts_raw())
 }
 
-/// One timed run of the sharded batched engine over the same slices,
-/// ingesting through per-sensor shard rings.
-fn run_sharded(sensors: usize, slices: Vec<Vec<SensorEvent>>) -> (f64, Vec<IncidentRow>, u64, u64) {
-    run_shaped(sensors, slices, EngineMode::default())
-}
-
-fn run_shaped(
-    sensors: usize,
-    slices: Vec<Vec<SensorEvent>>,
-    engine: EngineMode,
-) -> (f64, Vec<IncidentRow>, u64, u64) {
-    let mut pipe = WidsPipeline::new(WidsConfig {
-        engine,
-        ..wids_config(sensors)
-    });
-    for _ in 0..sensors {
-        pipe.new_sensor_id();
-    }
+/// One timed run of the pipeline over the same slices. Each slice fits
+/// the ring, and the step's stable time sort keeps the slice's order, so
+/// the detectors see exactly the stream the seed engine sees.
+fn run_engine(sensors: usize, slices: Vec<Vec<SensorEvent>>) -> (f64, Vec<IncidentRow>, u64, u64) {
+    let mut pipe = WidsPipeline::new(wids_config(sensors));
     let t0 = Instant::now();
     for slice in slices {
         let mut last = SimTime::ZERO;
         for ev in slice {
             last = ev.at();
-            let sensor = match &ev {
-                SensorEvent::Dot11(e) => e.sensor,
-                SensorEvent::Arp(e) => e.sensor,
-            };
-            pipe.sensor_ring(sensor).push(ev);
+            pipe.ring.push(ev);
         }
         pipe.step(last);
     }
     let dt = t0.elapsed().as_secs_f64();
+    assert_eq!(
+        pipe.metrics().counter("wids.ring_dropped"),
+        0,
+        "slices must fit the ring"
+    );
     let raw = pipe.metrics().counter("wids.alerts_raw");
     (dt, rows(pipe.incidents()), raw, pipe.state_evictions())
 }
@@ -692,7 +679,7 @@ struct Sweep {
     sensors: usize,
     events: usize,
     seed_eps: f64,
-    sharded_eps: f64,
+    engine_eps: f64,
     speedup: f64,
     incidents: usize,
     incidents_per_s: f64,
@@ -705,14 +692,14 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
     let slices = workload(sensors, events_per_sensor, Seed(0x3D1_BEEF));
     let events: usize = slices.iter().map(Vec::len).sum();
 
-    let (mut seed_dt, mut sharded_dt) = (f64::INFINITY, f64::INFINITY);
-    let (mut seed_out, mut sharded_out) = (None, None);
+    let (mut seed_dt, mut engine_dt) = (f64::INFINITY, f64::INFINITY);
+    let (mut seed_out, mut engine_out) = (None, None);
     for _ in 0..reps {
         let (dt, inc, raw) = run_seed(sensors, slices.clone());
         seed_dt = seed_dt.min(dt);
         seed_out = Some((inc, raw));
-        let (dt, inc, raw, evictions) = run_sharded(sensors, slices.clone());
-        sharded_dt = sharded_dt.min(dt);
+        let (dt, inc, raw, evictions) = run_engine(sensors, slices.clone());
+        engine_dt = engine_dt.min(dt);
         // The randomizer must actually pressure the bounded tables —
         // otherwise the comparison isn't exercising the architecture.
         // (Smoke streams are too short to overflow a 4-way group.)
@@ -720,14 +707,14 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
             smoke || evictions > 0,
             "churn must recycle bounded-table slots"
         );
-        sharded_out = Some((inc, raw));
+        engine_out = Some((inc, raw));
     }
     let (seed_inc, seed_raw) = seed_out.unwrap();
-    let (sharded_inc, sharded_raw) = sharded_out.unwrap();
-    assert!(!sharded_inc.is_empty(), "workload must open incidents");
+    let (engine_inc, engine_raw) = engine_out.unwrap();
+    assert!(!engine_inc.is_empty(), "workload must open incidents");
     assert_eq!(
-        seed_inc, sharded_inc,
-        "engines diverged: per-frame baseline vs sharded incidents"
+        seed_inc, engine_inc,
+        "engines diverged: seed per-frame baseline vs pipeline incidents"
     );
     // Raw alert counts are allowed a whisker of drift. Under churn
     // pressure the bounded tables may evict a latched alarm's slot and
@@ -736,22 +723,22 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
     // reaches an incident (the lists above already matched bit for
     // bit) but the wire counter sees it — that is the memory/fidelity
     // trade the bounded engine makes, reported, not hidden.
-    let raw_drift = sharded_raw.abs_diff(seed_raw);
+    let raw_drift = engine_raw.abs_diff(seed_raw);
     assert!(
         raw_drift <= 2,
         "raw alert drift {raw_drift} exceeds latch re-fires \
-         (baseline {seed_raw}, sharded {sharded_raw})"
+         (baseline {seed_raw}, pipeline {engine_raw})"
     );
 
-    let incidents = sharded_inc.len();
+    let incidents = engine_inc.len();
     Sweep {
         sensors,
         events,
         seed_eps: events as f64 / seed_dt,
-        sharded_eps: events as f64 / sharded_dt,
-        speedup: seed_dt / sharded_dt,
+        engine_eps: events as f64 / engine_dt,
+        speedup: seed_dt / engine_dt,
         incidents,
-        incidents_per_s: incidents as f64 / sharded_dt,
+        incidents_per_s: incidents as f64 / engine_dt,
         raw_drift,
     }
 }
@@ -771,12 +758,12 @@ fn write_json(path: &Path, sweeps: &[Sweep], mode: &str) -> std::io::Result<()> 
         writeln!(
             f,
             "    {{\"sensors\": {}, \"events\": {}, \"baseline_eps\": {:.0}, \
-             \"sharded_eps\": {:.0}, \"speedup\": {:.2}, \"incidents\": {}, \
+             \"engine_eps\": {:.0}, \"speedup\": {:.2}, \"incidents\": {}, \
              \"incidents_per_s\": {:.1}, \"raw_alert_drift\": {}}}{comma}",
             s.sensors,
             s.events,
             s.seed_eps,
-            s.sharded_eps,
+            s.engine_eps,
             s.speedup,
             s.incidents,
             s.incidents_per_s,
@@ -796,45 +783,21 @@ fn write_json(path: &Path, sweeps: &[Sweep], mode: &str) -> std::io::Result<()> 
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    if std::env::args().any(|a| a == "--shapes") {
-        // Diagnostic sweep of engine shapes (not part of the artifact).
-        let slices = workload(8, 150_000, Seed(0x3D1_BEEF));
-        let (dt, _, _) = run_seed(8, slices.clone());
-        println!("serial seed engine: {:.0} ev/s", 1_200_000.0 / dt);
-        let (dt, _, _, _) = run_shaped(8, slices.clone(), EngineMode::Serial);
-        println!("typed serial path: {:.0} ev/s", 1_200_000.0 / dt);
-        for (shards, batch) in [
-            (8, 1024),
-            (8, 2048),
-            (1, 2048),
-            (4, 2048),
-            (16, 1024),
-            (8, 512),
-        ] {
-            let (dt, _, _, _) =
-                run_shaped(8, slices.clone(), EngineMode::Sharded { shards, batch });
-            println!(
-                "shards={shards} batch={batch}: {:.0} ev/s",
-                1_200_000.0 / dt
-            );
-        }
-        return;
-    }
     let (events_per_sensor, reps, mode) = if smoke {
         (4_000, 1, "smoke")
     } else {
         (500_000, 3, "full")
     };
 
-    println!("WIDS throughput: sharded batched engine vs seed per-frame engine ({mode})");
-    println!("| sensors | events | baseline ev/s | sharded ev/s | speedup | incidents |");
-    println!("|---------|--------|---------------|--------------|---------|-----------|");
+    println!("WIDS throughput: pipeline vs seed per-frame engine ({mode})");
+    println!("| sensors | events | baseline ev/s | pipeline ev/s | speedup | incidents |");
+    println!("|---------|--------|---------------|---------------|---------|-----------|");
     let mut sweeps = Vec::new();
     for sensors in [1, 2, 4, 8] {
         let s = measure(sensors, events_per_sensor, reps, smoke);
         println!(
             "| {} | {} | {:.0} | {:.0} | {:.2}x | {} |",
-            s.sensors, s.events, s.seed_eps, s.sharded_eps, s.speedup, s.incidents
+            s.sensors, s.events, s.seed_eps, s.engine_eps, s.speedup, s.incidents
         );
         sweeps.push(s);
     }

@@ -1,19 +1,22 @@
-//! Property test of the parallel-dispatch contract (DESIGN.md §17): for
-//! ANY cross-shard traffic pattern, the outbox-merge barrier must replay
-//! shared-state effects in exactly the serial `(time, seq)` dispatch
-//! order. The golden reports pin a handful of curated scenarios; this
-//! test lets the generator hunt for the interleaving that breaks the
-//! commit order — same-instant bursts on different shards, frames whose
-//! audible disc straddles a stripe boundary, and mid-window kicks that
-//! mutate the poll queue between lockstep windows.
+//! Property test of shard- and thread-count invariance (DESIGN.md §15,
+//! §17): every shard count runs the one serial dispatch loop, and a
+//! shard count changes only how the event queue is laid out, so for ANY
+//! traffic pattern a run at (2 shards, 1 thread), (2, 4) or (3, 4)
+//! must produce exactly the fingerprint of the (1, 1) run. The golden
+//! reports pin a handful of curated scenarios; this test lets the
+//! generator hunt for a pattern whose outcome depends on the queue's
+//! shard layout or the pool size — same-instant bursts in different
+//! regions, frames whose audible disc straddles a stripe boundary, and
+//! kicks that mutate the poll queue between run segments. (The file and
+//! test names predate the single dispatch loop.)
 //!
 //! Each random `u64` word contributes one station (position, home AP,
 //! staggered start) and one run segment (length + which node gets
-//! kicked mid-stream), so a 6..14-word case exercises 6..14 windowsful
+//! kicked mid-stream), so a 6..14-word case exercises 6..14 segments
 //! of mixed association, DHCP/ARP chatter and poll churn. Stations are
 //! anchored near their AP so every case has live traffic, and two extra
 //! stations are pinned just inside each side of the stripe boundary
-//! (via [`RegionMap::stripe_span`]) so boundary crossings happen in
+//! (via [`RegionMap::stripe_span`]) so events land in both regions in
 //! every case, not just when the generator gets lucky.
 
 use proptest::prelude::*;

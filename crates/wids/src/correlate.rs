@@ -14,6 +14,15 @@
 //!
 //! One strong witness (weight >= the threshold) convicts alone; weak
 //! witnesses must corroborate each other.
+//!
+//! Subjects are attacker-chosen: a MAC-randomizing twin mints a fresh
+//! BSSID per beacon, and each one earns its own clone claim. The dedup
+//! clock and the case files that have not opened yet therefore live in
+//! [`BoundedTable`]s, LRU-by-touch like the detectors' per-source state,
+//! so a flood of one-alert subjects recycles slots instead of growing the
+//! correlator. A case that opened an incident leaves its table for an
+//! index that grows only with the incident list, so it keeps updating
+//! that incident and can never open a duplicate.
 
 use std::collections::HashMap;
 
@@ -22,6 +31,10 @@ use rogue_sim::trace::Metrics;
 use rogue_sim::{SimDuration, SimTime};
 
 use crate::detector::{AlertKind, RawAlert};
+use crate::sketch::{hash_mac, mix64, BoundedTable};
+
+const CASE_GROUPS: usize = 256;
+const CASE_WAYS: usize = 4;
 
 /// Coarse incident taxonomy — what the operator (and E10's ground-truth
 /// labels) reason in.
@@ -98,66 +111,19 @@ impl Default for CorrelatorConfig {
 }
 
 /// Per-(category, subject) evidence accumulator.
+#[derive(Default)]
 struct CaseFile {
     /// Best weight seen per distinct detector, with its arrival time.
     witnesses: Vec<(&'static str, f64, SimTime)>,
     alerts_fused: u32,
-    incident: Option<usize>,
 }
 
-/// The correlation engine.
-pub struct Correlator {
-    cfg: CorrelatorConfig,
-    last_claim: HashMap<(&'static str, MacAddr, AlertKind), SimTime>,
-    cases: HashMap<(IncidentCategory, MacAddr), CaseFile>,
-    incidents: Vec<Incident>,
-}
-
-impl Correlator {
-    /// Engine with the given tuning.
-    pub fn new(cfg: CorrelatorConfig) -> Correlator {
-        Correlator {
-            cfg,
-            last_claim: HashMap::new(),
-            cases: HashMap::new(),
-            incidents: Vec::new(),
-        }
-    }
-
-    /// Feed one raw alert; updates metrics and possibly opens or
-    /// reinforces an incident.
-    pub fn ingest(&mut self, alert: &RawAlert, metrics: &mut Metrics) {
-        metrics.incr("wids.alerts_raw");
-        // Dedup identical claims.
-        let claim = (alert.detector, alert.subject, alert.kind);
-        if let Some(&prev) = self.last_claim.get(&claim) {
-            if alert.at.as_nanos().saturating_sub(prev.as_nanos())
-                < self.cfg.dedup_window.as_nanos()
-            {
-                metrics.incr("wids.alerts_deduped");
-                return;
-            }
-        }
-        self.last_claim.insert(claim, alert.at);
-
-        let key = (IncidentCategory::of(alert.kind), alert.subject);
-        let case = self.cases.entry(key).or_insert(CaseFile {
-            witnesses: Vec::new(),
-            alerts_fused: 0,
-            incident: None,
-        });
-        case.alerts_fused += 1;
-        // Until the case opens, stale witnesses age out of the window.
-        if case.incident.is_none() {
-            let horizon = SimTime(
-                alert
-                    .at
-                    .as_nanos()
-                    .saturating_sub(self.cfg.fuse_window.as_nanos()),
-            );
-            case.witnesses.retain(|&(_, _, t)| t >= horizon);
-        }
-        match case
+impl CaseFile {
+    /// Count one alert as its detector's witness; returns the fused
+    /// noisy-or score.
+    fn fuse(&mut self, alert: &RawAlert) -> f64 {
+        self.alerts_fused += 1;
+        match self
             .witnesses
             .iter_mut()
             .find(|(d, _, _)| *d == alert.detector)
@@ -166,45 +132,129 @@ impl Correlator {
                 w.1 = w.1.max(alert.weight);
                 w.2 = alert.at;
             }
-            None => case
+            None => self
                 .witnesses
                 .push((alert.detector, alert.weight, alert.at)),
         }
-        let score = 1.0
-            - case
-                .witnesses
-                .iter()
-                .map(|&(_, w, _)| 1.0 - w)
-                .product::<f64>();
+        1.0 - self
+            .witnesses
+            .iter()
+            .map(|&(_, w, _)| 1.0 - w)
+            .product::<f64>()
+    }
+}
 
-        match case.incident {
-            Some(idx) => {
-                let inc = &mut self.incidents[idx];
-                inc.score = score;
-                inc.last_evidence_at = alert.at;
-                inc.alerts_fused = case.alerts_fused;
-                if !inc.detectors.contains(&alert.detector) {
-                    inc.detectors.push(alert.detector);
-                }
-            }
-            None if score >= self.cfg.open_threshold => {
-                let id = self.incidents.len() as u32;
-                metrics.incr("wids.incidents_opened");
-                metrics.observe("wids.incident_score", score);
-                self.incidents.push(Incident {
-                    id,
-                    category: key.0,
-                    subject: key.1,
-                    opened_at: alert.at,
-                    last_evidence_at: alert.at,
-                    score,
-                    alerts_fused: case.alerts_fused,
-                    detectors: case.witnesses.iter().map(|&(d, _, _)| d).collect(),
-                });
-                case.incident = Some(id as usize);
-            }
-            None => {}
+type CaseKey = (IncidentCategory, MacAddr);
+
+/// The correlation engine.
+pub struct Correlator {
+    cfg: CorrelatorConfig,
+    /// When each (detector, subject, kind) claim last counted.
+    last_claim: BoundedTable<(&'static str, MacAddr, AlertKind), Option<SimTime>>,
+    /// Case files still below the open threshold.
+    pending: BoundedTable<CaseKey, CaseFile>,
+    /// Case files that opened an incident, with its index.
+    opened: HashMap<CaseKey, (usize, CaseFile)>,
+    incidents: Vec<Incident>,
+}
+
+impl Correlator {
+    /// Engine with the given tuning.
+    pub fn new(cfg: CorrelatorConfig) -> Correlator {
+        Correlator {
+            cfg,
+            last_claim: BoundedTable::new(CASE_GROUPS, CASE_WAYS),
+            pending: BoundedTable::new(CASE_GROUPS, CASE_WAYS),
+            opened: HashMap::new(),
+            incidents: Vec::new(),
         }
+    }
+
+    /// Feed one raw alert; updates metrics and possibly opens or
+    /// reinforces an incident.
+    pub fn ingest(&mut self, alert: &RawAlert, metrics: &mut Metrics) {
+        metrics.incr("wids.alerts_raw");
+        let subject_hash = hash_mac(&alert.subject.0);
+        // Dedup identical claims.
+        let claim = (alert.detector, alert.subject, alert.kind);
+        let last = self.last_claim.entry(
+            alert.at,
+            mix64(subject_hash ^ alert.kind as u64),
+            claim,
+            || None,
+        );
+        if let Some(prev) = *last {
+            if alert.at.as_nanos().saturating_sub(prev.as_nanos())
+                < self.cfg.dedup_window.as_nanos()
+            {
+                metrics.incr("wids.alerts_deduped");
+                return;
+            }
+        }
+        *last = Some(alert.at);
+
+        let key = (IncidentCategory::of(alert.kind), alert.subject);
+        if let Some((idx, case)) = self.opened.get_mut(&key) {
+            let score = case.fuse(alert);
+            let inc = &mut self.incidents[*idx];
+            inc.score = score;
+            inc.last_evidence_at = alert.at;
+            inc.alerts_fused = case.alerts_fused;
+            if !inc.detectors.contains(&alert.detector) {
+                inc.detectors.push(alert.detector);
+            }
+            return;
+        }
+        let case_hash = mix64(subject_hash ^ key.0 as u64);
+        let case = self
+            .pending
+            .entry(alert.at, case_hash, key, CaseFile::default);
+        // Until the case opens, stale witnesses age out of the window.
+        let horizon = SimTime(
+            alert
+                .at
+                .as_nanos()
+                .saturating_sub(self.cfg.fuse_window.as_nanos()),
+        );
+        case.witnesses.retain(|&(_, _, t)| t >= horizon);
+        let score = case.fuse(alert);
+        if score < self.cfg.open_threshold {
+            return;
+        }
+        let case = self
+            .pending
+            .remove(case_hash, key)
+            .expect("the case was just touched");
+        let id = self.incidents.len() as u32;
+        metrics.incr("wids.incidents_opened");
+        metrics.observe("wids.incident_score", score);
+        self.incidents.push(Incident {
+            id,
+            category: key.0,
+            subject: key.1,
+            opened_at: alert.at,
+            last_evidence_at: alert.at,
+            score,
+            alerts_fused: case.alerts_fused,
+            detectors: case.witnesses.iter().map(|&(d, _, _)| d).collect(),
+        });
+        self.opened.insert(key, (id as usize, case));
+    }
+
+    /// Fixed footprint of the dedup and pending-case tables, in bytes.
+    pub fn state_bytes(&self) -> usize {
+        self.last_claim.bytes() + self.pending.bytes()
+    }
+
+    /// Entries held: dedup claims, pending case files and opened cases.
+    /// At most the two tables' capacity plus one per incident.
+    pub fn tracked(&self) -> usize {
+        self.last_claim.tracked() + self.pending.tracked() + self.opened.len()
+    }
+
+    /// Dedup claims and pending cases recycled under subject pressure.
+    pub fn evictions(&self) -> u64 {
+        self.last_claim.evictions + self.pending.evictions
     }
 
     /// Incidents opened so far, in opening order.

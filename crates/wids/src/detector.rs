@@ -1,8 +1,11 @@
-//! The pluggable detector interface.
+//! The per-event detector interface.
 //!
 //! A detector is a streaming analyzer: it consumes the normalized
 //! [`SensorEvent`] stream one event at a time, keeps whatever state it
 //! needs, and emits [`RawAlert`]s when evidence crosses its threshold.
+//! The pipeline calls its six built-in detectors through this interface
+//! in a fixed order; E6 calls the sequence-control detector through it
+//! directly.
 //! Raw alerts are deliberately noisy and single-sourced — deduplication
 //! and multi-detector fusion happen downstream in the correlation
 //! engine, not inside detectors.

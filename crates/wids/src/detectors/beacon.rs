@@ -106,6 +106,12 @@ impl BeaconDetector {
             beacons_seen: 0,
         }
     }
+
+    /// Fixed footprint of the clone latches and the churn sketch, in
+    /// bytes.
+    pub fn state_bytes(&self) -> usize {
+        self.alerted_clone.bytes() + self.churn.bytes()
+    }
 }
 
 impl Detector for BeaconDetector {

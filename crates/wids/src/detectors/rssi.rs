@@ -10,21 +10,19 @@
 //! corroborating evidence, not a conviction.
 //!
 //! State lives in a [`BoundedTable`] keyed by (TA, sensor, channel) but
-//! *grouped* by transmitter hash — the same group space the
-//! sequence-control detector shards on, so one shard owns every reading
-//! for a transmitter and sharded evaluation stays bit-identical to
-//! serial. Like every per-source map in the suite, memory is fixed at
-//! construction: a MAC-randomizing attacker recycles slots instead of
-//! growing the detector.
+//! *grouped* by transmitter hash, so every vantage point on one
+//! transmitter competes for the same group's ways. Like every per-source
+//! map in the suite, memory is fixed at construction: a MAC-randomizing
+//! attacker recycles slots instead of growing the detector.
 
 use rogue_dot11::MacAddr;
 use rogue_sim::{SimDuration, SimTime};
 
 use crate::detector::{AlertKind, Detector, RawAlert};
-use crate::detectors::seq::TA_GROUPS;
 use crate::event::{Dot11Kind, SensorEvent};
-use crate::sketch::{hash_mac, BoundedTable, TableView};
+use crate::sketch::{hash_mac, BoundedTable};
 
+const RSSI_GROUPS: usize = 4096;
 /// Readings for distinct (sensor, channel) vantage points share a
 /// transmitter's group; a handful of ways absorbs them.
 const RSSI_WAYS: usize = 8;
@@ -53,11 +51,8 @@ impl Default for RssiSplitConfig {
     }
 }
 
-/// One shard's disjoint view of the RSSI bounded table.
-pub(crate) type RssiView<'a> = TableView<'a, (MacAddr, u16, u8), RssiEntry>;
-
 /// Per-(TA, sensor, channel) reading state (one bounded slot).
-pub(crate) struct RssiEntry {
+struct RssiEntry {
     last_rssi: Option<f64>,
     /// Most recent implausible-swing times, capped at the alert
     /// threshold — the alert only ever needs the newest `threshold`.
@@ -66,55 +61,12 @@ pub(crate) struct RssiEntry {
 }
 
 impl RssiEntry {
-    pub(crate) fn new() -> RssiEntry {
+    fn new() -> RssiEntry {
         RssiEntry {
             last_rssi: None,
             swings: Vec::new(),
             alerted: false,
         }
-    }
-}
-
-/// The shared per-event core, identical on the serial and batch paths.
-#[inline]
-pub(crate) fn rssi_observe(
-    cfg: &RssiSplitConfig,
-    st: &mut RssiEntry,
-    at: SimTime,
-    ta: MacAddr,
-    channel: u8,
-    rssi_dbm: f64,
-    mut emit: impl FnMut(RawAlert),
-) {
-    let Some(last) = st.last_rssi.replace(rssi_dbm) else {
-        return; // first reading from this vantage point: baseline only
-    };
-    let swing = (rssi_dbm - last).abs();
-    if swing < cfg.swing_db {
-        return;
-    }
-    if st.swings.len() >= cfg.threshold as usize {
-        st.swings.remove(0);
-    }
-    st.swings.push(at);
-    let window_start = SimTime(at.as_nanos().saturating_sub(cfg.window.as_nanos()));
-    st.swings.retain(|&t| t >= window_start);
-    if st.swings.len() as u32 >= cfg.threshold && !st.alerted {
-        st.alerted = true;
-        emit(RawAlert {
-            at,
-            detector: "rssi-split",
-            subject: ta,
-            kind: AlertKind::RssiInconsistent,
-            weight: 0.5,
-            detail: format!(
-                "{} swings > {:.0} dB within {} on channel {}",
-                st.swings.len(),
-                cfg.swing_db,
-                cfg.window,
-                channel
-            ),
-        });
     }
 }
 
@@ -131,7 +83,7 @@ impl RssiSplitDetector {
     pub fn new(cfg: RssiSplitConfig) -> RssiSplitDetector {
         RssiSplitDetector {
             cfg,
-            table: BoundedTable::new(TA_GROUPS, RSSI_WAYS),
+            table: BoundedTable::new(RSSI_GROUPS, RSSI_WAYS),
         }
     }
 
@@ -148,17 +100,6 @@ impl RssiSplitDetector {
     /// Entries recycled under source-cardinality pressure.
     pub fn evictions(&self) -> u64 {
         self.table.evictions
-    }
-
-    /// Config plus disjoint per-shard table views for batch evaluation.
-    pub(crate) fn batch_parts(&mut self, shards: usize) -> (&RssiSplitConfig, Vec<RssiView<'_>>) {
-        let RssiSplitDetector { cfg, table } = self;
-        (cfg, table.shard_views(shards))
-    }
-
-    /// Fold per-shard tallies back after a batch.
-    pub(crate) fn fold_batch(&mut self, evictions: u64) {
-        self.table.add_evictions(evictions);
     }
 }
 
@@ -178,13 +119,41 @@ impl Detector for RssiSplitDetector {
         if e.kind == Dot11Kind::Ack {
             return; // no transmitter address to attribute the reading to
         }
+        let cfg = &self.cfg;
         let h = hash_mac(&e.ta.0);
         let st = self
             .table
             .entry(e.at, h, (e.ta, e.sensor.0, e.channel), RssiEntry::new);
-        rssi_observe(&self.cfg, st, e.at, e.ta, e.channel, e.rssi_dbm, |a| {
-            out.push(a)
-        });
+        let Some(last) = st.last_rssi.replace(e.rssi_dbm) else {
+            return; // first reading from this vantage point: baseline only
+        };
+        let swing = (e.rssi_dbm - last).abs();
+        if swing < cfg.swing_db {
+            return;
+        }
+        if st.swings.len() >= cfg.threshold as usize {
+            st.swings.remove(0);
+        }
+        st.swings.push(e.at);
+        let window_start = SimTime(e.at.as_nanos().saturating_sub(cfg.window.as_nanos()));
+        st.swings.retain(|&t| t >= window_start);
+        if st.swings.len() as u32 >= cfg.threshold && !st.alerted {
+            st.alerted = true;
+            out.push(RawAlert {
+                at: e.at,
+                detector: "rssi-split",
+                subject: e.ta,
+                kind: AlertKind::RssiInconsistent,
+                weight: 0.5,
+                detail: format!(
+                    "{} swings > {:.0} dB within {} on channel {}",
+                    st.swings.len(),
+                    cfg.swing_db,
+                    cfg.window,
+                    e.channel
+                ),
+            });
+        }
     }
 }
 
@@ -259,7 +228,7 @@ mod tests {
             }
             d.on_event(&e, &mut out);
         }
-        assert!(d.tracked_sources() <= TA_GROUPS * RSSI_WAYS);
+        assert!(d.tracked_sources() <= RSSI_GROUPS * RSSI_WAYS);
         assert_eq!(d.state_bytes(), before, "slot array must not grow");
         assert!(d.evictions() > 0, "pressure must recycle slots");
         assert!(out.is_empty());

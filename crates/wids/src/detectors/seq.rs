@@ -6,10 +6,7 @@
 //! bounded per-source state substrate: each transmitter's counter state
 //! lives in a [`BoundedTable`] slot instead of an unbounded `HashMap`
 //! entry, so an attacker cycling through randomized source addresses
-//! recycles slots instead of growing the detector. The per-event logic
-//! is shared verbatim between the serial per-frame path and the sharded
-//! batch path ([`seq_observe`]), which is what makes the two
-//! bit-identical.
+//! recycles slots instead of growing the detector.
 //!
 //! One refinement over the raw monitor: channel divergence is only
 //! evidence against an *AP* transmitter (a BSS cannot move channels
@@ -23,16 +20,13 @@ use rogue_sim::SimTime;
 
 use crate::detector::{AlertKind, Detector, RawAlert};
 use crate::event::{Dot11Kind, SensorEvent};
-use crate::sketch::{hash_mac, BoundedTable, TableView};
+use crate::sketch::{hash_mac, BoundedTable};
 
-/// Group count of the per-transmitter tables — the sharding unit shared
-/// with the RSSI detector (batch rows are routed to shards by
-/// transmitter hash, so both tables must agree on the group space).
-pub(crate) const TA_GROUPS: usize = 4096;
+const TA_GROUPS: usize = 4096;
 const TA_WAYS: usize = 4;
 
 /// Per-transmitter counter state (one bounded slot).
-pub(crate) struct SeqEntry {
+struct SeqEntry {
     last_seq: Option<u16>,
     last_channel: Option<u8>,
     /// Most recent anomaly times, capped at the alarm threshold — the
@@ -45,7 +39,7 @@ pub(crate) struct SeqEntry {
 }
 
 impl SeqEntry {
-    pub(crate) fn new() -> SeqEntry {
+    fn new() -> SeqEntry {
         SeqEntry {
             last_seq: None,
             last_channel: None,
@@ -55,82 +49,6 @@ impl SeqEntry {
             is_ap: false,
         }
     }
-}
-
-/// The shared per-event state machine: `SeqMonitor::observe_frame` plus
-/// the AP-only divergence gate, over one bounded slot.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn seq_observe(
-    cfg: &SeqMonConfig,
-    st: &mut SeqEntry,
-    at: SimTime,
-    ta: MacAddr,
-    seq: u16,
-    channel: u8,
-    retry: bool,
-    is_ap_now: bool,
-    mut emit: impl FnMut(RawAlert),
-) {
-    st.is_ap |= is_ap_now;
-
-    // Channel divergence is immediate, unambiguous evidence — against
-    // an AP. The alarmed flag latches either way (matching the raw
-    // monitor), so a roaming client later seen as an AP does not
-    // retroactively alarm.
-    if let Some(prev) = st.last_channel {
-        if prev != channel && !st.alarmed_chan {
-            st.alarmed_chan = true;
-            if st.is_ap {
-                emit(RawAlert {
-                    at,
-                    detector: "seq-control",
-                    subject: ta,
-                    kind: AlertKind::ChannelDivergence,
-                    weight: 0.9,
-                    detail: format!("heard on channel {prev} and {channel}"),
-                });
-            }
-        }
-    }
-    st.last_channel = Some(channel);
-
-    if let Some(last) = st.last_seq {
-        // Wright's spoof signature: the merged stream of two radios
-        // behind one address either repeats a counter value outright (a
-        // non-retry exact duplicate — ARQ retransmissions repeat the
-        // number but set the retry flag) or jumps backward by more than
-        // capture reordering can explain. All arithmetic is modulo
-        // 4096, so the 0x0FFF -> 0x000 wrap shows as a small forward
-        // delta and stays clean.
-        let delta = seq.wrapping_sub(last) & 0x0FFF;
-        let is_anomaly = (delta == 0 && !retry)
-            || (delta > cfg.max_normal_gap && delta < 4096 - cfg.reorder_tolerance);
-        if is_anomaly {
-            if st.anomaly_times.len() >= cfg.alarm_threshold as usize {
-                st.anomaly_times.remove(0);
-            }
-            st.anomaly_times.push(at);
-            let window_start = SimTime(at.as_nanos().saturating_sub(cfg.window.as_nanos()));
-            st.anomaly_times.retain(|&t| t >= window_start);
-            if st.anomaly_times.len() as u32 >= cfg.alarm_threshold && !st.alarmed_seq {
-                st.alarmed_seq = true;
-                emit(RawAlert {
-                    at,
-                    detector: "seq-control",
-                    subject: ta,
-                    kind: AlertKind::SequenceAnomaly,
-                    weight: 0.7,
-                    detail: format!(
-                        "{} interleaved-counter jumps within {}",
-                        st.anomaly_times.len(),
-                        cfg.window
-                    ),
-                });
-            }
-        }
-    }
-    st.last_seq = Some(seq);
 }
 
 /// Streaming sequence-control monitor over bounded per-source state.
@@ -169,21 +87,6 @@ impl SeqControlDetector {
     pub fn evictions(&self) -> u64 {
         self.table.evictions
     }
-
-    /// Config plus disjoint per-shard table views for batch evaluation.
-    pub(crate) fn batch_parts(
-        &mut self,
-        shards: usize,
-    ) -> (&SeqMonConfig, Vec<TableView<'_, MacAddr, SeqEntry>>) {
-        let SeqControlDetector { cfg, table, .. } = self;
-        (cfg, table.shard_views(shards))
-    }
-
-    /// Fold per-shard tallies back after a batch.
-    pub(crate) fn fold_batch(&mut self, observed: u64, evictions: u64) {
-        self.observed += observed;
-        self.table.add_evictions(evictions);
-    }
 }
 
 impl Default for SeqControlDetector {
@@ -203,19 +106,68 @@ impl Detector for SeqControlDetector {
             return; // no sequence counter, no transmitter address
         }
         self.observed += 1;
-        let h = hash_mac(&e.ta.0);
-        let st = self.table.entry(e.at, h, e.ta, SeqEntry::new);
-        seq_observe(
-            &self.cfg,
-            st,
-            e.at,
-            e.ta,
-            e.seq,
-            e.channel,
-            e.retry,
-            e.ta == e.bssid,
-            |a| out.push(a),
-        );
+        let cfg = &self.cfg;
+        let (at, ta, channel) = (e.at, e.ta, e.channel);
+        let st = self.table.entry(at, hash_mac(&ta.0), ta, SeqEntry::new);
+        st.is_ap |= ta == e.bssid;
+
+        // Channel divergence is immediate, unambiguous evidence — against
+        // an AP. The alarmed flag latches either way (matching the raw
+        // monitor), so a roaming client later seen as an AP does not
+        // retroactively alarm.
+        if let Some(prev) = st.last_channel {
+            if prev != channel && !st.alarmed_chan {
+                st.alarmed_chan = true;
+                if st.is_ap {
+                    out.push(RawAlert {
+                        at,
+                        detector: "seq-control",
+                        subject: ta,
+                        kind: AlertKind::ChannelDivergence,
+                        weight: 0.9,
+                        detail: format!("heard on channel {prev} and {channel}"),
+                    });
+                }
+            }
+        }
+        st.last_channel = Some(channel);
+
+        if let Some(last) = st.last_seq {
+            // Wright's spoof signature: the merged stream of two radios
+            // behind one address either repeats a counter value outright
+            // (a non-retry exact duplicate — ARQ retransmissions repeat
+            // the number but set the retry flag) or jumps backward by more
+            // than capture reordering can explain. All arithmetic is
+            // modulo 4096, so the 0x0FFF -> 0x000 wrap shows as a small
+            // forward delta and stays clean.
+            let delta = e.seq.wrapping_sub(last) & 0x0FFF;
+            let is_anomaly = (delta == 0 && !e.retry)
+                || (delta > cfg.max_normal_gap && delta < 4096 - cfg.reorder_tolerance);
+            if is_anomaly {
+                if st.anomaly_times.len() >= cfg.alarm_threshold as usize {
+                    st.anomaly_times.remove(0);
+                }
+                st.anomaly_times.push(at);
+                let window_start = SimTime(at.as_nanos().saturating_sub(cfg.window.as_nanos()));
+                st.anomaly_times.retain(|&t| t >= window_start);
+                if st.anomaly_times.len() as u32 >= cfg.alarm_threshold && !st.alarmed_seq {
+                    st.alarmed_seq = true;
+                    out.push(RawAlert {
+                        at,
+                        detector: "seq-control",
+                        subject: ta,
+                        kind: AlertKind::SequenceAnomaly,
+                        weight: 0.7,
+                        detail: format!(
+                            "{} interleaved-counter jumps within {}",
+                            st.anomaly_times.len(),
+                            cfg.window
+                        ),
+                    });
+                }
+            }
+        }
+        st.last_seq = Some(e.seq);
     }
 }
 

@@ -6,9 +6,9 @@
 //! audits into an always-on pipeline over the live simulation:
 //!
 //! ```text
-//!  radio sniffers ──> RadioSensor ─┐  per-sensor shard rings
-//!                                  ├─> time-sorted merge ─> Detector engine ─> Correlator ─> Incidents
-//!  switch span ────> WiredSensor ──┘       (bounded)       (serial|sharded)    (dedup+fuse)    (scored)
+//!  radio sniffers ──> RadioSensor ─┐
+//!                                  ├─> SensorRing ─> time sort ─> 6 detectors ─> Correlator ─> Incidents
+//!  switch span ────> WiredSensor ──┘   (bounded)     (stable)     (per event)    (dedup+fuse)    (scored)
 //! ```
 //!
 //! * [`event`] — the unified [`event::SensorEvent`] stream and the
@@ -17,23 +17,22 @@
 //! * [`sensors`] — taps that digest capture substrates into events:
 //!   [`sensors::RadioSensor`] over monitor-mode sniffer buffers,
 //!   [`sensors::WiredSensor`] over a switch span port.
-//! * [`detector`] — the pluggable [`detector::Detector`] trait and
-//!   [`detector::RawAlert`] evidence type.
+//! * [`detector`] — the per-event [`detector::Detector`] interface and
+//!   the [`detector::RawAlert`] evidence type.
 //! * [`detectors`] — the built-in suite: sequence-control anomalies,
 //!   beacon/BSSID auditing (incl. churn), deauth floods (burst and
 //!   pulsed), RSSI consistency, ARP spoof, probe-response auditing
 //!   (cloaked twins, karma responders).
 //! * [`sketch`] — the bounded state substrates (windowed count-min
-//!   sketches, set-associative tables) keeping detector memory fixed
-//!   under address-randomizing attackers.
+//!   sketches, set-associative tables) keeping detector and correlator
+//!   memory fixed under address-randomizing attackers.
 //! * [`correlate`] — dedup and noisy-or fusion of raw alerts into
 //!   scored [`correlate::Incident`]s.
 //! * [`eval`] — precision / recall / latency scoring against scripted
 //!   ground truth, for the E10 harness.
 //! * [`pipeline`] — [`pipeline::WidsPipeline`] wiring it all together,
-//!   stepped in lockstep with the simulation. [`pipeline::EngineMode`]
-//!   selects per-frame serial dispatch or the sharded batched engine;
-//!   the two are bit-identical by construction.
+//!   stepped in lockstep with the simulation: each step time-sorts the
+//!   ring and runs every event through the suite, one event at a time.
 
 #![forbid(unsafe_code)]
 
@@ -46,8 +45,6 @@ pub mod pipeline;
 pub mod sensors;
 pub mod sketch;
 
-mod block;
-
 pub use correlate::{Correlator, CorrelatorConfig, Incident, IncidentCategory};
 pub use detector::{AlertKind, Detector, RawAlert};
 pub use detectors::{
@@ -56,5 +53,5 @@ pub use detectors::{
 };
 pub use eval::{evaluate, EvalOutcome, TruthLabel};
 pub use event::{ArpEvent, Dot11Event, Dot11Kind, SensorEvent, SensorId, SensorRing};
-pub use pipeline::{EngineMode, WidsConfig, WidsPipeline};
+pub use pipeline::{WidsConfig, WidsPipeline};
 pub use sensors::{RadioSensor, WiredSensor};

@@ -1,93 +1,39 @@
-//! The WIDS pipeline: sensors -> rings -> detector engine -> correlator.
+//! The WIDS pipeline: sensors -> ring -> detectors -> correlator.
 //!
 //! The pipeline is stepped from the outside, in lockstep with the
-//! simulation: run a slice, let each sensor drain into its ring, then
-//! [`WidsPipeline::step`] dispatches everything buffered. Sensors can
-//! share the common ring or own a per-sensor shard ring
-//! ([`WidsPipeline::sensor_ring`]); the step drains them all and
-//! stable-sorts the merged stream by timestamp, so detectors always see
-//! one globally time-ordered stream, identically on every run —
-//! determinism is a property of the pipeline, not of sensor polling
-//! order.
+//! simulation: run a slice, let each sensor drain into the ring, then
+//! [`WidsPipeline::step`] dispatches everything buffered. The step
+//! stable-sorts what it drained by timestamp, so detectors always see
+//! one time-ordered stream, identically on every run — determinism is a
+//! property of the pipeline, not of sensor polling order.
 //!
-//! Two interchangeable engines evaluate the detector suite
-//! ([`EngineMode`]):
-//!
-//! * **Serial** — the reference path: every event visits every detector
-//!   through trait-object dispatch, in a fixed stage order.
-//! * **Sharded** — the streaming-analytics path: events are digested
-//!   into structure-of-arrays [`FrameBlock`]s, the per-source stages
-//!   (sequence-control, RSSI) sweep disjoint shard views of their
-//!   bounded tables in parallel, and the cross-key stages run serially
-//!   over the same block. Every alert is tagged with its (event, stage)
-//!   coordinates and the merged stream is stable-sorted back into exact
-//!   serial order before correlation.
-//!
-//! The two engines are **bit-identical**: same alerts, same order, same
-//! incidents, same metrics, at any shard count, batch size, or
-//! `RAYON_NUM_THREADS` — the shard-equivalence suite proves it, and the
-//! golden experiment tables depend on it.
+//! Each event then visits the six detectors in a fixed order, and the
+//! alerts it raised reach the correlator before the next event does.
+//! Steps are small: about 2 events in E9, 3 in E10 and 37 on the campus
+//! workload. Per-source detector state and the correlator's pending
+//! cases live in bounded tables ([`crate::sketch`]), so a step's cost
+//! does not grow with the number of addresses an attacker mints.
 
-use rayon::prelude::*;
 use rogue_detect::seqmon::SeqMonConfig;
 use rogue_dot11::MacAddr;
 use rogue_netstack::Ipv4Addr;
 use rogue_sim::trace::Metrics;
 use rogue_sim::SimTime;
 
-use crate::block::FrameBlock;
 use crate::correlate::{Correlator, CorrelatorConfig, Incident, IncidentCategory};
 use crate::detector::{Detector, RawAlert};
 use crate::detectors::arp::{ArpSpoofConfig, ArpSpoofDetector};
 use crate::detectors::beacon::{BeaconConfig, BeaconDetector};
 use crate::detectors::deauth::{DeauthFloodConfig, DeauthFloodDetector};
 use crate::detectors::probe::{ProbeAuditConfig, ProbeAuditDetector};
-use crate::detectors::rssi::{rssi_observe, RssiEntry, RssiSplitConfig, RssiSplitDetector};
-use crate::detectors::seq::{seq_observe, SeqControlDetector, SeqEntry, TA_GROUPS};
-use crate::event::{SensorEvent, SensorId, SensorRing};
-
-/// How the detector suite is evaluated over a step's event batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Per-frame trait-object dispatch in stage order — the reference
-    /// semantics and the throughput baseline.
-    Serial,
-    /// Batched structure-of-arrays evaluation: per-source stages sweep
-    /// `shards` disjoint table shards in parallel over blocks of at most
-    /// `batch` events. Bit-identical to [`EngineMode::Serial`].
-    Sharded {
-        /// Parallel shards for the per-source stages; a power of two
-        /// dividing the bounded tables' group count.
-        shards: usize,
-        /// Block size the step's event batch is digested in.
-        batch: usize,
-    },
-}
-
-impl Default for EngineMode {
-    fn default() -> Self {
-        EngineMode::Sharded {
-            shards: 8,
-            batch: 1024,
-        }
-    }
-}
-
-/// Stage indices of the built-in suite — the serial dispatch order, and
-/// the sort key that restores it after sharded evaluation.
-const STAGE_SEQ: u8 = 0;
-const STAGE_BEACON: u8 = 1;
-const STAGE_DEAUTH: u8 = 2;
-const STAGE_RSSI: u8 = 3;
-const STAGE_ARP: u8 = 4;
-const STAGE_PROBE: u8 = 5;
-const STAGE_EXTRA: u8 = 6;
+use crate::detectors::rssi::{RssiSplitConfig, RssiSplitDetector};
+use crate::detectors::seq::SeqControlDetector;
+use crate::event::{SensorId, SensorRing};
 
 /// Whole-pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct WidsConfig {
-    /// Bounded ring capacity between sensors and detectors (shared ring
-    /// and each per-sensor shard ring).
+    /// Bounded ring capacity between sensors and detectors.
     pub ring_capacity: usize,
     /// Authorized (BSSID, channel) registry for the beacon and probe
     /// auditors.
@@ -107,8 +53,6 @@ pub struct WidsConfig {
     pub probe: ProbeAuditConfig,
     /// Correlation tuning.
     pub correlator: CorrelatorConfig,
-    /// Detector evaluation engine.
-    pub engine: EngineMode,
 }
 
 impl Default for WidsConfig {
@@ -123,32 +67,25 @@ impl Default for WidsConfig {
             arp: ArpSpoofConfig::default(),
             probe: ProbeAuditConfig::default(),
             correlator: CorrelatorConfig::default(),
-            engine: EngineMode::default(),
         }
     }
 }
 
 /// The assembled intrusion-detection pipeline.
 pub struct WidsPipeline {
-    /// Sensors without a dedicated ring push digested events here.
+    /// Sensors push digested events here.
     pub ring: SensorRing,
-    /// Per-sensor ingest shards, indexed by [`SensorId`].
-    shard_rings: Vec<SensorRing>,
-    ring_capacity: usize,
-    mode: EngineMode,
     seq: SeqControlDetector,
     beacon: BeaconDetector,
     deauth: DeauthFloodDetector,
     rssi: RssiSplitDetector,
     arp: ArpSpoofDetector,
     probe: ProbeAuditDetector,
-    extras: Vec<Box<dyn Detector>>,
     correlator: Correlator,
     metrics: Metrics,
     next_sensor: u16,
     drops_reported: u64,
     scratch: Vec<RawAlert>,
-    tagged: Vec<(u32, u8, RawAlert)>,
     /// Simulation time of the most recent [`WidsPipeline::step`].
     pub last_step_at: SimTime,
 }
@@ -156,22 +93,12 @@ pub struct WidsPipeline {
 impl WidsPipeline {
     /// Pipeline with the standard six-detector suite.
     pub fn new(cfg: WidsConfig) -> WidsPipeline {
-        if let EngineMode::Sharded { shards, batch } = cfg.engine {
-            assert!(
-                shards >= 1 && TA_GROUPS.is_multiple_of(shards),
-                "shards must be a power of two dividing {TA_GROUPS}"
-            );
-            assert!(batch >= 1, "batch size must be nonzero");
-        }
         let mut arp = ArpSpoofDetector::new(cfg.arp);
         for (ip, mac) in &cfg.trusted_bindings {
             arp.trust(*ip, *mac);
         }
         WidsPipeline {
             ring: SensorRing::new(cfg.ring_capacity),
-            shard_rings: Vec::new(),
-            ring_capacity: cfg.ring_capacity,
-            mode: cfg.engine,
             seq: SeqControlDetector::new(cfg.seqmon),
             beacon: BeaconDetector::new(BeaconConfig {
                 authorized: cfg.authorized_aps.clone(),
@@ -184,20 +111,13 @@ impl WidsPipeline {
                 authorized: cfg.authorized_aps,
                 ..cfg.probe
             }),
-            extras: Vec::new(),
             correlator: Correlator::new(cfg.correlator),
             metrics: Metrics::default(),
             next_sensor: 0,
             drops_reported: 0,
             scratch: Vec::new(),
-            tagged: Vec::new(),
             last_step_at: SimTime::ZERO,
         }
-    }
-
-    /// Register an additional detector behind the standard suite.
-    pub fn push_detector(&mut self, d: Box<dyn Detector>) {
-        self.extras.push(d);
     }
 
     /// Allocate the next sensor identity.
@@ -207,192 +127,35 @@ impl WidsPipeline {
         id
     }
 
-    /// The sensor's dedicated ingest shard. Events pushed here are
-    /// merged (and globally time-sorted) with the shared ring at the
-    /// next step; a busy sensor filling its own shard can therefore
-    /// never tail-drop a quiet sensor's events.
-    pub fn sensor_ring(&mut self, id: SensorId) -> &mut SensorRing {
-        let idx = id.0 as usize;
-        while self.shard_rings.len() <= idx {
-            self.shard_rings.push(SensorRing::new(self.ring_capacity));
-        }
-        &mut self.shard_rings[idx]
-    }
-
-    /// The engine evaluating the suite.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Dispatch everything buffered in the rings through the detector
+    /// Dispatch everything buffered in the ring through the detector
     /// suite and the correlator. Returns how many events were processed.
     pub fn step(&mut self, now: SimTime) -> usize {
         self.last_step_at = now;
         self.metrics.incr("wids.steps");
         let mut events = self.ring.drain();
-        for ring in &mut self.shard_rings {
-            events.extend(ring.drain());
-        }
-        // Per-sensor batches are each time-ordered; a stable sort makes
-        // the merged stream deterministic regardless of drain order.
+        // Sensors push their batches one after another, each in time
+        // order; a stable sort interleaves them and keeps same-instant
+        // events in push order.
         events.sort_by_key(|e| e.at());
         let n = events.len();
         self.metrics.add("wids.events", n as u64);
-        let total_dropped =
-            self.ring.dropped + self.shard_rings.iter().map(|r| r.dropped).sum::<u64>();
-        let new_drops = total_dropped - self.drops_reported;
+        let new_drops = self.ring.dropped - self.drops_reported;
         if new_drops > 0 {
             self.metrics.add("wids.ring_dropped", new_drops);
-            self.drops_reported = total_dropped;
+            self.drops_reported = self.ring.dropped;
         }
-        match self.mode {
-            EngineMode::Serial => self.step_serial(&events),
-            EngineMode::Sharded { shards, batch } => {
-                for chunk in events.chunks(batch) {
-                    self.step_batch(chunk, shards);
-                }
-            }
-        }
-        n
-    }
-
-    /// Reference path: per-event trait dispatch in stage order.
-    fn step_serial(&mut self, events: &[SensorEvent]) {
-        for ev in events {
+        for ev in &events {
             self.seq.on_event(ev, &mut self.scratch);
             self.beacon.on_event(ev, &mut self.scratch);
             self.deauth.on_event(ev, &mut self.scratch);
             self.rssi.on_event(ev, &mut self.scratch);
             self.arp.on_event(ev, &mut self.scratch);
             self.probe.on_event(ev, &mut self.scratch);
-            for det in &mut self.extras {
-                det.on_event(ev, &mut self.scratch);
-            }
             for alert in self.scratch.drain(..) {
                 self.correlator.ingest(&alert, &mut self.metrics);
             }
         }
-    }
-
-    /// Batched path: one SoA block, per-source stages parallel over
-    /// disjoint table shards, cross-key stages serial, then a stable
-    /// (event, stage) sort that reconstructs serial alert order exactly.
-    fn step_batch(&mut self, events: &[SensorEvent], shards: usize) {
-        let mut tagged = std::mem::take(&mut self.tagged);
-        let block = FrameBlock::build(events, shards);
-
-        if block.rows() > 0 {
-            let (seq_cfg, seq_views) = self.seq.batch_parts(shards);
-            let (rssi_cfg, rssi_views) = self.rssi.batch_parts(shards);
-            let block_ref = &block;
-            let tasks: Vec<_> = seq_views
-                .into_iter()
-                .zip(rssi_views)
-                .enumerate()
-                .map(|(s, (sv, rv))| (sv, rv, &block_ref.shard_rows[s]))
-                .collect();
-            type ShardOut = (Vec<(u32, u8, RawAlert)>, u64, u64, u64);
-            let results: Vec<ShardOut> = tasks
-                .into_par_iter()
-                .map(move |(mut seq_view, mut rssi_view, rows)| {
-                    let mut out: Vec<(u32, u8, RawAlert)> = Vec::new();
-                    for &row in rows {
-                        let r = row as usize;
-                        let at = block_ref.at[r];
-                        let ta = block_ref.ta[r];
-                        let group = block_ref.group[r] as usize;
-                        let idx = block_ref.event_idx[r];
-                        let st = seq_view.entry(at, group, ta, SeqEntry::new);
-                        seq_observe(
-                            seq_cfg,
-                            st,
-                            at,
-                            ta,
-                            block_ref.seq[r],
-                            block_ref.channel[r],
-                            block_ref.retry[r],
-                            block_ref.is_ap[r],
-                            |a| out.push((idx, STAGE_SEQ, a)),
-                        );
-                        let key = (ta, block_ref.sensor[r], block_ref.channel[r]);
-                        let st = rssi_view.entry(at, group, key, RssiEntry::new);
-                        rssi_observe(
-                            rssi_cfg,
-                            st,
-                            at,
-                            ta,
-                            block_ref.channel[r],
-                            block_ref.rssi_dbm[r],
-                            |a| out.push((idx, STAGE_RSSI, a)),
-                        );
-                    }
-                    (
-                        out,
-                        rows.len() as u64,
-                        seq_view.evictions,
-                        rssi_view.evictions,
-                    )
-                })
-                .collect();
-            let (mut observed, mut seq_ev, mut rssi_ev) = (0u64, 0u64, 0u64);
-            for (alerts, obs, se, re) in results {
-                tagged.extend(alerts);
-                observed += obs;
-                seq_ev += se;
-                rssi_ev += re;
-            }
-            self.seq.fold_batch(observed, seq_ev);
-            self.rssi.fold_batch(rssi_ev);
-        }
-
-        if self.extras.is_empty() {
-            // Cross-key detectors each consume one frame class; the
-            // block's kind lists let them visit exactly those events
-            // instead of re-matching every event against every
-            // detector. Every skipped call was a no-op, and the final
-            // (event, stage) sort reconstructs serial order, so this is
-            // bit-identical to the full sweep.
-            for &i in &block.beacon_events {
-                let ev = &events[i as usize];
-                self.beacon.on_event(ev, &mut self.scratch);
-                tagged.extend(self.scratch.drain(..).map(|a| (i, STAGE_BEACON, a)));
-                self.probe.on_event(ev, &mut self.scratch);
-                tagged.extend(self.scratch.drain(..).map(|a| (i, STAGE_PROBE, a)));
-            }
-            for &i in &block.deauth_events {
-                self.deauth.on_event(&events[i as usize], &mut self.scratch);
-                tagged.extend(self.scratch.drain(..).map(|a| (i, STAGE_DEAUTH, a)));
-            }
-            for &i in &block.arp_events {
-                self.arp.on_event(&events[i as usize], &mut self.scratch);
-                tagged.extend(self.scratch.drain(..).map(|a| (i, STAGE_ARP, a)));
-            }
-        } else {
-            // Pluggable extras are opaque: they may consume any event,
-            // so the full in-order sweep runs for everything.
-            for (i, ev) in events.iter().enumerate() {
-                let i = i as u32;
-                self.beacon.on_event(ev, &mut self.scratch);
-                tagged.extend(self.scratch.drain(..).map(|a| (i, STAGE_BEACON, a)));
-                self.deauth.on_event(ev, &mut self.scratch);
-                tagged.extend(self.scratch.drain(..).map(|a| (i, STAGE_DEAUTH, a)));
-                self.arp.on_event(ev, &mut self.scratch);
-                tagged.extend(self.scratch.drain(..).map(|a| (i, STAGE_ARP, a)));
-                self.probe.on_event(ev, &mut self.scratch);
-                tagged.extend(self.scratch.drain(..).map(|a| (i, STAGE_PROBE, a)));
-                for (x, det) in self.extras.iter_mut().enumerate() {
-                    det.on_event(ev, &mut self.scratch);
-                    let stage = STAGE_EXTRA + x as u8;
-                    tagged.extend(self.scratch.drain(..).map(|a| (i, stage, a)));
-                }
-            }
-        }
-
-        tagged.sort_by_key(|&(idx, stage, _)| (idx, stage));
-        for (_, _, alert) in tagged.drain(..) {
-            self.correlator.ingest(&alert, &mut self.metrics);
-        }
-        self.tagged = tagged;
+        n
     }
 
     /// Incidents opened so far, in opening order.
@@ -410,15 +173,23 @@ impl WidsPipeline {
         &self.metrics
     }
 
-    /// Total fixed footprint of the suite's bounded per-source state
-    /// (tables plus sketches), in bytes. Constant over the pipeline's
+    /// The correlator fusing the suite's alerts.
+    pub fn correlator(&self) -> &Correlator {
+        &self.correlator
+    }
+
+    /// Total fixed footprint of the pipeline's bounded per-source state
+    /// (the detectors' tables and sketches plus the correlator's dedup
+    /// and pending-case tables), in bytes. Constant over the pipeline's
     /// lifetime — the bounded-memory suite pins this.
     pub fn detector_state_bytes(&self) -> usize {
         self.seq.state_bytes()
+            + self.beacon.state_bytes()
             + self.rssi.state_bytes()
             + self.deauth.state_bytes()
             + self.arp.state_bytes()
             + self.probe.state_bytes()
+            + self.correlator.state_bytes()
     }
 
     /// Transmitters currently tracked by the sequence-control stage
@@ -427,9 +198,10 @@ impl WidsPipeline {
         self.seq.tracked_sources()
     }
 
-    /// Per-source table entries recycled under cardinality pressure.
+    /// Per-source and per-subject table entries recycled under
+    /// cardinality pressure.
     pub fn state_evictions(&self) -> u64 {
-        self.seq.evictions() + self.rssi.evictions()
+        self.seq.evictions() + self.rssi.evictions() + self.correlator.evictions()
     }
 }
 
@@ -497,70 +269,5 @@ mod tests {
         assert_eq!(p.new_sensor_id(), SensorId(0));
         assert_eq!(p.new_sensor_id(), SensorId(1));
         assert_eq!(p.new_sensor_id(), SensorId(2));
-    }
-
-    #[test]
-    fn per_sensor_shard_rings_merge_in_time_order() {
-        let corp = MacAddr::local(1);
-        let mut p = WidsPipeline::new(WidsConfig {
-            authorized_aps: vec![(corp, 1)],
-            ..WidsConfig::default()
-        });
-        let s0 = p.new_sensor_id();
-        let s1 = p.new_sensor_id();
-        p.sensor_ring(s1).push(beacon(300, corp, "CORP", 6, 1));
-        p.sensor_ring(s0).push(beacon(250, corp, "CORP", 6, 0));
-        assert_eq!(p.step(SimTime::from_millis(400)), 2);
-        let inc = p.first_incident(IncidentCategory::RogueAp).unwrap();
-        assert_eq!(inc.opened_at, SimTime::from_millis(250));
-    }
-
-    #[test]
-    fn serial_and_sharded_engines_agree() {
-        let corp = MacAddr::local(1);
-        let mk = |engine| {
-            WidsPipeline::new(WidsConfig {
-                authorized_aps: vec![(corp, 1)],
-                engine,
-                ..WidsConfig::default()
-            })
-        };
-        let mut serial = mk(EngineMode::Serial);
-        let mut sharded = mk(EngineMode::Sharded {
-            shards: 16,
-            batch: 3,
-        });
-        // A mixed stream: registered AP, a spoof on the wrong channel,
-        // a twin, ordinary data traffic.
-        let mut events = Vec::new();
-        for i in 0..200u64 {
-            events.push(beacon(i * 20, corp, "CORP", 1, 0));
-            if i % 3 == 0 {
-                events.push(beacon(i * 20 + 5, corp, "CORP", 6, 1));
-            }
-            if i % 7 == 0 {
-                events.push(beacon(i * 20 + 9, MacAddr::local(9), "CORP", 11, 0));
-            }
-        }
-        for p in [&mut serial, &mut sharded] {
-            for ev in &events {
-                p.ring.push(ev.clone());
-            }
-            while !p.ring.is_empty() {
-                p.step(SimTime::from_secs(10));
-            }
-        }
-        assert_eq!(serial.incidents().len(), sharded.incidents().len());
-        for (a, b) in serial.incidents().iter().zip(sharded.incidents()) {
-            assert_eq!(a.subject, b.subject);
-            assert_eq!(a.opened_at, b.opened_at);
-            assert_eq!(a.score, b.score, "bit-identical fused scores");
-            assert_eq!(a.alerts_fused, b.alerts_fused);
-            assert_eq!(a.detectors, b.detectors);
-        }
-        assert_eq!(
-            serial.metrics().counter("wids.alerts_raw"),
-            sharded.metrics().counter("wids.alerts_raw")
-        );
     }
 }

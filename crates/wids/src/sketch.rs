@@ -18,12 +18,8 @@
 //!   table growing.
 //!
 //! Both are deterministic functions of the (simulated-time-stamped)
-//! event stream, which the shard-equivalence suite relies on. A
-//! `BoundedTable`'s groups are the unit of sharding: a key maps to
-//! exactly one group, and shards own contiguous group ranges, so the
-//! same key lands in the same group's slots no matter how many shards
-//! the table is split into — sharded evaluation is bit-identical to
-//! serial by construction, not by luck.
+//! event stream: eviction reads simulated time, never wall time or
+//! allocation order, so a replayed stream recycles the same slots.
 
 use rogue_sim::{SimDuration, SimTime};
 
@@ -200,15 +196,11 @@ impl<K: Eq + Copy, V> BoundedTable<K, V> {
         self.groups * self.ways
     }
 
-    /// Number of groups (the sharding unit).
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// The group a key hash belongs to.
+    /// The slot range of the group a key hash belongs to.
     #[inline]
-    pub fn group_of(&self, key_hash: u64) -> usize {
-        (key_hash & (self.groups as u64 - 1)) as usize
+    fn group_of(&self, key_hash: u64) -> core::ops::Range<usize> {
+        let base = (key_hash & (self.groups as u64 - 1)) as usize * self.ways;
+        base..base + self.ways
     }
 
     /// Occupied slots (bounded by [`BoundedTable::capacity`] forever).
@@ -222,7 +214,8 @@ impl<K: Eq + Copy, V> BoundedTable<K, V> {
     }
 
     /// Lookup-or-insert; `key_hash` must come from [`mix64`]/[`hash_mac`]
-    /// over `key`.
+    /// over `key`. A miss takes the group's first empty slot, or else
+    /// evicts its least recently touched entry.
     pub fn entry(
         &mut self,
         at: SimTime,
@@ -231,22 +224,56 @@ impl<K: Eq + Copy, V> BoundedTable<K, V> {
         default: impl FnOnce() -> V,
     ) -> &mut V {
         let group = self.group_of(key_hash);
-        let base = group * self.ways;
-        entry_in(
-            &mut self.slots[base..base + self.ways],
-            &mut self.evictions,
-            at,
-            key,
-            default,
-        )
+        let slots = &mut self.slots[group];
+        let mut empty: Option<usize> = None;
+        let mut victim = 0usize;
+        let mut victim_touched = SimTime::FOREVER;
+        let mut hit: Option<usize> = None;
+        for (w, s) in slots.iter().enumerate() {
+            match s {
+                Some(slot) if slot.key == key => {
+                    hit = Some(w);
+                    break;
+                }
+                Some(slot) => {
+                    if slot.touched < victim_touched {
+                        victim_touched = slot.touched;
+                        victim = w;
+                    }
+                }
+                None => {
+                    if empty.is_none() {
+                        empty = Some(w);
+                    }
+                }
+            }
+        }
+        let w = match (hit, empty) {
+            (Some(w), _) => {
+                let slot = slots[w].as_mut().expect("a hit is an occupied slot");
+                slot.touched = at;
+                return &mut slot.value;
+            }
+            (None, Some(w)) => w,
+            (None, None) => {
+                self.evictions += 1;
+                victim
+            }
+        };
+        &mut slots[w]
+            .insert(Slot {
+                key,
+                touched: at,
+                value: default(),
+            })
+            .value
     }
 
     /// Lookup without insert; refreshes the entry's eviction clock on a
     /// hit (a consulted binding is a binding worth keeping).
     pub fn get_touch(&mut self, at: SimTime, key_hash: u64, key: K) -> Option<&mut V> {
         let group = self.group_of(key_hash);
-        let base = group * self.ways;
-        for s in self.slots[base..base + self.ways].iter_mut().flatten() {
+        for s in self.slots[group].iter_mut().flatten() {
             if s.key == key {
                 s.touched = at;
                 return Some(&mut s.value);
@@ -255,114 +282,15 @@ impl<K: Eq + Copy, V> BoundedTable<K, V> {
         None
     }
 
-    /// Split the table into `n` disjoint views over contiguous group
-    /// ranges for parallel per-shard evaluation; `n` must divide the
-    /// group count. Each view tallies its own evictions — fold them back
-    /// with [`BoundedTable::add_evictions`] after the views drop.
-    pub fn shard_views(&mut self, n: usize) -> Vec<TableView<'_, K, V>> {
-        assert!(
-            n >= 1 && self.groups.is_multiple_of(n),
-            "shards must divide groups"
-        );
-        let groups_per = self.groups / n;
-        let per = groups_per * self.ways;
-        let ways = self.ways;
-        self.slots
-            .chunks_mut(per)
-            .enumerate()
-            .map(|(i, chunk)| TableView {
-                slots: chunk,
-                ways,
-                first_group: i * groups_per,
-                evictions: 0,
-            })
-            .collect()
+    /// Take `key`'s entry out of the table, freeing its slot.
+    pub fn remove(&mut self, key_hash: u64, key: K) -> Option<V> {
+        let group = self.group_of(key_hash);
+        self.slots[group]
+            .iter_mut()
+            .find(|s| s.as_ref().is_some_and(|s| s.key == key))?
+            .take()
+            .map(|s| s.value)
     }
-
-    /// Fold a shard view's eviction tally back into the table counter.
-    pub fn add_evictions(&mut self, n: u64) {
-        self.evictions += n;
-    }
-}
-
-/// A mutable window onto a contiguous group range of a [`BoundedTable`].
-pub struct TableView<'a, K, V> {
-    slots: &'a mut [Option<Slot<K, V>>],
-    ways: usize,
-    first_group: usize,
-    /// Evictions performed through this view.
-    pub evictions: u64,
-}
-
-impl<K: Eq + Copy, V> TableView<'_, K, V> {
-    /// Lookup-or-insert for a key whose group falls inside this view.
-    /// The caller routes rows by [`BoundedTable::group_of`].
-    pub fn entry(
-        &mut self,
-        at: SimTime,
-        group: usize,
-        key: K,
-        default: impl FnOnce() -> V,
-    ) -> &mut V {
-        let local = (group - self.first_group) * self.ways;
-        entry_in(
-            &mut self.slots[local..local + self.ways],
-            &mut self.evictions,
-            at,
-            key,
-            default,
-        )
-    }
-}
-
-fn entry_in<'s, K: Eq + Copy, V>(
-    group_slots: &'s mut [Option<Slot<K, V>>],
-    evictions: &mut u64,
-    at: SimTime,
-    key: K,
-    default: impl FnOnce() -> V,
-) -> &'s mut V {
-    let mut empty: Option<usize> = None;
-    let mut victim = 0usize;
-    let mut victim_touched = SimTime::FOREVER;
-    let mut hit: Option<usize> = None;
-    for (w, s) in group_slots.iter().enumerate() {
-        match s {
-            Some(slot) if slot.key == key => {
-                hit = Some(w);
-                break;
-            }
-            Some(slot) => {
-                if slot.touched < victim_touched {
-                    victim_touched = slot.touched;
-                    victim = w;
-                }
-            }
-            None => {
-                if empty.is_none() {
-                    empty = Some(w);
-                }
-            }
-        }
-    }
-    let w = match (hit, empty) {
-        (Some(w), _) => {
-            let slot = group_slots[w].as_mut().unwrap();
-            slot.touched = at;
-            return &mut slot.value;
-        }
-        (None, Some(w)) => w,
-        (None, None) => {
-            *evictions += 1;
-            victim
-        }
-    };
-    group_slots[w] = Some(Slot {
-        key,
-        touched: at,
-        value: default(),
-    });
-    &mut group_slots[w].as_mut().unwrap().value
 }
 
 #[cfg(test)]
@@ -437,33 +365,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_views_are_equivalent_to_whole_table() {
-        // The same inserts through 1 view and through 4 shard views must
-        // produce identical hit/miss behavior.
-        let mut whole: BoundedTable<u64, u64> = BoundedTable::new(16, 2);
-        let mut sharded: BoundedTable<u64, u64> = BoundedTable::new(16, 2);
-        let keys: Vec<u64> = (0..500).collect();
-        let mut whole_sum = 0u64;
-        for (i, k) in keys.iter().enumerate() {
-            let h = mix64(*k);
-            whole_sum += *whole.entry(t(i as u64), h, *k, || *k * 3);
-        }
-        let mut shard_sum = 0u64;
-        {
-            let groups = sharded.groups();
-            let mut views = sharded.shard_views(4);
-            let per = groups / 4;
-            for (i, k) in keys.iter().enumerate() {
-                let h = mix64(*k);
-                let g = (h & (groups as u64 - 1)) as usize;
-                shard_sum += *views[g / per].entry(t(i as u64), g, *k, || *k * 3);
-            }
-            let ev: u64 = views.iter().map(|v| v.evictions).sum();
-            drop(views);
-            sharded.add_evictions(ev);
-        }
-        assert_eq!(whole_sum, shard_sum);
-        assert_eq!(whole.evictions, sharded.evictions);
-        assert_eq!(whole.tracked(), sharded.tracked());
+    fn removed_entry_frees_its_slot() {
+        let mut tbl: BoundedTable<u64, u32> = BoundedTable::new(1, 2);
+        *tbl.entry(t(10), 0, 100, || 0) = 1;
+        *tbl.entry(t(20), 0, 200, || 0) = 2;
+        assert_eq!(tbl.remove(0, 100), Some(1));
+        assert_eq!(tbl.remove(0, 100), None);
+        assert_eq!(tbl.tracked(), 1);
+        // The freed slot takes the next key without evicting 200.
+        *tbl.entry(t(30), 0, 300, || 0) = 3;
+        assert_eq!(tbl.evictions, 0);
+        assert_eq!(*tbl.entry(t(40), 0, 200, || 9), 2);
     }
 }

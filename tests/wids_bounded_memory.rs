@@ -1,14 +1,36 @@
 //! The MAC-randomization stress claim, measured: one million distinct
-//! forged transmitter addresses stream through the full sharded pipeline
-//! and per-source detector state must not grow by a single byte. Every
-//! per-source map in the suite is a fixed-size sketch or set-associative
-//! table sized at construction — an attacker who can mint addresses
-//! faster than we can forget them would otherwise turn the WIDS itself
-//! into the denial-of-service target.
+//! forged transmitter addresses stream through the full pipeline and
+//! per-source state must not grow by a single byte. Every per-source
+//! map in the suite, and every per-subject map in the correlator, is a
+//! fixed-size sketch or set-associative table sized at construction — an
+//! attacker who can mint addresses faster than we can forget them would
+//! otherwise turn the WIDS itself into the denial-of-service target.
+//!
+//! Two floods: beacons of SSIDs nobody owns, which load the detectors'
+//! tables, and clones of an owned SSID from fresh BSSIDs, each of which
+//! raises a clone alert and so loads the correlator too.
 
 use rogue_dot11::MacAddr;
 use rogue_sim::SimTime;
-use rogue_wids::{Dot11Event, Dot11Kind, SensorEvent, SensorId, WidsConfig, WidsPipeline};
+use rogue_wids::{
+    Dot11Event, Dot11Kind, IncidentCategory, SensorEvent, SensorId, WidsConfig, WidsPipeline,
+};
+
+const TOTAL: u64 = 1_000_000;
+const CHUNK: u64 = 2048; // below the ring capacity: no drops
+
+/// Push `TOTAL` events from `make`, stepping every `CHUNK`.
+fn flood(pipe: &mut WidsPipeline, make: impl Fn(u64) -> SensorEvent) {
+    let mut fed = 0;
+    while fed < TOTAL {
+        let n = CHUNK.min(TOTAL - fed);
+        for i in fed..fed + n {
+            pipe.ring.push(make(i));
+        }
+        fed += n;
+        pipe.step(SimTime(fed * 50_000));
+    }
+}
 
 /// A beacon from a freshly minted BSSID — the worst case: it lands in
 /// the sequence, RSSI, beacon and probe stages at once.
@@ -41,17 +63,7 @@ fn one_million_randomized_macs_cannot_grow_detector_state() {
     let baseline = pipe.detector_state_bytes();
     assert!(baseline > 0, "state accounting must see the sketches");
 
-    const TOTAL: u64 = 1_000_000;
-    const CHUNK: u64 = 2048; // below the ring capacity: no drops
-    let mut fed = 0;
-    while fed < TOTAL {
-        let n = CHUNK.min(TOTAL - fed);
-        for i in fed..fed + n {
-            pipe.ring.push(forged_beacon(i));
-        }
-        fed += n;
-        pipe.step(SimTime(fed * 50_000));
-    }
+    flood(&mut pipe, forged_beacon);
 
     assert_eq!(
         pipe.metrics().counter("wids.events"),
@@ -74,4 +86,85 @@ fn one_million_randomized_macs_cannot_grow_detector_state() {
         pipe.state_evictions() > 0,
         "a million distinct sources must have recycled slots"
     );
+}
+
+/// A beacon of the owned SSID "CORP" from a freshly minted BSSID: the
+/// MAC-randomizing evil twin at one beacon per address.
+fn owned_ssid_clone(i: u64) -> SensorEvent {
+    SensorEvent::Dot11(Dot11Event {
+        sensor: SensorId(0),
+        at: SimTime(1_000_000 + i * 50_000),
+        channel: 6,
+        rssi_dbm: -55.0,
+        ta: MacAddr::local(i + 10),
+        ra: MacAddr::BROADCAST,
+        bssid: MacAddr::local(i + 10),
+        seq: (i % 4096) as u16,
+        retry: false,
+        kind: Dot11Kind::Beacon {
+            ssid: "CORP".into(),
+            claimed_channel: 6,
+            capability: 0,
+            probe_resp: false,
+        },
+    })
+}
+
+#[test]
+fn one_million_owned_ssid_clones_cannot_grow_correlator_state() {
+    let corp = MacAddr::local(1);
+    let mut pipe = WidsPipeline::new(WidsConfig {
+        authorized_aps: vec![(corp, 1)],
+        ..WidsConfig::default()
+    });
+    // The registered AP beacons first, so the auditor owns "CORP".
+    pipe.ring.push(SensorEvent::Dot11(Dot11Event {
+        sensor: SensorId(0),
+        at: SimTime::ZERO,
+        channel: 1,
+        rssi_dbm: -40.0,
+        ta: corp,
+        ra: MacAddr::BROADCAST,
+        bssid: corp,
+        seq: 0,
+        retry: false,
+        kind: Dot11Kind::Beacon {
+            ssid: "CORP".into(),
+            claimed_channel: 1,
+            capability: 0,
+            probe_resp: false,
+        },
+    }));
+    pipe.step(SimTime::ZERO);
+    let baseline = pipe.detector_state_bytes();
+
+    flood(&mut pipe, owned_ssid_clone);
+
+    // Every fresh BSSID is a clone claim that reached the correlator.
+    assert!(
+        pipe.metrics().counter("wids.alerts_raw") > TOTAL,
+        "each clone must raise an alert"
+    );
+    assert_eq!(
+        pipe.detector_state_bytes(),
+        baseline,
+        "pipeline state grew under owned-SSID clones"
+    );
+    // The dedup and pending-case tables are 256 groups x 4 ways each;
+    // only opened cases sit outside them, one per incident.
+    let correlator = pipe.correlator();
+    assert!(
+        correlator.tracked() <= 2 * 256 * 4 + pipe.incidents().len(),
+        "correlator holds {} entries for {} incidents",
+        correlator.tracked(),
+        pipe.incidents().len()
+    );
+    assert!(correlator.evictions() > 0, "the flood must recycle cases");
+    // The parade of fresh BSSIDs behind one owned name is the churn
+    // signature: one strong beacon-audit witness opens it alone.
+    assert_eq!(pipe.incidents().len(), 1, "{:?}", pipe.incidents());
+    let churn = &pipe.incidents()[0];
+    assert_eq!(churn.category, IncidentCategory::RogueAp);
+    assert_eq!(churn.detectors, ["beacon-audit"]);
+    assert!(churn.score >= 0.95, "{churn:?}");
 }
