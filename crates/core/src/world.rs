@@ -29,7 +29,7 @@ use rogue_dot11::ap::ApMac;
 use rogue_dot11::monitor::Sniffer;
 use rogue_dot11::output::{MacEvent, MacOutput};
 use rogue_dot11::sta::{StaMac, StaState};
-use rogue_dot11::{ApConfig, MacAddr, StaConfig};
+use rogue_dot11::{ApConfig, MacAddr, RxFilter, StaConfig};
 use rogue_netstack::ethernet::EthFrame;
 use rogue_netstack::{Host, IfIndex, Ipv4Addr};
 use rogue_phy::{Bitrate, Medium, MediumParams, Pos, RadioId, RegionMap, TxHandle};
@@ -140,17 +140,48 @@ enum RadioRole {
 }
 
 impl RadioRole {
-    /// Would this radio hand `bytes` to its MAC? Managed-mode radios
-    /// (station and AP) filter by receiver address as their MAC does;
-    /// a monitor hears everything; an injector hears nothing, since its
-    /// receive path drops every frame. Reads only configured addresses,
-    /// so the answer for given bytes never changes (DESIGN §17.7).
-    fn hears(&self, bytes: &[u8]) -> bool {
+    /// The radio's receive filter: managed-mode radios (station and AP)
+    /// filter by receiver address as their MAC does; a monitor hears
+    /// everything; an injector hears nothing, since its receive path
+    /// drops every frame. Fixed for the radio's lifetime (DESIGN §17.7).
+    fn rx_filter(&self) -> RxFilter {
         match self {
-            RadioRole::Sta { mac, .. } => mac.hears(bytes),
-            RadioRole::ApLocal { mac, .. } | RadioRole::ApBridge { mac, .. } => mac.hears(bytes),
-            RadioRole::Monitor { .. } => true,
-            RadioRole::Injector { .. } => false,
+            RadioRole::Sta { mac, .. } => mac.rx_filter(),
+            RadioRole::ApLocal { mac, .. } | RadioRole::ApBridge { mac, .. } => mac.rx_filter(),
+            RadioRole::Monitor { .. } => RxFilter::All,
+            RadioRole::Injector { .. } => RxFilter::Nothing,
+        }
+    }
+}
+
+/// Where a completion's delivery to a radio goes, read without touching
+/// the node: the owning node, the radio's index in it, and a copy of its
+/// receive filter. One dense entry per `RadioId`.
+#[derive(Clone, Copy)]
+struct RadioOwner {
+    node: u32,
+    radio: u32,
+    filter: RxFilter,
+}
+
+/// A node's poll clock, kept in a dense per-node table beside the nodes
+/// so a completion decides whether to poll a node without visiting it.
+#[derive(Clone, Copy)]
+struct PollClock {
+    /// When the node's pending `NodePoll` fires (`FOREVER`: none).
+    at: SimTime,
+    /// Queue entry of the pending `NodePoll`, kept so rescheduling an
+    /// *earlier* poll (or a `kick`) can cancel the outstanding one
+    /// instead of leaving a redundant entry behind. Invariant: `Some`
+    /// exactly while `at != FOREVER`, and the entry fires at `at`.
+    event: Option<(usize, EventId)>,
+}
+
+impl Default for PollClock {
+    fn default() -> Self {
+        PollClock {
+            at: SimTime::FOREVER,
+            event: None,
         }
     }
 }
@@ -179,24 +210,6 @@ struct Node {
     apps: Vec<Box<dyn App>>,
     wired_monitor: Option<WiredMonitor>,
     wire_tap: Option<WireTap>,
-    scheduled_poll: SimTime,
-    /// Queue entry of the pending `NodePoll`, kept so rescheduling an
-    /// *earlier* poll (or a `kick`) can cancel the outstanding one
-    /// instead of leaving a redundant entry behind. Invariant: `Some`
-    /// exactly while `scheduled_poll != FOREVER`, and the entry fires at
-    /// `scheduled_poll`.
-    poll_event: Option<(usize, EventId)>,
-}
-
-impl Node {
-    /// Must a completion at `now` poll this node? Only with new input
-    /// (`input`: one of its radios heard the frame) or a poll due at
-    /// this instant. Any other poll would run before the node's next
-    /// wake with no input since its last poll, which the
-    /// [`node_next_wake`] contract makes a no-op (DESIGN §17.7).
-    fn completion_polls(&self, now: SimTime, input: bool) -> bool {
-        input || self.scheduled_poll <= now
-    }
 }
 
 /// Note that a completion's delivery reached `node`, keeping nodes in
@@ -237,8 +250,8 @@ enum Op {
     /// later `SchedulePoll` in the same event passes its gate.
     PollFired { node: u32 },
     /// (Re)schedule the node's next poll; the earlier-poll gate is
-    /// evaluated at commit, against whatever preceding ops left
-    /// `scheduled_poll` at.
+    /// evaluated at commit, against whatever preceding ops left the
+    /// node's poll clock at.
     SchedulePoll { node: u32, wake: SimTime },
     /// Record a MAC milestone (metrics counter + the `mac_events` log).
     Mac { node: u32, ev: MacEvent },
@@ -517,9 +530,15 @@ fn node_next_wake(n: &Node) -> SimTime {
 /// Debug audit of a poll a completion skipped (DESIGN §17.7): poll the
 /// node anyway, drop the ops, and check the [`node_next_wake`] contract
 /// held — nothing was emitted but a `SchedulePoll` at or after the
-/// pending poll (a no-op at commit), and the next wake did not move.
-fn audit_skipped_poll(now: SimTime, idx: usize, node: &mut Node, scratch: &mut NodeScratch) {
-    let (pending, wake) = (node.scheduled_poll, node_next_wake(node));
+/// `pending` poll (a no-op at commit), and the next wake did not move.
+fn audit_skipped_poll(
+    now: SimTime,
+    idx: usize,
+    pending: SimTime,
+    node: &mut Node,
+    scratch: &mut NodeScratch,
+) {
+    let wake = node_next_wake(node);
     let mut ops = Vec::new();
     NodeCtx {
         now,
@@ -588,8 +607,11 @@ pub struct World {
     sim_boundary_crossings: u64,
     sim_shard_occupancy_max: u64,
     nodes: Vec<Node>,
+    /// Per node, its poll clock (indexed like `nodes`).
+    poll_clock: Vec<PollClock>,
     switches: Vec<Switch>,
-    radio_owner: Vec<(usize, usize)>, // RadioId.0 -> (node, radio idx)
+    /// Per `RadioId`, its owner and receive filter.
+    radio_owner: Vec<RadioOwner>,
     rng: SimRng,
     /// Always-on hot-path cycle profiler (wall-clock attribution; only
     /// surfaced through `sim.prof.*` metrics and bench JSONs, never a
@@ -660,6 +682,7 @@ impl World {
             sim_boundary_crossings: 0,
             sim_shard_occupancy_max: 0,
             nodes: Vec::new(),
+            poll_clock: Vec::new(),
             switches: Vec::new(),
             radio_owner: Vec::new(),
             rng,
@@ -721,9 +744,8 @@ impl World {
             apps: Vec::new(),
             wired_monitor: None,
             wire_tap: None,
-            scheduled_poll: SimTime::FOREVER,
-            poll_event: None,
         });
+        self.poll_clock.push(PollClock::default());
         NodeId(self.nodes.len() - 1)
     }
 
@@ -746,11 +768,18 @@ impl World {
     // Component attachment
     // ------------------------------------------------------------------
 
-    fn register_radio(&mut self, node: usize, pos: Pos, channel: u8, power: f64) -> RadioId {
-        let id = self.medium.add_radio(pos, channel, power);
-        debug_assert_eq!(id.0 as usize, self.radio_owner.len());
-        self.radio_owner.push((node, self.nodes[node].radios.len()));
-        id
+    /// Give node `node` the radio `radio` (just registered with the
+    /// medium) in `role`; returns its index within the node.
+    fn bind_radio(&mut self, node: usize, radio: RadioId, role: RadioRole) -> usize {
+        debug_assert_eq!(radio.0 as usize, self.radio_owner.len());
+        let idx = self.nodes[node].radios.len();
+        self.radio_owner.push(RadioOwner {
+            node: node as u32,
+            radio: idx as u32,
+            filter: role.rx_filter(),
+        });
+        self.nodes[node].radios.push(RadioBinding { radio, role });
+        idx
     }
 
     /// Attach a managed-mode (station) NIC: radio + MAC + host interface.
@@ -786,15 +815,12 @@ impl World {
         start_at: SimTime,
     ) -> (usize, IfIndex) {
         let channel = cfg.channels[0];
-        let radio = self.register_radio(n.0, pos, channel, tx_power_dbm);
+        let radio = self.medium.add_radio(pos, channel, tx_power_dbm);
         let iface = self.nodes[n.0].host.add_iface(cfg.mac, ip, prefix_len);
         let mac = StaMac::new(cfg, self.rng.fork(radio.0 as u64), start_at);
-        self.nodes[n.0].radios.push(RadioBinding {
-            radio,
-            role: RadioRole::Sta { mac, iface },
-        });
+        let idx = self.bind_radio(n.0, radio, RadioRole::Sta { mac, iface });
         self.schedule_poll(n.0, start_at.max(self.queue.now()));
-        (self.nodes[n.0].radios.len() - 1, iface)
+        (idx, iface)
     }
 
     /// Attach a master-mode NIC on a routing machine (the rogue gateway's
@@ -825,15 +851,12 @@ impl World {
         prefix_len: u8,
         start_at: rogue_sim::SimTime,
     ) -> (usize, IfIndex) {
-        let radio = self.register_radio(n.0, pos, cfg.channel, tx_power_dbm);
+        let radio = self.medium.add_radio(pos, cfg.channel, tx_power_dbm);
         let iface = self.nodes[n.0].host.add_iface(cfg.bssid, ip, prefix_len);
         let mac = ApMac::new_starting_at(cfg, self.rng.fork(radio.0 as u64), start_at);
-        self.nodes[n.0].radios.push(RadioBinding {
-            radio,
-            role: RadioRole::ApLocal { mac, iface },
-        });
+        let idx = self.bind_radio(n.0, radio, RadioRole::ApLocal { mac, iface });
         self.schedule_poll(n.0, self.queue.now());
-        (self.nodes[n.0].radios.len() - 1, iface)
+        (idx, iface)
     }
 
     /// Attach a standalone infrastructure AP that bridges 802.11 to a
@@ -846,7 +869,7 @@ impl World {
         cfg: ApConfig,
         switch: Option<SwitchId>,
     ) -> usize {
-        let radio = self.register_radio(n.0, pos, cfg.channel, tx_power_dbm);
+        let radio = self.medium.add_radio(pos, cfg.channel, tx_power_dbm);
         let mac = ApMac::new(cfg, self.rng.fork(radio.0 as u64), self.queue.now());
         let radio_idx = self.nodes[n.0].radios.len();
         let port = switch.map(|sw| {
@@ -857,10 +880,7 @@ impl World {
             });
             (sw.0, port)
         });
-        self.nodes[n.0].radios.push(RadioBinding {
-            radio,
-            role: RadioRole::ApBridge { mac, port },
-        });
+        self.bind_radio(n.0, radio, RadioRole::ApBridge { mac, port });
         self.schedule_poll(n.0, self.queue.now());
         radio_idx
     }
@@ -885,14 +905,9 @@ impl World {
 
     /// Attach a monitor-mode radio (sniffer) on `channel`.
     pub fn add_monitor(&mut self, n: NodeId, pos: Pos, channel: u8) -> usize {
-        let radio = self.register_radio(n.0, pos, channel, 15.0);
-        self.nodes[n.0].radios.push(RadioBinding {
-            radio,
-            role: RadioRole::Monitor {
-                sniffer: Sniffer::new(),
-            },
-        });
-        self.nodes[n.0].radios.len() - 1
+        let radio = self.medium.add_radio(pos, channel, 15.0);
+        let sniffer = Sniffer::new();
+        self.bind_radio(n.0, radio, RadioRole::Monitor { sniffer })
     }
 
     /// Retune a node's radio (channel-hopping audits).
@@ -925,15 +940,11 @@ impl World {
         channel: u8,
         injector: impl FrameInjector + 'static,
     ) -> usize {
-        let radio = self.register_radio(n.0, pos, channel, tx_power_dbm);
-        self.nodes[n.0].radios.push(RadioBinding {
-            radio,
-            role: RadioRole::Injector {
-                injector: Box::new(injector),
-            },
-        });
+        let radio = self.medium.add_radio(pos, channel, tx_power_dbm);
+        let injector = Box::new(injector);
+        let idx = self.bind_radio(n.0, radio, RadioRole::Injector { injector });
         self.schedule_poll(n.0, self.queue.now());
-        self.nodes[n.0].radios.len() - 1
+        idx
     }
 
     /// Attach a wired-segment monitor as a switch tap (span port).
@@ -1091,7 +1102,7 @@ impl World {
             // Pending-poll handles point into the old queue's shards;
             // rebind them to the migrated entries.
             if let Some(node) = poll_node {
-                self.nodes[node].poll_event = Some((shard, id));
+                self.poll_clock[node].event = Some((shard, id));
             }
         }
     }
@@ -1309,18 +1320,27 @@ impl World {
                 let t0 = profile::now();
                 let deliveries = self.medium.commit_complete(plan);
                 self.prof.record(Phase::MediumCommit, t0);
+                // The owner table and the poll clocks decide who hears
+                // the frame and who is polled; a node is visited only to
+                // receive or to poll (DESIGN §17.7).
                 let t0 = profile::now();
                 let mut touched = std::mem::take(&mut self.touched_scratch);
                 debug_assert!(touched.is_empty());
                 for d in deliveries {
-                    let (node, radio) = self.radio_owner[d.to.0 as usize];
-                    let n = &mut self.nodes[node];
-                    let heard = n.radios[radio].role.hears(&d.bytes);
+                    let owner = self.radio_owner[d.to.0 as usize];
+                    let (node, radio) = (owner.node as usize, owner.radio as usize);
+                    debug_assert_eq!(
+                        owner.filter,
+                        self.nodes[node].radios[radio].role.rx_filter(),
+                        "radio {} changed its receive filter",
+                        d.to.0
+                    );
+                    let heard = owner.filter.hears(&d.bytes);
                     if heard {
                         NodeCtx {
                             now,
                             idx: node,
-                            node: n,
+                            node: &mut self.nodes[node],
                             ops: &mut ops,
                             scratch: &mut scratch,
                         }
@@ -1331,18 +1351,22 @@ impl World {
                 self.prof.record(Phase::Deliver, t0);
                 let t0 = profile::now();
                 for &(node, heard) in &touched {
-                    let n = &mut self.nodes[node];
-                    if n.completion_polls(now, heard) {
+                    // Poll only with new input or a poll due now: any
+                    // other poll would run before the node's next wake
+                    // with no input since its last poll, which the
+                    // [`node_next_wake`] contract makes a no-op.
+                    let pending = self.poll_clock[node].at;
+                    if heard || pending <= now {
                         NodeCtx {
                             now,
                             idx: node,
-                            node: n,
+                            node: &mut self.nodes[node],
                             ops: &mut ops,
                             scratch: &mut scratch,
                         }
                         .poll_node();
                     } else if cfg!(debug_assertions) {
-                        audit_skipped_poll(now, node, n, &mut scratch);
+                        audit_skipped_poll(now, node, pending, &mut self.nodes[node], &mut scratch);
                     }
                 }
                 self.prof.record(Phase::Poll, t0);
@@ -1352,7 +1376,7 @@ impl World {
             Event::NodePoll { node } => {
                 let node = node as usize;
                 // With the cancel discipline there is exactly one
-                // pending entry and it fires at `scheduled_poll`. The
+                // pending entry and it fires at the poll clock. The
                 // clear is itself an op (emitted first) so the
                 // `SchedulePoll` gate sees the serial-order state at
                 // commit time — see `Op::PollFired`.
@@ -1438,10 +1462,9 @@ impl World {
                 self.switch_tx(now, sw as usize, in_port as usize, bytes)
             }
             Op::PollFired { node } => {
-                let n = &mut self.nodes[node as usize];
-                debug_assert_eq!(n.scheduled_poll, now);
-                n.scheduled_poll = SimTime::FOREVER;
-                n.poll_event = None;
+                let clock = &mut self.poll_clock[node as usize];
+                debug_assert_eq!(clock.at, now);
+                *clock = PollClock::default();
             }
             Op::SchedulePoll { node, wake } => self.schedule_poll(node as usize, wake),
             Op::Mac { node, ev } => {
@@ -1529,7 +1552,7 @@ impl World {
             return;
         }
         let at = wake.max(self.queue.now());
-        if self.nodes[node].scheduled_poll <= at {
+        if self.poll_clock[node].at <= at {
             return; // an earlier-or-equal poll is already pending
         }
         self.commit_schedule_poll(node, at);
@@ -1540,12 +1563,14 @@ impl World {
     /// ≤ 1-pending-poll-per-node invariant. Callers have already decided
     /// the move is wanted; no earlier-poll gate here.
     fn commit_schedule_poll(&mut self, node: usize, at: SimTime) {
-        if let Some((shard, id)) = self.nodes[node].poll_event.take() {
+        if let Some((shard, id)) = self.poll_clock[node].event.take() {
             self.queue.cancel_on(shard, id);
         }
-        self.nodes[node].scheduled_poll = at;
         let handle = self.schedule_event(at, Event::NodePoll { node: node as u32 });
-        self.nodes[node].poll_event = Some(handle);
+        self.poll_clock[node] = PollClock {
+            at,
+            event: Some(handle),
+        };
     }
 
     /// Schedule an immediate poll of a node — required after mutating a
@@ -1555,7 +1580,7 @@ impl World {
     /// entry (it would dispatch as a pure no-op poll).
     pub fn kick(&mut self, n: NodeId) {
         let now = self.queue.now();
-        if self.nodes[n.0].scheduled_poll <= now {
+        if self.poll_clock[n.0].at <= now {
             return; // a poll at this very instant is already pending
         }
         self.commit_schedule_poll(n.0, now);

@@ -14,7 +14,8 @@ use rogue_sim::{SimDuration, SimRng, SimTime};
 
 use crate::addr::MacAddr;
 use crate::frame::{
-    decode_llc, encode_llc, Frame, FrameBody, Header, MgmtInfo, CAP_ESS, CAP_PRIVACY, LLC_SNAP_LEN,
+    decode_llc, encode_llc, Frame, FrameBody, MgmtInfo, RxFilter, CAP_ESS, CAP_PRIVACY,
+    LLC_SNAP_LEN,
 };
 use crate::output::{MacEvent, MacOutput};
 use crate::txq::TxQueue;
@@ -199,17 +200,17 @@ impl ApMac {
         self.txq.push(now, f, Bitrate::B1, !client.is_multicast());
     }
 
+    /// The AP's receive filter, [`RxFilter::Ap`] on its configured
+    /// BSSID.
+    pub fn rx_filter(&self) -> RxFilter {
+        RxFilter::Ap(self.cfg.bssid)
+    }
+
     /// Would [`Self::on_receive`] act on `bytes`? False for anything not
     /// addressed to our BSSID, except probe requests, which are
-    /// broadcast. A header too short to read counts as heard (decoding
-    /// rejects it). Reads only the configured BSSID, so the answer for
-    /// given bytes never changes.
+    /// broadcast (see [`Self::rx_filter`]).
     pub fn hears(&self, bytes: &[u8]) -> bool {
-        let Some(h) = Header::peek(bytes) else {
-            return true;
-        };
-        // Probe request: management subtype 4.
-        h.addr1 == self.cfg.bssid || (h.typ, h.subtype) == (0, 4)
+        self.rx_filter().hears(bytes)
     }
 
     /// Handle a decoded PHY delivery.

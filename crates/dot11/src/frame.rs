@@ -162,6 +162,49 @@ impl Header {
     }
 }
 
+/// A radio's receive filter: which decodable frames its NIC hands to the
+/// MAC. It reads only the peeked [`Header`] and a configured address, so
+/// the answer for given bytes never changes, and a `Copy` value can
+/// stand in for the MAC wherever frames are routed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RxFilter {
+    /// Monitor mode: every frame.
+    All,
+    /// A raw injector, whose receive path drops every frame.
+    Nothing,
+    /// A managed-mode station with this address: frames addressed to it
+    /// or to a group, plus beacons and probe responses, which are learned
+    /// passively whoever they are addressed to.
+    Station(MacAddr),
+    /// An access point with this BSSID: frames addressed to it, plus
+    /// probe requests, which are broadcast.
+    Ap(MacAddr),
+}
+
+impl RxFilter {
+    /// Does the filter pass `bytes`? A header too short to peek passes
+    /// (decoding rejects it).
+    pub fn hears(self, bytes: &[u8]) -> bool {
+        let own = match self {
+            RxFilter::All => return true,
+            RxFilter::Nothing => return false,
+            RxFilter::Station(own) | RxFilter::Ap(own) => own,
+        };
+        let Some(h) = Header::peek(bytes) else {
+            return true;
+        };
+        h.addr1 == own
+            || match self {
+                // Group address, probe response (5) or beacon (8).
+                RxFilter::Station(_) => {
+                    h.addr1.is_multicast() || matches!((h.typ, h.subtype), (0, 5) | (0, 8))
+                }
+                // Probe request: management subtype 4.
+                _ => (h.typ, h.subtype) == (0, 4),
+            }
+    }
+}
+
 /// Frame parse failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameError {
@@ -530,6 +573,21 @@ mod tests {
 
     fn roundtrip(f: &Frame) -> Frame {
         Frame::decode(&f.encode()).expect("decode")
+    }
+
+    #[test]
+    fn rx_filter_modes() {
+        let ack_to_9 = Frame::new(a(9), MacAddr::ZERO, MacAddr::ZERO, FrameBody::Ack).encode();
+        for bytes in [&ack_to_9[..], &[0x80, 0, 0][..]] {
+            assert!(RxFilter::All.hears(bytes), "monitor mode passes everything");
+            assert!(!RxFilter::Nothing.hears(bytes), "an injector hears nothing");
+        }
+        assert!(RxFilter::Station(a(9)).hears(&ack_to_9));
+        assert!(!RxFilter::Station(a(8)).hears(&ack_to_9));
+        assert!(RxFilter::Ap(a(9)).hears(&ack_to_9));
+        assert!(!RxFilter::Ap(a(8)).hears(&ack_to_9));
+        // Too short to peek: passed on, for decoding to reject.
+        assert!(RxFilter::Station(a(8)).hears(&[0x80, 0, 0]));
     }
 
     #[test]

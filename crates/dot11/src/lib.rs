@@ -34,7 +34,7 @@ pub mod txq;
 
 pub use addr::MacAddr;
 pub use ap::{ApConfig, ApMac};
-pub use frame::{Frame, FrameBody, LLC_SNAP_LEN};
+pub use frame::{Frame, FrameBody, RxFilter, LLC_SNAP_LEN};
 pub use output::{MacEvent, MacOutput};
 pub use sta::{StaConfig, StaMac, StaState};
 

@@ -19,7 +19,7 @@ use rogue_sim::{SimDuration, SimRng, SimTime};
 
 use crate::addr::MacAddr;
 use crate::frame::{
-    decode_llc, encode_llc, Frame, FrameBody, Header, CAP_ESS, CAP_PRIVACY, LLC_SNAP_LEN,
+    decode_llc, encode_llc, Frame, FrameBody, RxFilter, CAP_ESS, CAP_PRIVACY, LLC_SNAP_LEN,
 };
 use crate::output::{MacEvent, MacOutput};
 use crate::txq::TxQueue;
@@ -240,21 +240,18 @@ impl StaMac {
         true
     }
 
+    /// The station's receive filter, [`RxFilter::Station`] on its
+    /// configured address.
+    pub fn rx_filter(&self) -> RxFilter {
+        RxFilter::Station(self.cfg.mac)
+    }
+
     /// Would [`Self::on_receive`] act on `bytes`? False only for a
     /// unicast frame addressed to another station that is neither a
     /// beacon nor a probe response: a managed-mode NIC drops those before
-    /// the host sees them, while beacons and probe responses are learned
-    /// passively whoever they are addressed to. A header too short to
-    /// read counts as heard (decoding rejects it). Reads only the
-    /// configured address, so the answer for given bytes never changes.
+    /// the host sees them (see [`Self::rx_filter`]).
     pub fn hears(&self, bytes: &[u8]) -> bool {
-        let Some(h) = Header::peek(bytes) else {
-            return true;
-        };
-        h.addr1 == self.cfg.mac
-            || h.addr1.is_multicast()
-            // Probe response (5) or beacon (8).
-            || matches!((h.typ, h.subtype), (0, 5) | (0, 8))
+        self.rx_filter().hears(bytes)
     }
 
     /// Handle a decoded PHY delivery.

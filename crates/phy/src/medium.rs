@@ -64,6 +64,8 @@
 //! each stores the same pure function of frozen inputs, so concurrent
 //! plans equal serial ones and `Medium` stays `Sync`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -271,6 +273,15 @@ pub struct Medium {
     /// so stale handles can never alias a reused slot.
     txs: Vec<TxSlot>,
     free_tx: Vec<u32>,
+    /// Min-heap of `(start, slot, gen)` of every transmission begun and
+    /// not yet completed; its top is the prune horizon. An entry whose
+    /// tx has since completed (or whose slot was freed) is dropped when
+    /// it reaches the top.
+    inflight_starts: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
+    /// Min-heap of `(end, slot)` of every completed transmission still
+    /// retained: prune pops exactly the ones ending at or before the
+    /// horizon.
+    completed_ends: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Retained tx slots bucketed by channel (index 1..=14). Only
     /// buckets within the interaction span are walked by the decode /
     /// CCA paths; interferers are explicitly id-sorted before any float
@@ -317,6 +328,8 @@ impl Medium {
             radios: Vec::new(),
             txs: Vec::new(),
             free_tx: Vec::new(),
+            inflight_starts: BinaryHeap::new(),
+            completed_ends: BinaryHeap::new(),
             by_channel: std::array::from_fn(|_| Vec::new()),
             by_src: Vec::new(),
             grid: SpatialGrid::default(),
@@ -590,6 +603,7 @@ impl Medium {
         let gen = self.txs[slot as usize].gen;
         self.by_channel[channel as usize].push(slot);
         self.by_src[src.0 as usize].push(slot);
+        self.inflight_starts.push(Reverse((now, slot, gen)));
         self.prune(now);
         (TxHandle { slot, gen }, end)
     }
@@ -601,6 +615,16 @@ impl Medium {
         let s = &self.txs[h.slot as usize];
         assert_eq!(s.gen, h.gen, "unknown or pruned transmission");
         s.tx.as_ref().expect("unknown or pruned transmission")
+    }
+
+    /// The transmission in a slot that a channel or source bucket lists:
+    /// prune removes a freed slot from both before it can be reused.
+    #[inline]
+    fn retained(&self, slot: u32) -> &Transmission {
+        self.txs[slot as usize]
+            .tx
+            .as_ref()
+            .expect("a bucketed slot holds a retained tx")
     }
 
     /// Complete a transmission, returning all successful deliveries. Must
@@ -618,173 +642,226 @@ impl Medium {
     /// and counter delta for the transmission ending at `now`, without
     /// mutating anything. `&self` only, so plans may be computed on any
     /// thread.
+    ///
+    /// Interferer-major: the candidates are narrowed first, then each
+    /// overlapping interferer is visited once and adds its power at
+    /// every candidate, and only then is each candidate's SINR decided.
+    /// Every candidate's sum takes its terms in ascending interferer id
+    /// order, so it equals, bit for bit, what a per-candidate loop over
+    /// the same interferers computes.
     pub fn plan_complete(&self, now: SimTime, handle: TxHandle) -> TxPlan {
         let tx = self.tx_ref(handle);
         assert!(!tx.completed, "complete_tx called twice");
         assert_eq!(tx.end, now, "complete_tx at wrong time");
-        let tx_channel = tx.channel;
-
-        // Time-overlapping txs on channels close enough to interact, in
-        // ascending-id order — the order the historical full-backlog
-        // scan summed interference in (float addition order is
-        // observable). The slot list lives in a per-thread scratch
-        // buffer: plan_complete takes `&self` and may run on several
-        // threads at once, so the scratch must not be medium state.
-        //
-        // Far-field cull: every candidate receiver of a sparse tx lies
-        // within the tx's audible radius of its (frozen) source, and a
-        // sparse interferer's stored samples cover only radios within
-        // *its* audible radius of *its* source. If those two discs
-        // cannot intersect, every (interferer, candidate) lookup is a
-        // guaranteed sub-floor miss — the interferer contributes
-        // nothing above the cutoff (§ uniform audible floor, see
-        // `scan_candidates`) and is skipped wholesale. Valid only while
-        // no radio has been added or moved since either tx began
-        // (`geom_epoch` guard): a mid-flight move re-pins samples as
-        // overrides, which the disc argument cannot see. In a city-scale
-        // world this one distance check removes ~99% of the interferer
-        // set per plan.
-        let cull_radius = (self.geom_epoch == tx.geom_epoch_at_start
-            && matches!(tx.power, TxPower::Sparse { .. })
-            && tx.audible_range_m.is_finite())
-        .then_some(tx.audible_range_m);
-        INTERF_SCRATCH.with(|cell| {
-            let mut interferers = cell.borrow_mut();
-            interferers.clear();
-            for ch in interacting_channels(tx_channel) {
-                for &oslot in &self.by_channel[ch] {
-                    if oslot == handle.slot {
-                        continue;
-                    }
-                    let o = self.txs[oslot as usize].tx.as_ref().unwrap();
-                    if o.start >= tx.end || tx.start >= o.end {
-                        continue;
-                    }
-                    if let Some(r_tx) = cull_radius {
-                        if self.geom_epoch == o.geom_epoch_at_start
-                            && matches!(o.power, TxPower::Sparse { .. })
-                        {
-                            // The pad mirrors the audible-row build's
-                            // rounding absorption; it only ever keeps an
-                            // interferer the exact check would drop.
-                            let reach = (r_tx + o.audible_range_m) * (1.0 + 1e-9) + 1.0;
-                            if reach.is_finite() && o.src_pos.distance(tx.src_pos) > reach {
-                                continue;
-                            }
-                        }
-                    }
-                    interferers.push(oslot);
+        // The lists live in a per-thread scratch: plan_complete takes
+        // `&self` and may run on several threads at once, so the scratch
+        // must not be medium state.
+        PLAN_SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            self.collect_interferers(tx, handle.slot, &mut s.interferers);
+            let halfduplex_misses = self.narrow_candidates(tx, handle.slot, &mut s.candidates);
+            s.interf_mw.clear();
+            s.interf_mw.resize(s.candidates.len(), 0.0);
+            if !s.candidates.is_empty() {
+                for &oslot in &s.interferers {
+                    let o = self.retained(oslot);
+                    self.add_interference(o, tx.channel, &s.candidates, &mut s.interf_mw);
                 }
             }
-            interferers.sort_unstable_by_key(|&s| self.txs[s as usize].tx.as_ref().unwrap().id);
 
             let noise_mw = dbm_to_mw(self.params.noise_floor_dbm);
-            let mut out = Vec::new();
-            let mut halfduplex_misses = 0;
+            let mut deliveries = Vec::new();
             let mut sinr_drops = 0;
-
-            // Candidate receivers: every begin-time radio for a dense
-            // map, only the audible set for a sparse one, narrowed to the
-            // radios that can receive at all before a dense sample is
-            // evaluated. Both ascend by radio index, so delivery order
-            // matches the historical dense scan — and neither
-            // materializes a candidate list.
-            match &tx.power {
-                TxPower::Dense(lp) => self.scan_candidates(
-                    (0..lp.cells.len())
-                        .filter(|&ri| self.listens(ri, tx))
-                        .map(|ri| (ri, self.lazy_dbm(tx, lp, ri))),
-                    tx,
-                    handle.slot,
-                    &interferers,
-                    noise_mw,
-                    &mut out,
-                    &mut halfduplex_misses,
-                    &mut sinr_drops,
-                ),
-                TxPower::Sparse { audible, .. } => self.scan_candidates(
-                    audible
-                        .iter()
-                        .map(|&(i, p)| (i as usize, p))
-                        .filter(|&(ri, _)| self.listens(ri, tx)),
-                    tx,
-                    handle.slot,
-                    &interferers,
-                    noise_mw,
-                    &mut out,
-                    &mut halfduplex_misses,
-                    &mut sinr_drops,
-                ),
+            for (&(ri, signal_dbm), &interf_mw) in s.candidates.iter().zip(&s.interf_mw) {
+                let sinr_db = signal_dbm - 10.0 * (noise_mw + interf_mw).log10();
+                if sinr_db < tx.bitrate.sinr_threshold_db() {
+                    sinr_drops += 1;
+                    continue;
+                }
+                deliveries.push(Delivery {
+                    to: RadioId(ri),
+                    bytes: tx.bytes.clone(),
+                    rssi_dbm: signal_dbm,
+                    channel: tx.channel,
+                    bitrate: tx.bitrate,
+                });
             }
-
             TxPlan {
                 handle,
                 end: now,
-                deliveries: out,
+                deliveries,
                 halfduplex_misses,
                 sinr_drops,
             }
         })
     }
 
-    /// The per-candidate decode loop of [`Self::plan_complete`], generic
-    /// over the (dense or sparse) candidate iterator so neither path
-    /// allocates a candidate list. Candidates arrive with their signal,
-    /// already narrowed to the radios that [listen](Self::listens).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_candidates<I: Iterator<Item = (usize, f64)>>(
-        &self,
-        candidates: I,
-        tx: &Transmission,
-        tx_slot: u32,
-        interferers: &[u32],
-        noise_mw: f64,
-        out: &mut Vec<Delivery>,
-        halfduplex_misses: &mut u64,
-        sinr_drops: &mut u64,
-    ) {
-        let (tx_channel, tx_bitrate) = (tx.channel, tx.bitrate);
-        let (tx_start, tx_end) = (tx.start, tx.end);
-        for (ri, signal_dbm) in candidates {
-            let rid = RadioId(ri as u32);
-            if signal_dbm < tx_bitrate.sensitivity_dbm() {
-                continue;
+    /// Collect into `out` the slots of the transmissions that overlap
+    /// `tx` in time on channels close enough to interact, in ascending
+    /// id order — the order every interference sum takes its terms in
+    /// (float addition order is observable).
+    ///
+    /// Far-field cull: every candidate receiver of a sparse tx lies
+    /// within the tx's audible radius of its (frozen) source, and a
+    /// sparse interferer's stored samples cover only radios within *its*
+    /// audible radius of *its* source. If those two discs cannot
+    /// intersect, the interferer holds no sample above the audible floor
+    /// for any candidate and contributes nothing (the uniform cutoff,
+    /// see [`Self::add_interference`]), so it is skipped wholesale.
+    /// Valid only while no radio has been added or moved since either tx
+    /// began (`geom_epoch` guard): a mid-flight move re-pins samples as
+    /// overrides, which the disc argument cannot see. In a city-scale
+    /// world this one distance check removes ~99% of the interferer set
+    /// per plan.
+    fn collect_interferers(&self, tx: &Transmission, tx_slot: u32, out: &mut Vec<u32>) {
+        let cull_radius = (self.geom_epoch == tx.geom_epoch_at_start
+            && matches!(tx.power, TxPower::Sparse { .. })
+            && tx.audible_range_m.is_finite())
+        .then_some(tx.audible_range_m);
+        out.clear();
+        for ch in interacting_channels(tx.channel) {
+            for &oslot in &self.by_channel[ch] {
+                if oslot == tx_slot {
+                    continue;
+                }
+                let o = self.retained(oslot);
+                if o.start >= tx.end || tx.start >= o.end {
+                    continue;
+                }
+                if let Some(r_tx) = cull_radius {
+                    if self.geom_epoch == o.geom_epoch_at_start
+                        && matches!(o.power, TxPower::Sparse { .. })
+                    {
+                        // The pad mirrors the audible-row build's
+                        // rounding absorption; it only ever keeps an
+                        // interferer the exact check would drop.
+                        let reach = (r_tx + o.audible_range_m) * (1.0 + 1e-9) + 1.0;
+                        if reach.is_finite() && o.src_pos.distance(tx.src_pos) > reach {
+                            continue;
+                        }
+                    }
+                }
+                out.push(oslot);
             }
-            // Half-duplex: a radio that transmitted during any part of
-            // our airtime heard nothing.
-            let was_transmitting = self.by_src[rid.0 as usize].iter().any(|&oslot| {
+        }
+        out.sort_unstable_by_key(|&s| self.retained(s).id);
+    }
+
+    /// Collect into `out` the radios that can decode `tx` but for
+    /// interference, as `(radio index, signal dBm)` in ascending index
+    /// order: every begin-time radio for a dense map, the audible set for
+    /// a sparse one, narrowed to those that [listen](Self::listens)
+    /// (before a dense sample is evaluated), clear the rate's
+    /// sensitivity, and were not transmitting during any part of its
+    /// airtime. Returns the half-duplex misses.
+    fn narrow_candidates(&self, tx: &Transmission, tx_slot: u32, out: &mut Vec<(u32, f64)>) -> u64 {
+        out.clear();
+        let mut halfduplex_misses = 0;
+        let mut admit = |ri: usize, signal_dbm: f64| {
+            if signal_dbm < tx.bitrate.sensitivity_dbm() {
+                return;
+            }
+            let was_transmitting = self.by_src[ri].iter().any(|&oslot| {
                 if oslot == tx_slot {
                     return false;
                 }
-                let o = self.txs[oslot as usize].tx.as_ref().unwrap();
-                o.start < tx_end && tx_start < o.end
+                let o = self.retained(oslot);
+                o.start < tx.end && tx.start < o.end
             });
             if was_transmitting {
-                *halfduplex_misses += 1;
-                continue;
+                halfduplex_misses += 1;
+            } else {
+                out.push((ri as u32, signal_dbm));
             }
-            // Interference from every other overlapping transmission, in
-            // ascending id order. A zero term leaves the non-negative
-            // sum's bits unchanged, exactly as skipping it would.
-            let mut interf_mw = 0.0;
-            for &oslot in interferers {
-                let o = self.txs[oslot as usize].tx.as_ref().unwrap();
-                if o.src != rid {
-                    interf_mw += self.interference_mw(o, ri, o.channel.abs_diff(tx_channel));
+        };
+        match &tx.power {
+            TxPower::Dense(lp) => {
+                for ri in 0..lp.cells.len() {
+                    if self.listens(ri, tx) {
+                        admit(ri, self.lazy_dbm(tx, lp, ri));
+                    }
                 }
             }
-            let sinr_db = signal_dbm - 10.0 * (noise_mw + interf_mw).log10();
-            if sinr_db < tx_bitrate.sinr_threshold_db() {
-                *sinr_drops += 1;
-                continue;
+            TxPower::Sparse { audible, .. } => {
+                for &(ri, p) in audible.iter() {
+                    if self.listens(ri as usize, tx) {
+                        admit(ri as usize, p);
+                    }
+                }
             }
-            out.push(Delivery {
-                to: rid,
-                bytes: tx.bytes.clone(),
-                rssi_dbm: signal_dbm,
-                channel: tx_channel,
-                bitrate: tx_bitrate,
-            });
+        }
+        halfduplex_misses
+    }
+
+    /// Add the interference, in mW, that `o` puts on each candidate of a
+    /// completion on `channel` to that candidate's sum. A term is zero —
+    /// and skipping it leaves the non-negative sum's bits unchanged —
+    /// when the channels cannot interact, when `o` holds no sample for
+    /// the radio (a sparse miss, or a radio registered after `o` began),
+    /// or when the sample sits below the audible floor: the uniform
+    /// cutoff that keeps the dense and sparse paths bit-identical, since
+    /// a sparse row omits exactly the entries this comparison rejects.
+    ///
+    /// A dense `o` is read by index into its memo cells; a same-channel
+    /// term is memoized per radio, since every completion `o` overlaps
+    /// adds the same one. A sparse `o` is merged along its sorted audible
+    /// row, both lists ascending by radio index. No candidate is `o`'s
+    /// own source: that radio transmitted during the airtime, so
+    /// [`Self::narrow_candidates`] dropped it.
+    fn add_interference(
+        &self,
+        o: &Transmission,
+        channel: u8,
+        candidates: &[(u32, f64)],
+        sums: &mut [f64],
+    ) {
+        let offset = o.channel.abs_diff(channel);
+        let Some(rej) = aci_rejection_db(offset) else {
+            return;
+        };
+        let floor = self.audible_floor_dbm;
+        match &o.power {
+            TxPower::Dense(lp) => {
+                for (&(ri, _), sum) in candidates.iter().zip(sums.iter_mut()) {
+                    debug_assert_ne!(ri, o.src.0, "an interferer's source is deaf");
+                    let ri = ri as usize;
+                    if ri >= lp.cells.len() {
+                        break;
+                    }
+                    if offset == 0 {
+                        *sum += self.same_channel_mw(o, lp, ri);
+                        continue;
+                    }
+                    let p = self.lazy_dbm(o, lp, ri);
+                    if p < floor {
+                        continue;
+                    }
+                    *sum += dbm_to_mw(p - rej);
+                }
+            }
+            TxPower::Sparse { audible, overrides } => {
+                let mut k = 0;
+                for (&(ri, _), sum) in candidates.iter().zip(sums.iter_mut()) {
+                    debug_assert_ne!(ri, o.src.0, "an interferer's source is deaf");
+                    if ri >= o.radios_at_start {
+                        break;
+                    }
+                    while k < audible.len() && audible[k].0 < ri {
+                        k += 1;
+                    }
+                    let p = if k < audible.len() && audible[k].0 == ri {
+                        audible[k].1
+                    } else if let Some(e) = overrides.iter().find(|e| e.0 == ri) {
+                        e.1
+                    } else {
+                        continue;
+                    };
+                    if p < floor {
+                        continue;
+                    }
+                    *sum += dbm_to_mw(p - rej);
+                }
+            }
         }
     }
 
@@ -838,39 +915,25 @@ impl Medium {
         p
     }
 
-    /// Interference, in mW, that `tx` puts on radio `ri` tuned `offset`
-    /// channels away: zero when the channels cannot interact, when `tx`
-    /// holds no sample for the radio, or when the sample sits below the
-    /// audible floor — the uniform cutoff that keeps the dense and sparse
-    /// paths bit-identical, since a sparse row omits exactly the entries
-    /// this comparison rejects. A dense tx memoizes its same-channel term
-    /// per radio: every completion it overlaps adds the same one.
-    fn interference_mw(&self, tx: &Transmission, ri: usize, offset: u8) -> f64 {
-        let Some(rej) = aci_rejection_db(offset) else {
-            return 0.0;
+    /// Same-channel interference, in mW, that the dense `tx` puts on
+    /// radio `ri` (zero below the audible floor), memoized in the
+    /// radio's second cell: every completion `tx` overlaps adds the same
+    /// term.
+    fn same_channel_mw(&self, tx: &Transmission, lp: &LazyPower, ri: usize) -> f64 {
+        let cell = &lp.cells[ri][1];
+        let bits = cell.load(Ordering::Relaxed);
+        if bits != UNSET {
+            return f64::from_bits(bits);
+        }
+        // No rejection on the same channel: `p - rej` is `p`.
+        let p = self.lazy_dbm(tx, lp, ri);
+        let mw = if p < self.audible_floor_dbm {
+            0.0
+        } else {
+            dbm_to_mw(p)
         };
-        if let (0, TxPower::Dense(lp)) = (offset, &tx.power) {
-            if let Some([_, cell]) = lp.cells.get(ri) {
-                let bits = cell.load(Ordering::Relaxed);
-                if bits != UNSET {
-                    return f64::from_bits(bits);
-                }
-                // No rejection on the same channel: `p - rej` is `p`.
-                let p = self.lazy_dbm(tx, lp, ri);
-                let mw = if p < self.audible_floor_dbm {
-                    0.0
-                } else {
-                    dbm_to_mw(p)
-                };
-                cell.store(mw.to_bits(), Ordering::Relaxed);
-                return mw;
-            }
-        }
-        match self.rx_dbm(tx, ri) {
-            Some(p) if p < self.audible_floor_dbm => 0.0,
-            Some(p) => dbm_to_mw(p - rej),
-            None => 0.0,
-        }
+        cell.store(mw.to_bits(), Ordering::Relaxed);
+        mw
     }
 
     /// The mutating half of [`Self::complete_tx`]: mark the transmission
@@ -884,6 +947,7 @@ impl Medium {
         assert!(!t.completed, "complete_tx called twice");
         assert_eq!(t.end, plan.end, "commit at wrong time");
         t.completed = true;
+        self.completed_ends.push(Reverse((t.end, plan.handle.slot)));
         self.halfduplex_misses += plan.halfduplex_misses;
         self.sinr_drops += plan.sinr_drops;
         plan.deliveries
@@ -898,7 +962,7 @@ impl Medium {
         let r = &self.radios[radio.0 as usize];
         for ch in interacting_channels(r.channel) {
             for &oslot in &self.by_channel[ch] {
-                let t = self.txs[oslot as usize].tx.as_ref().unwrap();
+                let t = self.retained(oslot);
                 if t.start <= now && now < t.end && t.src != radio {
                     let Some(rej) = aci_rejection_db(t.channel.abs_diff(r.channel)) else {
                         continue;
@@ -986,33 +1050,39 @@ impl Medium {
     /// earliest in-flight start, or `now` when the air is clear. A
     /// completed tx ending at or before `horizon` can never satisfy
     /// the overlap test again, so dropping it cannot change any SINR
-    /// sum.
+    /// sum. Both bounds come off min-heaps, so a prune costs what it
+    /// frees, not what the slab holds.
     fn prune(&mut self, now: SimTime) {
-        let horizon = self
-            .txs
-            .iter()
-            .filter_map(|s| s.tx.as_ref())
-            .filter(|t| !t.completed)
-            .map(|t| t.start)
-            .min()
-            .unwrap_or(now);
+        let horizon = loop {
+            let Some(&Reverse((start, slot, gen))) = self.inflight_starts.peek() else {
+                break now;
+            };
+            let s = &self.txs[slot as usize];
+            if s.gen == gen && s.tx.as_ref().is_some_and(|t| !t.completed) {
+                break start;
+            }
+            self.inflight_starts.pop();
+        };
         // Free prunable slots, remembering which channel buckets and
         // source vecs they sat in — only those get swept, never the
         // whole (O(radios)) bucket table.
         let mut touched_ch: u16 = 0;
         let mut srcs = std::mem::take(&mut self.prune_src_scratch);
         srcs.clear();
-        for (i, s) in self.txs.iter_mut().enumerate() {
-            let prunable =
-                s.tx.as_ref()
-                    .is_some_and(|t| t.completed && t.end <= horizon);
-            if prunable {
-                let t = s.tx.take().unwrap();
-                s.gen = s.gen.wrapping_add(1);
-                touched_ch |= 1 << t.channel;
-                srcs.push(t.src.0);
-                self.free_tx.push(i as u32);
+        while let Some(&Reverse((end, slot))) = self.completed_ends.peek() {
+            if end > horizon {
+                break;
             }
+            self.completed_ends.pop();
+            let s = &mut self.txs[slot as usize];
+            let t =
+                s.tx.take()
+                    .expect("a completed tx is retained until pruned");
+            debug_assert!(t.completed && t.end == end);
+            s.gen = s.gen.wrapping_add(1);
+            touched_ch |= 1 << t.channel;
+            srcs.push(t.src.0);
+            self.free_tx.push(slot);
         }
         if touched_ch != 0 {
             // A freed slot has `tx == None` and cannot have been reused
@@ -1033,11 +1103,21 @@ impl Medium {
     }
 }
 
+/// Per-thread scratch lists of [`Medium::plan_complete`], which takes
+/// `&self` and may run on several threads at once.
+#[derive(Default)]
+struct PlanScratch {
+    /// Overlapping interferer slots, ascending by tx id.
+    interferers: Vec<u32>,
+    /// Narrowed candidates: `(radio index, signal dBm)`, ascending.
+    candidates: Vec<(u32, f64)>,
+    /// Per candidate, its interference sum in mW.
+    interf_mw: Vec<f64>,
+}
+
 thread_local! {
-    /// Per-thread interferer-slot scratch for [`Medium::plan_complete`],
-    /// which takes `&self` and may run on several threads at once.
-    static INTERF_SCRATCH: std::cell::RefCell<Vec<u32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static PLAN_SCRATCH: std::cell::RefCell<PlanScratch> =
+        std::cell::RefCell::new(PlanScratch::default());
 }
 
 #[cfg(test)]

@@ -7,13 +7,17 @@
 //! carrier-sense probe first reads it. [`Eager`] is the reference: every
 //! sample drawn and stored at begin time, interference summed over every
 //! other overlapping transmission in ascending id order under the uniform
-//! audible-floor cutoff. Random topologies, channel plans, bitrates,
-//! overlapping schedules and mid-flight `set_pos` / `set_channel` /
-//! `set_enabled` must give both the same deliveries (in order, bit-exact
-//! RSSI), the same counters and the same carrier-sense answers. Each run
-//! ends with a probe frame between two radios registered last: its RSSI
-//! is the receiver's shadowing sample, so it checks that the RNG stream
-//! advanced exactly as the eager fill advances it.
+//! audible-floor cutoff, candidate by candidate. Random topologies,
+//! channel plans, bitrates, overlapping schedules, radios registered
+//! mid-run and mid-flight `set_pos` / `set_channel` / `set_enabled` must
+//! give both the same deliveries (in order, bit-exact RSSI), the same
+//! counters and the same carrier-sense answers. After every op the
+//! medium must retain exactly the transmissions the reference's prune
+//! rule keeps. Each run ends with a probe frame between two radios
+//! registered last: its RSSI is the receiver's shadowing sample, so it
+//! checks that the RNG stream advanced exactly as the eager fill
+//! advances it. The same runs at σ = 0, where `force_dense` flips
+//! mid-run, mix sparse and dense transmissions in one completion.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -24,6 +28,10 @@ use rogue_sim::{Seed, SimRng, SimTime};
 
 /// Shadowing standard deviations under test, dB.
 const SIGMAS: [f64; 2] = [4.0, 6.0];
+
+/// The property runs these, σ = 0 being the sparse path with
+/// `force_dense` flipped by the toggle ops.
+const RUN_SIGMAS: [f64; 3] = [0.0, 4.0, 6.0];
 
 const RATES: [Bitrate; 4] = [Bitrate::B1, Bitrate::B2, Bitrate::B5_5, Bitrate::B11];
 
@@ -39,6 +47,8 @@ struct RunSig {
     halfduplex_misses: u64,
     sinr_drops: u64,
     busy_probes: Vec<bool>,
+    /// Retained transmissions after every op.
+    backlog: Vec<usize>,
 }
 
 fn params(sigma: f64) -> MediumParams {
@@ -78,6 +88,9 @@ struct EagerTx {
     len: usize,
     /// Received power at every radio registered at begin time.
     power: Vec<f64>,
+    completed: bool,
+    /// Not yet dropped by the prune rule.
+    retained: bool,
 }
 
 impl EagerTx {
@@ -86,9 +99,10 @@ impl EagerTx {
     }
 }
 
-/// The reference medium: an eager dense fill with no indices and no
-/// pruning (a completed tx that can no longer overlap anything fails
-/// every overlap test anyway). A tx's index is its id.
+/// The reference medium: an eager dense fill with no indices. Its SINR
+/// scan ignores pruning (a completed tx that can no longer overlap
+/// anything fails every overlap test anyway); the prune rule only marks
+/// what the medium may drop. A tx's index is its id.
 struct Eager {
     params: MediumParams,
     floor_dbm: f64,
@@ -141,11 +155,32 @@ impl Eager {
             end: now + bitrate.airtime(len),
             len,
             power,
+            completed: false,
+            retained: true,
         });
         self.sig.frames_sent += 1;
+        // The prune rule, walked over every retained tx: drop each
+        // completed tx ending at or before the earliest in-flight start.
+        let horizon = self
+            .txs
+            .iter()
+            .filter(|t| t.retained && !t.completed)
+            .map(|t| t.start)
+            .min()
+            .unwrap_or(now);
+        for t in &mut self.txs {
+            if t.retained && t.completed && t.end <= horizon {
+                t.retained = false;
+            }
+        }
+    }
+
+    fn backlog(&self) -> usize {
+        self.txs.iter().filter(|t| t.retained).count()
     }
 
     fn complete_tx(&mut self, i: usize) {
+        self.txs[i].completed = true;
         let tx = &self.txs[i];
         let noise_mw = dbm_to_mw(self.params.noise_floor_dbm);
         for (ri, &signal_dbm) in tx.power.iter().enumerate() {
@@ -223,19 +258,25 @@ fn radio_from_word(w: u64) -> (Pos, u8, f64) {
 type Pending = Vec<(SimTime, usize, TxHandle)>;
 
 /// Complete the in-flight frame with the earliest (end, begin order) on
-/// both media.
-fn complete_next(m: &mut Medium, e: &mut Eager, pending: &mut Pending, lazy: &mut RunSig) {
+/// both media; returns its end.
+fn complete_next(
+    m: &mut Medium,
+    e: &mut Eager,
+    pending: &mut Pending,
+    lazy: &mut RunSig,
+) -> SimTime {
     let Some(k) = (0..pending.len()).min_by_key(|&k| (pending[k].0, pending[k].1)) else {
-        return;
+        return SimTime::ZERO;
     };
     let (end, i, h) = pending.remove(k);
     lazy.deliveries.extend(sigs(&m.complete_tx(end, h)));
     e.complete_tx(i);
+    end
 }
 
 /// Drive the medium and the reference through the same calls; returns
-/// (medium, reference) observations.
-fn run(sigma: f64, seed: u64, radios: &[u64], ops: &[u64]) -> (RunSig, RunSig) {
+/// (medium, reference) observations and the probe frame's receiver.
+fn run(sigma: f64, seed: u64, radios: &[u64], ops: &[u64]) -> (RunSig, RunSig, u32) {
     let mut m = Medium::new(params(sigma), Seed(seed));
     let mut e = Eager::new(params(sigma), Seed(seed));
     for &w in radios {
@@ -243,14 +284,15 @@ fn run(sigma: f64, seed: u64, radios: &[u64], ops: &[u64]) -> (RunSig, RunSig) {
         m.add_radio(pos, channel, power);
         e.add_radio(pos, channel, power);
     }
-    let n = radios.len();
+    let mut n = radios.len();
     let mut lazy = RunSig::default();
     let mut t = SimTime::ZERO;
     let mut pending = Pending::new();
+    let mut dense = false;
     for &w in ops {
         let r = (w >> 8) as usize % n;
         let id = RadioId(r as u32);
-        match w % 6 {
+        match w % 8 {
             // Transmit from a powered radio; time advances 0–400 µs so
             // frames overlap often (airtime ≥ 192 µs).
             0 | 1 => {
@@ -263,7 +305,9 @@ fn run(sigma: f64, seed: u64, radios: &[u64], ops: &[u64]) -> (RunSig, RunSig) {
                 }
                 t = SimTime(t.as_nanos() + (w >> 48) % 400_000);
             }
-            2 => complete_next(&mut m, &mut e, &mut pending, &mut lazy),
+            // The clock moves to the completion, so a frame may begin
+            // the instant another ends.
+            2 => t = t.max(complete_next(&mut m, &mut e, &mut pending, &mut lazy)),
             3 => {
                 let (pos, _, _) = radio_from_word(w >> 16);
                 m.set_pos(id, pos);
@@ -274,14 +318,30 @@ fn run(sigma: f64, seed: u64, radios: &[u64], ops: &[u64]) -> (RunSig, RunSig) {
                 m.set_channel(id, channel);
                 e.radios[r].channel = channel;
             }
-            _ => {
+            5 => {
                 let on = !e.radios[r].enabled;
                 m.set_enabled(id, on);
                 e.radios[r].enabled = on;
             }
+            // A radio registered mid-run: no tx in flight holds a sample
+            // for it, later ones do.
+            6 => {
+                let (pos, channel, power) = radio_from_word(w >> 16);
+                m.add_radio(pos, channel, power);
+                e.add_radio(pos, channel, power);
+                n += 1;
+            }
+            // Flip the layout of later transmissions; it changes only
+            // the sparse path at σ = 0.
+            _ => {
+                dense = !dense;
+                m.force_dense(dense);
+            }
         }
+        lazy.backlog.push(m.tx_backlog());
+        e.sig.backlog.push(e.backlog());
         // Carrier sense after every mid-flight change.
-        if w % 6 >= 3 {
+        if w % 8 >= 3 {
             let probe = (w >> 40) as usize % n;
             lazy.busy_probes
                 .push(m.channel_busy(t, RadioId(probe as u32)));
@@ -301,14 +361,16 @@ fn run(sigma: f64, seed: u64, radios: &[u64], ops: &[u64]) -> (RunSig, RunSig) {
     let later = SimTime(t.as_nanos() + 1_000_000_000);
     let payload = Bytes::from(vec![0x5A; 100]);
     let (h, end) = m.begin_tx(later, RadioId(n as u32), payload, Bitrate::B1);
+    lazy.backlog.push(m.tx_backlog());
     pending.push((end, e.txs.len(), h));
     e.begin_tx(later, n, 100, Bitrate::B1);
+    e.sig.backlog.push(e.backlog());
     complete_next(&mut m, &mut e, &mut pending, &mut lazy);
 
     lazy.frames_sent = m.frames_sent;
     lazy.halfduplex_misses = m.halfduplex_misses;
     lazy.sinr_drops = m.sinr_drops;
-    (lazy, e.sig)
+    (lazy, e.sig, n as u32 + 1)
 }
 
 proptest! {
@@ -318,10 +380,10 @@ proptest! {
         radios in proptest::collection::vec(any::<u64>(), 2..24),
         ops in proptest::collection::vec(any::<u64>(), 0..120),
     ) {
-        for sigma in SIGMAS {
-            let (lazy, eager) = run(sigma, seed, &radios, &ops);
+        for sigma in RUN_SIGMAS {
+            let (lazy, eager, probe_rx) = run(sigma, seed, &radios, &ops);
             prop_assert!(
-                lazy.deliveries.last().is_some_and(|d| d.0 as usize == radios.len() + 1),
+                lazy.deliveries.last().is_some_and(|d| d.0 == probe_rx),
                 "the probe frame must decode (sigma {})",
                 sigma
             );

@@ -13,15 +13,16 @@
 //! * Cycle→nanosecond conversion is *calibrated at snapshot time* from
 //!   an `Instant`/counter pair recorded at construction, so the profiler
 //!   itself never calls into the OS on the hot path.
-//! * The profiler measures its own probe cost at construction (a tight
-//!   loop of paired reads) and reports estimated total overhead with
-//!   every snapshot, so the ≤ 2 % overhead budget is *checked*, not
-//!   assumed.
+//! * The profiler measures its own probe cost once per process (a tight
+//!   loop of empty probes: a start read plus a [`Profiler::record`]) and
+//!   reports estimated total overhead with every snapshot, so the ≤ 2 %
+//!   overhead budget is *checked*, not assumed.
 //!
 //! Profiler output is wall-clock and therefore nondeterministic; it is
 //! surfaced only through `sim.prof.*` metrics and bench JSON breakdowns,
 //! which are never rendered into golden report tables.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Phases of one event dispatch, in the order they appear in the loop.
@@ -124,13 +125,38 @@ impl Snapshot {
 pub struct Profiler {
     phases: [Cell; NUM_PHASES],
     kinds: Vec<(&'static str, Cell)>,
-    /// Actual probe pairs taken. Distinct from cell counts since
+    /// Actual probes taken. Distinct from cell counts since
     /// [`Self::record_many`]: one probe can account for many events.
     probes: u64,
     anchor_instant: Instant,
     anchor_cycles: u64,
-    /// Measured cost of one start/stop probe pair, in cycles.
-    pair_cost_cycles: u64,
+    /// Measured cost of one probe, in cycles: see [`probe_cost_cycles`].
+    probe_cost_cycles: u64,
+}
+
+/// What one probe adds to the code it wraps, in cycles: the caller's
+/// start read plus a [`Profiler::record`], whose end read and cell
+/// update are part of the cost too. Measured once per process, as the
+/// median of several batches of empty probes, so a batch that an
+/// interrupt lands in does not set the figure.
+fn probe_cost_cycles() -> u64 {
+    static COST: OnceLock<u64> = OnceLock::new();
+    *COST.get_or_init(|| {
+        const BATCHES: usize = 9;
+        const PROBES: u64 = 512;
+        let mut p = Profiler::with_probe_cost(0);
+        let mut batches = [0u64; BATCHES];
+        for batch in &mut batches {
+            let t0 = now();
+            for _ in 0..PROBES {
+                let start = now();
+                std::hint::black_box(&mut p).record(Phase::QueuePop, start);
+            }
+            *batch = now().wrapping_sub(t0) / PROBES;
+        }
+        batches.sort_unstable();
+        batches[BATCHES / 2]
+    })
 }
 
 impl Default for Profiler {
@@ -140,26 +166,19 @@ impl Default for Profiler {
 }
 
 impl Profiler {
-    /// Build a profiler and calibrate the per-probe cost.
+    /// Build a profiler charging the process's calibrated probe cost.
     pub fn new() -> Self {
-        // Measure the cost of a paired read: this is exactly what one
-        // record() span costs on top of the work it wraps.
-        const PROBES: u64 = 512;
-        let t0 = now();
-        let mut sink = 0u64;
-        for _ in 0..PROBES {
-            sink = sink.wrapping_add(now());
-        }
-        let t1 = now();
-        std::hint::black_box(sink);
-        let pair_cost_cycles = (t1.wrapping_sub(t0)) / PROBES;
+        Self::with_probe_cost(probe_cost_cycles())
+    }
+
+    fn with_probe_cost(probe_cost_cycles: u64) -> Self {
         Profiler {
             phases: [Cell::default(); NUM_PHASES],
             kinds: Vec::new(),
             probes: 0,
             anchor_instant: Instant::now(),
             anchor_cycles: now(),
-            pair_cost_cycles,
+            probe_cost_cycles,
         }
     }
 
@@ -180,7 +199,7 @@ impl Profiler {
 
     /// Attribute `now() - t0` to `phase`, counting `n` items under the
     /// single probe — the bulk variant: committing an event's `n` ops
-    /// takes one probe pair, and the cell counts ops, not probes.
+    /// takes one probe, and the cell counts ops, not probes.
     #[inline(always)]
     pub fn record_many(&mut self, phase: Phase, t0: u64, n: u64) {
         let c = &mut self.phases[phase as usize];
@@ -220,7 +239,7 @@ impl Profiler {
             .iter()
             .map(|(label, c)| (*label, to_ns(c.cycles), c.count))
             .collect();
-        let overhead_ns = to_ns(self.probes.saturating_mul(self.pair_cost_cycles));
+        let overhead_ns = to_ns(self.probes.saturating_mul(self.probe_cost_cycles));
         let dispatch_ns = kinds.iter().map(|(_, ns, _)| ns).sum();
         Snapshot {
             phases,
@@ -278,7 +297,7 @@ mod tests {
         p.record_many(Phase::QueuePop, t0, 37);
         let before = p.probes;
         p.record_many(Phase::QueuePop, now(), 3);
-        assert_eq!(p.probes, before + 1, "one probe pair per bulk record");
+        assert_eq!(p.probes, before + 1, "one probe per bulk record");
         std::thread::sleep(std::time::Duration::from_millis(2));
         let s = p.snapshot();
         assert_eq!(s.phases[Phase::QueuePop as usize].2, 40);
@@ -286,17 +305,32 @@ mod tests {
 
     #[test]
     fn overhead_estimate_is_reported() {
-        let mut p = Profiler::new();
-        let k = p.register_kind("busy");
-        for _ in 0..10_000 {
-            let t0 = now();
-            p.record_kind(k, t0);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let s = p.snapshot();
-        // Empty spans: nearly all recorded time IS probe overhead, so the
-        // estimate must be in the same ballpark as the accumulated total
-        // (within noise) — and definitely nonzero.
-        assert!(s.overhead_ns > 0);
+        // An empty span records only part of its own probe: the time
+        // from the start read to `record`'s end read. The estimate
+        // charges the whole probe, so it must cover every recorded span.
+        // An interrupt landing inside one span inflates that trial's
+        // total past any honest estimate, so the claim must hold in a
+        // majority of five trials, not in every one.
+        const PROBES: u64 = 2_000;
+        let trials: Vec<(u64, u64)> = (0..5)
+            .map(|_| {
+                let mut p = Profiler::new();
+                let k = p.register_kind("busy");
+                for _ in 0..PROBES {
+                    let t0 = now();
+                    p.record_kind(k, t0);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                let s = p.snapshot();
+                assert_eq!(s.kinds[0].2, PROBES);
+                (s.kinds[0].1, s.overhead_ns)
+            })
+            .collect();
+        assert!(trials.iter().all(|&(recorded, _)| recorded > 0));
+        let covered = trials.iter().filter(|&&(rec, est)| est >= rec).count();
+        assert!(
+            covered >= 3,
+            "(recorded ns, estimated ns) of {PROBES} empty probes per trial: {trials:?}"
+        );
     }
 }

@@ -19,6 +19,7 @@
 //! every advertisement.
 
 use std::collections::HashSet;
+use std::mem::size_of;
 
 use rogue_dot11::MacAddr;
 use rogue_sim::SimDuration;
@@ -39,6 +40,57 @@ pub(crate) fn hash_ssid(ssid: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     mix64(h)
+}
+
+/// The longest SSID an 802.11 SSID element carries, in bytes.
+const MAX_SSID_BYTES: usize = 32;
+
+/// The SSIDs the site owns: one slot per registry entry, holding the
+/// first SSID of at most [`MAX_SSID_BYTES`] that entry's (BSSID, channel)
+/// pair beacons. Later names under the pair are not learned, so a forger
+/// of a registered BSSID on its own channel can neither grow the set nor
+/// teach the auditors its names, and the footprint is fixed by the
+/// registry. The beacon and probe auditors each keep one.
+pub(crate) struct OwnedSsids {
+    registry: Vec<(MacAddr, u8)>,
+    names: Vec<Option<String>>,
+}
+
+impl OwnedSsids {
+    pub(crate) fn new(registry: &[(MacAddr, u8)]) -> OwnedSsids {
+        OwnedSsids {
+            registry: registry.to_vec(),
+            names: vec![None; registry.len()],
+        }
+    }
+
+    /// Learn `ssid` as the name of the registry entry (`bssid`,
+    /// `channel`) unless the entry has one already. Returns whether the
+    /// pair is registered at all.
+    pub(crate) fn learn(&mut self, bssid: MacAddr, channel: u8, ssid: &str) -> bool {
+        let Some(k) = self.registry.iter().position(|&e| e == (bssid, channel)) else {
+            return false;
+        };
+        if self.names[k].is_none() && ssid.len() <= MAX_SSID_BYTES {
+            self.names[k] = Some(ssid.to_owned());
+        }
+        true
+    }
+
+    /// Does the site own `ssid`?
+    pub(crate) fn contains(&self, ssid: &str) -> bool {
+        self.names.iter().any(|n| n.as_deref() == Some(ssid))
+    }
+
+    /// Names learned so far (at most one per registry entry).
+    pub(crate) fn len(&self) -> usize {
+        self.names.iter().flatten().count()
+    }
+
+    /// Fixed footprint: every slot holding a name of the longest length.
+    pub(crate) fn bytes(&self) -> usize {
+        self.names.len() * (size_of::<Option<String>>() + MAX_SSID_BYTES)
+    }
 }
 
 /// Registry-driven tuning.
@@ -76,9 +128,9 @@ impl BeaconConfig {
 /// The beacon detector.
 pub struct BeaconDetector {
     cfg: BeaconConfig,
-    /// SSIDs owned by registered APs (learned from beacons of authorized
-    /// BSSIDs on their registered channels). Bounded by the registry.
-    owned_ssids: HashSet<String>,
+    /// SSIDs owned by registered APs, learned from beacons of authorized
+    /// BSSIDs on their registered channels (an empty name included).
+    owned_ssids: OwnedSsids,
     /// Once-only latches per (BSSID, channel) spoof. Keys are drawn from
     /// the registry, so the set stays registry-sized.
     alerted_spoof: HashSet<(MacAddr, u8)>,
@@ -98,8 +150,8 @@ impl BeaconDetector {
     pub fn new(cfg: BeaconConfig) -> BeaconDetector {
         BeaconDetector {
             churn: WindowCounter::new(cfg.churn_window, 10, 512, 4),
+            owned_ssids: OwnedSsids::new(&cfg.authorized),
             cfg,
-            owned_ssids: HashSet::new(),
             alerted_spoof: HashSet::new(),
             alerted_clone: BoundedTable::new(CLONE_GROUPS, CLONE_WAYS),
             alerted_churn: HashSet::new(),
@@ -107,10 +159,15 @@ impl BeaconDetector {
         }
     }
 
-    /// Fixed footprint of the clone latches and the churn sketch, in
-    /// bytes.
+    /// Fixed footprint of the owned names, the clone latches and the
+    /// churn sketch, in bytes.
     pub fn state_bytes(&self) -> usize {
-        self.alerted_clone.bytes() + self.churn.bytes()
+        self.owned_ssids.bytes() + self.alerted_clone.bytes() + self.churn.bytes()
+    }
+
+    /// SSIDs learned as owned (at most one per registry entry).
+    pub fn owned_ssid_count(&self) -> usize {
+        self.owned_ssids.len()
     }
 }
 
@@ -132,14 +189,8 @@ impl Detector for BeaconDetector {
         }
         self.beacons_seen += 1;
         let bssid_known = self.cfg.authorized.iter().any(|(b, _)| *b == e.bssid);
-        let pair_known = self
-            .cfg
-            .authorized
-            .iter()
-            .any(|(b, ch)| *b == e.bssid && *ch == e.channel);
-        if pair_known {
-            // A registered AP where it belongs: learn the SSID it owns.
-            self.owned_ssids.insert(ssid.clone());
+        if self.owned_ssids.learn(e.bssid, e.channel, ssid) {
+            // A registered AP where it belongs: its SSID is learned.
             return;
         }
         if bssid_known {

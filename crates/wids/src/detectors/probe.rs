@@ -17,13 +17,11 @@
 //! so an honest AP whose probe response merely arrives before its first
 //! observed beacon is never flagged.
 
-use std::collections::HashSet;
-
 use rogue_dot11::MacAddr;
 use rogue_sim::SimDuration;
 
 use crate::detector::{AlertKind, Detector, RawAlert};
-use crate::detectors::beacon::hash_ssid;
+use crate::detectors::beacon::{hash_ssid, OwnedSsids};
 use crate::event::{Dot11Kind, SensorEvent};
 use crate::sketch::{hash_mac, mix64, BoundedTable, WindowCounter};
 
@@ -67,9 +65,9 @@ struct ProbeFlags {
 /// The probe-response auditor.
 pub struct ProbeAuditDetector {
     cfg: ProbeAuditConfig,
-    /// SSIDs owned by registered APs, learned exactly as the beacon
-    /// auditor learns them.
-    owned_ssids: HashSet<String>,
+    /// SSIDs owned by registered APs, learned as the beacon auditor
+    /// learns them but never an empty (cloaked) name.
+    owned_ssids: OwnedSsids,
     flags: BoundedTable<MacAddr, ProbeFlags>,
     /// Dedup of (BSSID, SSID) probe-response pairs feeding the karma
     /// distinct-SSID count.
@@ -84,17 +82,23 @@ impl ProbeAuditDetector {
     pub fn new(cfg: ProbeAuditConfig) -> ProbeAuditDetector {
         ProbeAuditDetector {
             karma: WindowCounter::new(cfg.karma_window, 10, 512, 4),
+            owned_ssids: OwnedSsids::new(&cfg.authorized),
             cfg,
-            owned_ssids: HashSet::new(),
             flags: BoundedTable::new(PROBE_GROUPS, PROBE_WAYS),
             seen_pairs: BoundedTable::new(PROBE_GROUPS, PROBE_WAYS),
             responses_seen: 0,
         }
     }
 
-    /// Fixed state footprint of the bounded substrates, in bytes.
+    /// Fixed state footprint of the owned names and the bounded
+    /// substrates, in bytes.
     pub fn state_bytes(&self) -> usize {
-        self.flags.bytes() + self.seen_pairs.bytes() + self.karma.bytes()
+        self.owned_ssids.bytes() + self.flags.bytes() + self.seen_pairs.bytes() + self.karma.bytes()
+    }
+
+    /// SSIDs learned as owned (at most one per registry entry).
+    pub fn owned_ssid_count(&self) -> usize {
+        self.owned_ssids.len()
     }
 }
 
@@ -127,13 +131,8 @@ impl Detector for ProbeAuditDetector {
             } else {
                 st.open_beaconed = true;
             }
-            let pair_known = self
-                .cfg
-                .authorized
-                .iter()
-                .any(|(b, ch)| *b == e.bssid && *ch == e.channel);
-            if pair_known && !ssid.is_empty() {
-                self.owned_ssids.insert(ssid.clone());
+            if !ssid.is_empty() {
+                self.owned_ssids.learn(e.bssid, e.channel, ssid);
             }
             return;
         }

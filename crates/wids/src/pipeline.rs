@@ -192,6 +192,15 @@ impl WidsPipeline {
             + self.correlator.state_bytes()
     }
 
+    /// SSIDs the beacon and the probe auditor have learned as owned, in
+    /// that order: at most one per registry entry each.
+    pub fn owned_ssid_counts(&self) -> (usize, usize) {
+        (
+            self.beacon.owned_ssid_count(),
+            self.probe.owned_ssid_count(),
+        )
+    }
+
     /// Transmitters currently tracked by the sequence-control stage
     /// (bounded by its table capacity).
     pub fn tracked_sources(&self) -> usize {

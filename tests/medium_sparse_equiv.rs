@@ -6,12 +6,18 @@
 //! spatial grid, and scans interference through the per-channel overlap
 //! index. [`Medium::force_dense`] routes `begin_tx` through the
 //! historical dense O(registry) fill instead. This suite drives random
-//! topologies, channel plans, bitrates, mobility, and overlapping
-//! schedules through both modes and requires exactly the same
-//! deliveries (receiver, payload length, bit-exact RSSI, channel,
-//! rate — in the same order), the same `frames_sent` /
+//! topologies, channel plans, bitrates, mobility, radios registered
+//! mid-run and overlapping schedules through both modes and requires
+//! exactly the same deliveries (receiver, payload length, bit-exact
+//! RSSI, channel, rate — in the same order), the same `frames_sent` /
 //! `halfduplex_misses` / `sinr_drops` counters, and the same
-//! carrier-sense answers.
+//! carrier-sense answers. A third mode flips `force_dense` mid-run, so
+//! dense and sparse transmissions interfere within one completion, and
+//! must match too. After every op the retained-transmission count must
+//! equal what the prune rule keeps — a completed tx is dropped once it
+//! ends at or before the earliest in-flight start, checked by walking
+//! every retained tx at each `begin_tx` — so the medium frees exactly
+//! the transmissions that rule frees.
 
 use proptest::prelude::*;
 use rogue_phy::{Bitrate, Medium, MediumParams, Pos};
@@ -29,7 +35,53 @@ struct RunSig {
     halfduplex_misses: u64,
     sinr_drops: u64,
     busy_probes: Vec<bool>,
-    backlog_end: usize,
+    /// `tx_backlog()` after every op.
+    backlog: Vec<usize>,
+}
+
+/// How a run lays out its power maps.
+#[derive(Clone, Copy, PartialEq)]
+enum Layout {
+    /// Sparse rows throughout.
+    Sparse,
+    /// `force_dense` throughout: the reference.
+    Dense,
+    /// Sparse at first, `force_dense` flipped by the toggle ops.
+    Toggled,
+}
+
+/// The prune rule, walked over every retained tx: at each `begin_tx`,
+/// drop each completed tx ending at or before the earliest in-flight
+/// start. Indexed by begin order: `(start, end, completed)` while
+/// retained.
+#[derive(Default)]
+struct SlabWalk(Vec<Option<(SimTime, SimTime, bool)>>);
+
+impl SlabWalk {
+    fn begin(&mut self, now: SimTime, end: SimTime) {
+        self.0.push(Some((now, end, false)));
+        let horizon = self
+            .0
+            .iter()
+            .flatten()
+            .filter(|t| !t.2)
+            .map(|t| t.0)
+            .min()
+            .unwrap_or(now);
+        for slot in &mut self.0 {
+            if slot.is_some_and(|(_, end, done)| done && end <= horizon) {
+                *slot = None;
+            }
+        }
+    }
+
+    fn complete(&mut self, order: u64) {
+        self.0[order as usize].as_mut().unwrap().2 = true;
+    }
+
+    fn retained(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
 }
 
 fn radio_from_word(w: u64) -> (Pos, u8, f64) {
@@ -42,12 +94,13 @@ fn radio_from_word(w: u64) -> (Pos, u8, f64) {
     (Pos::new(x, y), channel, tx_power)
 }
 
-/// Interpret the op words against a fresh medium. Dense and sparse runs
-/// see exactly the same call sequence.
-fn run(radios: &[u64], ops: &[u64], force_dense: bool) -> RunSig {
+/// Interpret the op words against a fresh medium. Every layout sees
+/// exactly the same call sequence, but for the toggles.
+fn run(radios: &[u64], ops: &[u64], layout: Layout) -> RunSig {
     let mut m = Medium::new(MediumParams::default(), Seed(99));
-    m.force_dense(force_dense);
-    let ids: Vec<_> = radios
+    let mut dense = layout == Layout::Dense;
+    m.force_dense(dense);
+    let mut ids: Vec<_> = radios
         .iter()
         .map(|&w| {
             let (pos, channel, power) = radio_from_word(w);
@@ -61,17 +114,20 @@ fn run(radios: &[u64], ops: &[u64], force_dense: bool) -> RunSig {
     // exactly their end time, earliest (end, order) first.
     let mut pending: Vec<(SimTime, u64, rogue_phy::TxHandle)> = Vec::new();
     let mut next_order = 0u64;
+    let mut walk = SlabWalk::default();
     let mut sig = RunSig {
         deliveries: Vec::new(),
         frames_sent: 0,
         halfduplex_misses: 0,
         sinr_drops: 0,
         busy_probes: Vec::new(),
-        backlog_end: 0,
+        backlog: Vec::new(),
     };
 
+    // Returns the completion's instant.
     let complete_next = |m: &mut Medium,
                          pending: &mut Vec<(SimTime, u64, rogue_phy::TxHandle)>,
+                         walk: &mut SlabWalk,
                          sig: &mut RunSig| {
         let Some(best) = pending
             .iter()
@@ -79,9 +135,10 @@ fn run(radios: &[u64], ops: &[u64], force_dense: bool) -> RunSig {
             .min_by_key(|(_, &(end, order, _))| (end, order))
             .map(|(i, _)| i)
         else {
-            return;
+            return SimTime::ZERO;
         };
-        let (end, _, h) = pending.remove(best);
+        let (end, order, h) = pending.remove(best);
+        walk.complete(order);
         for d in m.complete_tx(end, h) {
             sig.deliveries.push((
                 d.to.0,
@@ -91,10 +148,11 @@ fn run(radios: &[u64], ops: &[u64], force_dense: bool) -> RunSig {
                 d.bitrate.bits_per_sec(),
             ));
         }
+        end
     };
 
     for &w in ops {
-        match w % 4 {
+        match w % 6 {
             // Transmit: random source, rate, length; time advances by
             // 0–400 µs so frames overlap often (airtime ≥ 192 µs).
             0 | 1 => {
@@ -103,12 +161,14 @@ fn run(radios: &[u64], ops: &[u64], force_dense: bool) -> RunSig {
                 let len = 10 + ((w >> 24) % 500) as usize;
                 let payload = bytes::Bytes::from(vec![0x5Au8; len]);
                 let (h, end) = m.begin_tx(t, src, payload, rate);
+                walk.begin(t, end);
                 pending.push((end, next_order, h));
                 next_order += 1;
                 t = SimTime(t.as_nanos() + (w >> 48) % 400_000);
             }
-            // Complete the earliest-ending in-flight frame.
-            2 => complete_next(&mut m, &mut pending, &mut sig),
+            // Complete the earliest-ending in-flight frame; the clock
+            // moves to it, so a frame may begin the instant another ends.
+            2 => t = t.max(complete_next(&mut m, &mut pending, &mut walk, &mut sig)),
             // Mobility plus a carrier-sense probe.
             3 => {
                 let mover = ids[(w >> 8) as usize % ids.len()];
@@ -117,17 +177,34 @@ fn run(radios: &[u64], ops: &[u64], force_dense: bool) -> RunSig {
                 let probe = ids[(w >> 32) as usize % ids.len()];
                 sig.busy_probes.push(m.channel_busy(t, probe));
             }
-            _ => unreachable!(),
+            // A radio registered mid-run: invisible to every tx already
+            // in flight, a candidate of later ones.
+            4 => {
+                let (pos, channel, power) = radio_from_word(w >> 8);
+                ids.push(m.add_radio(pos, channel, power));
+            }
+            // Flip the layout of later transmissions.
+            _ => {
+                if layout == Layout::Toggled {
+                    dense = !dense;
+                    m.force_dense(dense);
+                }
+            }
         }
+        sig.backlog.push(m.tx_backlog());
+        assert_eq!(
+            m.tx_backlog(),
+            walk.retained(),
+            "prune freed a different set"
+        );
     }
     while !pending.is_empty() {
-        complete_next(&mut m, &mut pending, &mut sig);
+        complete_next(&mut m, &mut pending, &mut walk, &mut sig);
     }
 
     sig.frames_sent = m.frames_sent;
     sig.halfduplex_misses = m.halfduplex_misses;
     sig.sinr_drops = m.sinr_drops;
-    sig.backlog_end = m.tx_backlog();
     sig
 }
 
@@ -137,9 +214,9 @@ proptest! {
         radios in proptest::collection::vec(any::<u64>(), 2..24),
         ops in proptest::collection::vec(any::<u64>(), 0..80),
     ) {
-        let sparse = run(&radios, &ops, false);
-        let dense = run(&radios, &ops, true);
-        prop_assert_eq!(sparse, dense);
+        let dense = run(&radios, &ops, Layout::Dense);
+        prop_assert_eq!(&run(&radios, &ops, Layout::Sparse), &dense);
+        prop_assert_eq!(&run(&radios, &ops, Layout::Toggled), &dense);
     }
 }
 
@@ -154,5 +231,7 @@ fn contended_cluster_with_mobility_matches_dense() {
     let ops: Vec<u64> = (0..200u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
         .collect();
-    assert_eq!(run(&radios, &ops, false), run(&radios, &ops, true));
+    let dense = run(&radios, &ops, Layout::Dense);
+    assert_eq!(run(&radios, &ops, Layout::Sparse), dense);
+    assert_eq!(run(&radios, &ops, Layout::Toggled), dense);
 }

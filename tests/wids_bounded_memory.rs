@@ -6,9 +6,11 @@
 //! attacker who can mint addresses faster than we can forget them would
 //! otherwise turn the WIDS itself into the denial-of-service target.
 //!
-//! Two floods: beacons of SSIDs nobody owns, which load the detectors'
-//! tables, and clones of an owned SSID from fresh BSSIDs, each of which
-//! raises a clone alert and so loads the correlator too.
+//! Three floods: beacons of SSIDs nobody owns, which load the detectors'
+//! tables; clones of an owned SSID from fresh BSSIDs, each of which
+//! raises a clone alert and so loads the correlator too; and fresh SSIDs
+//! beaconed under the registered AP's own (BSSID, channel), which must
+//! not grow, or rename, what the site owns.
 
 use rogue_dot11::MacAddr;
 use rogue_sim::SimTime;
@@ -167,4 +169,89 @@ fn one_million_owned_ssid_clones_cannot_grow_correlator_state() {
     assert_eq!(churn.category, IncidentCategory::RogueAp);
     assert_eq!(churn.detectors, ["beacon-audit"]);
     assert!(churn.score >= 0.95, "{churn:?}");
+}
+
+/// A beacon of the owned SSID "CORP" from the registered AP.
+fn corp_beacon(corp: MacAddr) -> SensorEvent {
+    SensorEvent::Dot11(Dot11Event {
+        sensor: SensorId(0),
+        at: SimTime::ZERO,
+        channel: 1,
+        rssi_dbm: -40.0,
+        ta: corp,
+        ra: MacAddr::BROADCAST,
+        bssid: corp,
+        seq: 0,
+        retry: false,
+        kind: Dot11Kind::Beacon {
+            ssid: "CORP".into(),
+            claimed_channel: 1,
+            capability: 0,
+            probe_resp: false,
+        },
+    })
+}
+
+#[test]
+fn one_million_fresh_ssids_under_the_registered_pair_teach_nothing() {
+    let corp = MacAddr::local(1);
+    let mut pipe = WidsPipeline::new(WidsConfig {
+        authorized_aps: vec![(corp, 1)],
+        ..WidsConfig::default()
+    });
+    pipe.ring.push(corp_beacon(corp));
+    pipe.step(SimTime::ZERO);
+    assert_eq!(pipe.owned_ssid_counts(), (1, 1));
+    let baseline = pipe.detector_state_bytes();
+
+    // A forger of the registered BSSID on its own channel, a fresh SSID
+    // per beacon.
+    flood(&mut pipe, |i| {
+        let SensorEvent::Dot11(mut e) = corp_beacon(corp) else {
+            unreachable!()
+        };
+        e.at = SimTime(1_000_000 + i * 50_000);
+        e.seq = ((i + 1) % 4096) as u16;
+        e.kind = Dot11Kind::Beacon {
+            ssid: format!("FORGED-{i}"),
+            claimed_channel: 1,
+            capability: 0,
+            probe_resp: i.is_multiple_of(5),
+        };
+        SensorEvent::Dot11(e)
+    });
+    assert_eq!(
+        pipe.owned_ssid_counts(),
+        (1, 1),
+        "the forged names must not become owned"
+    );
+    assert_eq!(pipe.detector_state_bytes(), baseline);
+
+    // A foreign BSSID advertising one of the forged names is no clone of
+    // anything the site owns; advertising the real name still is.
+    let twin = MacAddr::local(0xBEEF);
+    let at = SimTime(2_000_000 + TOTAL * 50_000);
+    let mut advertise = |ssid: &str, at: SimTime| {
+        let SensorEvent::Dot11(mut e) = corp_beacon(twin) else {
+            unreachable!()
+        };
+        e.at = at;
+        e.channel = 6;
+        e.kind = Dot11Kind::Beacon {
+            ssid: ssid.into(),
+            claimed_channel: 6,
+            capability: 0,
+            probe_resp: false,
+        };
+        let before = pipe.metrics().counter("wids.alerts_raw");
+        pipe.ring.push(SensorEvent::Dot11(e));
+        pipe.step(at);
+        pipe.metrics().counter("wids.alerts_raw") - before
+    };
+    assert_eq!(advertise("FORGED-7", at), 0, "a forged name was learned");
+    assert_eq!(
+        advertise("CORP", SimTime(at.as_nanos() + 100_000_000)),
+        1,
+        "a clone of the owned SSID must still alert"
+    );
 }
