@@ -18,10 +18,9 @@
 //! the shard layout costs; a sharded run that diverges by one bit is a
 //! correctness bug, not a data point (DESIGN.md §15).
 //!
-//! Results go to `BENCH_city_scale.json` at the workspace root so CI
-//! can archive the perf trajectory per PR. `-- --test` runs a
-//! downscaled smoke sweep (same assertions, ~2k radios); the JSON is
-//! written either way.
+//! A full run writes `BENCH_city_scale.json` at the workspace root, the
+//! committed recording. `-- --test` runs a downscaled smoke sweep (same
+//! assertions, ~2k radios) and writes its JSON to `target/tmp` instead.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::Ipv4Addr;
@@ -272,7 +271,7 @@ fn main() {
         modes.push(m);
     }
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_city_scale.json");
+    let path = rogue_bench::bench_json_path!("city_scale", smoke);
     write_json(&path, radios, horizon_ms, &modes);
     println!("wrote {}", path.display());
 }

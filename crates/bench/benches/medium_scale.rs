@@ -17,10 +17,10 @@
 //!   transmission: O(R) for the dense pre-change medium, O(audible)
 //!   after the sparse cull.
 //!
-//! Results (plus the committed pre-change baseline) are written to
-//! `BENCH_medium_scale.json` at the workspace root so CI can archive the
-//! perf trajectory per PR. `-- --test` runs a shortened smoke sweep; the
-//! JSON is written either way.
+//! A full run writes the results (plus the committed pre-change
+//! baseline) to `BENCH_medium_scale.json` at the workspace root.
+//! `-- --test` runs a shortened smoke sweep and writes its JSON to
+//! `target/tmp` instead.
 
 use std::time::Instant;
 
@@ -197,8 +197,7 @@ fn main() {
         );
     }
 
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_medium_scale.json");
+    let path = rogue_bench::bench_json_path!("medium_scale", smoke);
     write_json(&path, frames, &results);
     println!("wrote {}", path.display());
 }

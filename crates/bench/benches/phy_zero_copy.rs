@@ -12,10 +12,10 @@
 //!   detected by pointer containment of each capture's payload within
 //!   the transmitted `Bytes` allocation.
 //!
-//! Results (plus the committed pre-refactor baseline) are written to
-//! `BENCH_phy_zero_copy.json` at the workspace root so CI can archive
-//! the perf trajectory per PR. `-- --test` runs a shortened smoke
-//! sweep; the JSON is written either way.
+//! A full run writes the results (plus the committed pre-refactor
+//! baseline) to `BENCH_phy_zero_copy.json` at the workspace root.
+//! `-- --test` runs a shortened smoke sweep and writes its JSON to
+//! `target/tmp` instead.
 
 use std::time::Instant;
 
@@ -185,8 +185,7 @@ fn main() {
         );
     }
 
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_phy_zero_copy.json");
+    let path = rogue_bench::bench_json_path!("phy_zero_copy", smoke);
     write_json(&path, frames, &results);
     println!("wrote {}", path.display());
 }

@@ -14,10 +14,10 @@
 //!   decrypts in place and reports 0. A pointer-containment audit
 //!   cross-checks that the returned plaintext aliases the wire buffer.
 //!
-//! Results (plus the committed pre-optimization baseline) are written
-//! to `BENCH_vpn_throughput.json` at the workspace root so CI can
-//! archive the perf trajectory per PR. `-- --test` runs a shortened
-//! smoke sweep; the JSON is written either way.
+//! A full run writes the results (plus the committed pre-optimization
+//! baseline) to `BENCH_vpn_throughput.json` at the workspace root.
+//! `-- --test` runs a shortened smoke sweep and writes its JSON to
+//! `target/tmp` instead.
 
 use std::time::Instant;
 
@@ -171,8 +171,7 @@ fn main() {
         );
     }
 
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_vpn_throughput.json");
+    let path = rogue_bench::bench_json_path!("vpn_throughput", smoke);
     write_json(&path, records, &results);
     println!("wrote {}", path.display());
 }

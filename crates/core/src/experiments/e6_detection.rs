@@ -4,43 +4,68 @@
 //! these rogues. These techniques rely on monitoring 802.11b Sequence
 //! Control numbers."
 //!
-//! A defender's monitor radio sweeps the channels; the captured beacons
-//! and data frames feed three detectors:
+//! A defender's monitor radio sweeps the channels; after the run one
+//! WIDS sensor drains its capture and every event visits two
+//! `rogue-wids` detectors, called directly rather than through a
+//! pipeline:
 //!
-//! * the **site auditor** (same BSSID on two channels — Figure 1's
-//!   cloned-BSSID rogue is exactly this),
-//! * the **sequence-control monitor** (two radios behind one transmitter
-//!   address produce interleaved counters / channel divergence),
-//! * the **wired monitor** — which stays silent, because the client-side
-//!   rogue never touches the wired LAN. That silence is the paper's §1
-//!   argument: "if an AP is not connected to the internal network, it is
-//!   not a threat" is exactly the logic this attack defeats.
+//! * the **beacon auditor** — the site audit against a registry holding
+//!   the corp AP on channel 1: the same BSSID beaconing on any other
+//!   channel is Figure 1's cloned-BSSID rogue,
+//! * the **sequence-control detector** (two radios behind one transmitter
+//!   address produce interleaved counters / channel divergence).
+//!
+//! A **wired monitor** on the corp switch completes §2.3's list. Here it
+//! has nothing to inspect: no frame crosses the corp switch during E6,
+//! so its silent column cannot fail. Where traffic does cross — the E2
+//! download — it stays silent too, because the MITM gateway's uplink
+//! relays the victim under the cloned, registered employee MAC (§2.1);
+//! without MAC filtering the uplink's own address is the one stranger
+//! (both runs are in `tests/paper_claims.rs`). That silence is the
+//! paper's §1 argument: "if an AP is not connected to the internal
+//! network, it is not a threat" is exactly the logic this attack
+//! defeats.
 
 use rayon::prelude::*;
-use rogue_detect::audit::SiteAuditor;
-use rogue_detect::AlarmKind;
 use rogue_dot11::monitor::Sniffer;
-use rogue_dot11::MacAddr;
 use rogue_phy::Pos;
 use rogue_sim::{Seed, SimDuration, SimTime};
-use rogue_wids::{Detector, RadioSensor, RawAlert, SensorId, SensorRing, SeqControlDetector};
+use rogue_wids::detectors::beacon::BeaconConfig;
+use rogue_wids::{
+    AlertKind, BeaconDetector, Detector, RadioSensor, RawAlert, SensorId, SensorRing,
+    SeqControlDetector,
+};
 
 use crate::scenario::{build_corp, corp_bssid, CorpScenarioCfg, RogueCfg};
 
-/// Run the streaming sequence-control detector over a finished capture
-/// buffer, returning alerts against `subject` (the E6 usage of the WIDS
-/// [`Detector`] interface: one sensor, one detector, post-hoc).
-fn seq_alerts_for(sniffer: &Sniffer, subject: MacAddr) -> Vec<RawAlert> {
+/// What E6's two radio detectors made of one sweep capture.
+struct SweepAlerts {
+    /// The sequence-control detector's alerts.
+    seq: Vec<RawAlert>,
+    /// The beacon auditor's alerts.
+    beacon: Vec<RawAlert>,
+    /// Broadcast beacons the auditor inspected.
+    beacons_seen: u64,
+}
+
+/// Drain a finished capture into one sensor ring and feed every event to
+/// the sequence-control detector and to the beacon auditor, whose
+/// registry holds the corp AP on channel 1.
+fn audit_sweep(sniffer: &Sniffer) -> SweepAlerts {
     let mut ring = SensorRing::new(sniffer.captures.len().max(1));
-    let mut sensor = RadioSensor::new(SensorId(0));
-    sensor.drain(sniffer, &mut ring);
-    let mut det = SeqControlDetector::default();
-    let mut alerts = Vec::new();
+    RadioSensor::new(SensorId(0)).drain(sniffer, &mut ring);
+    let mut seq = SeqControlDetector::default();
+    let mut beacon = BeaconDetector::new(BeaconConfig::single_ap(corp_bssid(), 1));
+    let (mut seq_alerts, mut beacon_alerts) = (Vec::new(), Vec::new());
     for ev in ring.drain() {
-        det.on_event(&ev, &mut alerts);
+        seq.on_event(&ev, &mut seq_alerts);
+        beacon.on_event(&ev, &mut beacon_alerts);
     }
-    alerts.retain(|a| a.subject == subject);
-    alerts
+    SweepAlerts {
+        seq: seq_alerts,
+        beacon: beacon_alerts,
+        beacons_seen: beacon.beacons_seen,
+    }
 }
 
 /// One replication's detection outcome.
@@ -48,12 +73,13 @@ fn seq_alerts_for(sniffer: &Sniffer, subject: MacAddr) -> Vec<RawAlert> {
 pub struct DetectionOutcome {
     /// When the rogue came on air.
     pub rogue_start: SimTime,
-    /// Site-audit detection (same BSSID, two channels): latency from
-    /// rogue start, seconds.
+    /// Site-audit detection (the corp BSSID beaconing off its registered
+    /// channel): latency from rogue start, seconds.
     pub audit_latency_secs: Option<f64>,
     /// Sequence/channel anomaly detection latency, seconds.
     pub seqmon_latency_secs: Option<f64>,
-    /// Did the wired monitor raise anything? (It should not.)
+    /// Did the wired monitor report a stranger? No frame crosses the
+    /// corp switch during E6, so it never does here.
     pub wired_alarmed: bool,
     /// Beacons the sweep captured.
     pub beacons_captured: usize,
@@ -90,28 +116,24 @@ pub fn run_detection_once(dwell: SimDuration, run_time: SimTime, seed: Seed) -> 
     }
 
     // Feed the detectors.
-    let sniffer = sc.world.sniffer(defender, mon);
-    let mut auditor = SiteAuditor::new();
-    auditor.authorize(corp_bssid(), 1);
-    auditor.audit(sniffer);
-    let audit_alarm = auditor
-        .alarms
+    let sweep = audit_sweep(sc.world.sniffer(defender, mon));
+    let audit_alarm = sweep
+        .beacon
         .iter()
-        .filter(|a| a.kind == AlarmKind::DuplicateBssid && a.at >= rogue_start)
+        .filter(|a| a.kind == AlertKind::BssidSpoof && a.at >= rogue_start)
         .map(|a| a.at)
         .min();
-
-    let seq_alarm = seq_alerts_for(sniffer, corp_bssid())
+    let seq_alarm = sweep
+        .seq
         .iter()
-        .filter(|a| a.at >= rogue_start)
+        .filter(|a| a.subject == corp_bssid() && a.at >= rogue_start)
         .map(|a| a.at)
         .min();
 
     let wired_alarmed = sc
         .world
         .wired_monitor(sc.monitor_node.expect("wired monitor deployed"))
-        .map(|m| !m.alarms.is_empty())
-        .unwrap_or(false);
+        .is_some_and(|m| !m.strangers.is_empty());
 
     let latency = |t: Option<SimTime>| {
         t.filter(|t| *t >= rogue_start)
@@ -122,7 +144,7 @@ pub fn run_detection_once(dwell: SimDuration, run_time: SimTime, seed: Seed) -> 
         audit_latency_secs: latency(audit_alarm),
         seqmon_latency_secs: latency(seq_alarm),
         wired_alarmed,
-        beacons_captured: sniffer.beacons().len(),
+        beacons_captured: sweep.beacons_seen as usize,
     }
 }
 
@@ -207,7 +229,7 @@ mod tests {
 
     #[test]
     fn wired_monitor_stays_silent() {
-        // The paper's point: this rogue never touches the wired LAN.
+        // Nothing crosses the corp switch during the sweep.
         let o = run_detection_once(
             SimDuration::from_millis(250),
             SimTime::from_secs(10),
@@ -230,13 +252,11 @@ mod tests {
             now = now.saturating_add(SimDuration::from_millis(250));
             sc.world.run_until(now);
         }
-        let sniffer = sc.world.sniffer(defender, mon);
-        let mut auditor = SiteAuditor::new();
-        auditor.authorize(corp_bssid(), 1);
-        auditor.audit(sniffer);
-        assert!(auditor.alarms.is_empty(), "{:?}", auditor.alarms);
+        let sweep = audit_sweep(sc.world.sniffer(defender, mon));
+        assert!(sweep.beacon.is_empty(), "{:?}", sweep.beacon);
+        assert!(sweep.beacons_seen > 0, "the sweep heard the corp AP");
         assert!(
-            seq_alerts_for(sniffer, corp_bssid()).is_empty(),
+            !sweep.seq.iter().any(|a| a.subject == corp_bssid()),
             "healthy AP must not trip the sequence detector"
         );
     }

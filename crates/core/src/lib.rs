@@ -3,7 +3,7 @@
 //!
 //! This crate composes the substrates (`rogue-phy`, `rogue-dot11`,
 //! `rogue-netstack`, `rogue-services`, `rogue-vpn`, `rogue-attack`,
-//! `rogue-detect`) into runnable worlds and implements the paper's
+//! `rogue-wids`) into runnable worlds and implements the paper's
 //! experiments:
 //!
 //! * [`world`] — the discrete-event composition: radios + MAC entities +
@@ -13,7 +13,7 @@
 //!   network with a two-NIC MITM gateway, and the hostile hotspot,
 //! * [`policy`] — client security policies compared by the defence
 //!   matrix (Open, WEP, WEP+MAC-filter, VPN-everything),
-//! * [`experiments`] — E1–E7, one module per paper artifact (see
+//! * [`experiments`] — E1–E10, one module per paper artifact (see
 //!   DESIGN.md §4), each returning a plain result struct that the
 //!   benches, examples and EXPERIMENTS.md tables are generated from,
 //! * [`report`] — fixed-width table rendering for harness output.

@@ -19,7 +19,6 @@
 use bytes::Bytes;
 use rogue_attack::{clone_ap, MitmGatewayConfig};
 use rogue_crypto::wep::WepKey;
-use rogue_detect::wired::WiredMonitor;
 use rogue_dot11::{ApConfig, MacAddr, StaConfig};
 use rogue_netstack::netfilter::SnatRule;
 use rogue_netstack::{IfIndex, Ipv4Addr};
@@ -31,6 +30,7 @@ use rogue_sim::{Seed, SimDuration, SimRng, SimTime};
 use rogue_vpn::client::VpnClientConfig;
 use rogue_vpn::server::{ClientAccount, VpnServerConfig};
 use rogue_vpn::{Transport, VpnClient, VpnServer, PSK_LEN};
+use rogue_wids::WiredMonitor;
 
 use crate::world::{NodeId, SwitchId, World};
 

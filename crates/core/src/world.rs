@@ -24,7 +24,6 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use rogue_attack::FrameInjector;
-use rogue_detect::wired::WiredMonitor;
 use rogue_dot11::ap::ApMac;
 use rogue_dot11::monitor::Sniffer;
 use rogue_dot11::output::{MacEvent, MacOutput};
@@ -39,6 +38,7 @@ use rogue_sim::queue::EventId;
 use rogue_sim::trace::Metrics;
 use rogue_sim::{Seed, ShardedQueue, SimDuration, SimRng, SimTime};
 use rogue_vpn::{VpnClient, VpnServer};
+use rogue_wids::WiredMonitor;
 
 /// Identifies a node in the world.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -1725,11 +1725,7 @@ mod tests {
         let b = w.add_node("b");
         w.add_wired_iface(b, sw, MacAddr::local(2), Ipv4Addr::new(10, 0, 0, 2), 24);
         let m = w.add_node("monitor");
-        w.add_wired_monitor(
-            m,
-            sw,
-            rogue_detect::wired::WiredMonitor::new([MacAddr::local(1)]),
-        );
+        w.add_wired_monitor(m, sw, WiredMonitor::new([MacAddr::local(1)]));
         // a pings b: ARP + echo both cross the switch.
         w.host_mut(a)
             .ping(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 1);
@@ -1737,9 +1733,9 @@ mod tests {
         w.run_until(SimTime::from_millis(100));
         let mon = w.wired_monitor(m).expect("attached");
         assert!(mon.inspected >= 2, "tap must see the exchange");
-        // b's MAC is unregistered: exactly one stranger alarm.
-        assert_eq!(mon.alarms.len(), 1);
-        assert_eq!(mon.alarms[0].subject, MacAddr::local(2));
+        // b's MAC is unregistered: exactly one stranger.
+        assert_eq!(mon.strangers.len(), 1);
+        assert_eq!(mon.strangers[0].1, MacAddr::local(2));
     }
 
     #[test]

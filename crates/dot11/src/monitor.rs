@@ -5,7 +5,7 @@
 //!
 //! * the attacker (`rogue-attack`): harvests WEP FMS samples and valid
 //!   client MACs for the ACL bypass,
-//! * the defender (`rogue-detect`): watches BSSIDs, channels and sequence
+//! * the defender (`rogue-wids`): watches BSSIDs, channels and sequence
 //!   numbers for rogue-AP fingerprints.
 
 use bytes::Bytes;

@@ -6,12 +6,11 @@
 //! when either end has actually moved. Channel changes do not touch
 //! positions and therefore never invalidate an entry.
 //!
-//! It serves [`crate::Medium::rssi_estimate_dbm`] and with it site-audit
-//! range predictions, which ask about the same (AP, sensor) pairs audit
-//! after audit. The frame path does not use it: an audible row is
-//! rebuilt only after the geometry changed, so its pairs rarely repeat,
-//! and at city scale the lookups cost more than the path loss they saved
-//! while the entries dominated the medium's memory.
+//! It serves [`crate::Medium::rssi_estimate_dbm`], which nothing outside
+//! this crate's tests calls. The frame path does not use it: an audible
+//! row is rebuilt only after the geometry changed, so its pairs rarely
+//! repeat, and at city scale the lookups cost more than the path loss
+//! they saved while the entries dominated the medium's memory.
 //!
 //! Lookups fill the cache from `&self` through a `Mutex` and atomic
 //! counters, so `Medium` stays `Sync` and may be read from several

@@ -41,9 +41,12 @@
 //! it can neither decode, nor trip CCA, nor contribute to an
 //! interference sum. The sparse path is bit-identical to the dense map
 //! under that cutoff: a sparse row omits exactly the entries the dense
-//! path's explicit floor comparison rejects, mid-flight moves pin the
-//! begin-era sample into an override list (floor-checked like any other
-//! sample), and interference sums run in the same ascending-id order.
+//! path's explicit floor comparison rejects, and interference sums run in
+//! the same ascending-id order. A radio that moves mid-flight changes
+//! neither path: a dense map reads the begin-era position snapshot, a
+//! sparse row keeps its begin-era samples, and a radio missing from the
+//! row was below the floor at begin, which every reader treats as no
+//! sample.
 //! The cutoff is also what makes city-scale interference tractable: a
 //! completion's interferer set is culled to transmitters whose audible
 //! disc can reach the candidate set at all (`plan_complete`), instead
@@ -167,13 +170,9 @@ enum TxPower {
     /// σ > 0 shadowing path, whose registration-order RNG draws cover
     /// the whole registry (and `force_dense` at σ == 0).
     Dense(LazyPower),
-    /// Only the radios at or above the audible floor, sorted by index
-    /// (shared with the per-source row cache), plus begin-era samples
-    /// pinned by `set_pos` for radios that moved mid-flight.
-    Sparse {
-        audible: AudibleRow,
-        overrides: Vec<(u32, f64)>,
-    },
+    /// Only the radios at or above the audible floor at begin time,
+    /// sorted by index (shared with the per-source row cache).
+    Sparse(AudibleRow),
 }
 
 #[derive(Debug)]
@@ -381,31 +380,6 @@ impl Medium {
         if old == pos {
             return;
         }
-        // Pin the begin-era sample into every retained sparse tx that
-        // doesn't already cover this radio: it may still be read as
-        // interference while the tx (or an overlapper) is in flight, and
-        // must come from the pre-move geometry, as a dense tx's samples do
-        // through its position snapshot. Pin even a sub-floor sample —
-        // `covered` must become true on the *first* move, or a second
-        // move would pin from intermediate geometry instead of begin-era
-        // geometry. Read-time floor comparisons reject sub-floor values
-        // on both paths identically.
-        let (ref_loss, exponent) = (self.params.ref_loss_db, self.params.path_loss_exponent);
-        for s in &mut self.txs {
-            let Some(t) = s.tx.as_mut() else { continue };
-            if id.0 >= t.radios_at_start || t.src == id {
-                continue;
-            }
-            if let TxPower::Sparse { audible, overrides } = &mut t.power {
-                let covered = audible.binary_search_by_key(&id.0, |e| e.0).is_ok()
-                    || overrides.iter().any(|e| e.0 == id.0);
-                if !covered {
-                    let p =
-                        t.tx_power_dbm - path_loss_db(t.src_pos.distance(old), ref_loss, exponent);
-                    overrides.push((id.0, p));
-                }
-            }
-        }
         self.grid.relocate(id.0, old, pos);
         self.radios[ri].pos = pos;
         self.radios[ri].pos_epoch += 1;
@@ -559,10 +533,7 @@ impl Medium {
         let power = if self.params.shadowing_sigma_db > 0.0 || self.force_dense {
             TxPower::Dense(self.lazy_power())
         } else {
-            TxPower::Sparse {
-                audible: self.audible_row(src.0, src_pos, tx_power, audible_range_m),
-                overrides: Vec::new(),
-            }
+            TxPower::Sparse(self.audible_row(src.0, src_pos, tx_power, audible_range_m))
         };
 
         let id = self.next_tx_id;
@@ -709,13 +680,15 @@ impl Medium {
     /// for any candidate and contributes nothing (the uniform cutoff,
     /// see [`Self::add_interference`]), so it is skipped wholesale.
     /// Valid only while no radio has been added or moved since either tx
-    /// began (`geom_epoch` guard): a mid-flight move re-pins samples as
-    /// overrides, which the disc argument cannot see. In a city-scale
-    /// world this one distance check removes ~99% of the interferer set
-    /// per plan.
+    /// began (`geom_epoch` guard): both discs hold begin-era positions,
+    /// so a radio that moved between the two begins can be a candidate
+    /// from its new position and hold an above-floor interferer sample
+    /// from its old one, however far apart the discs are. In a
+    /// city-scale world this one distance check removes ~99% of the
+    /// interferer set per plan.
     fn collect_interferers(&self, tx: &Transmission, tx_slot: u32, out: &mut Vec<u32>) {
         let cull_radius = (self.geom_epoch == tx.geom_epoch_at_start
-            && matches!(tx.power, TxPower::Sparse { .. })
+            && matches!(tx.power, TxPower::Sparse(_))
             && tx.audible_range_m.is_finite())
         .then_some(tx.audible_range_m);
         out.clear();
@@ -730,7 +703,7 @@ impl Medium {
                 }
                 if let Some(r_tx) = cull_radius {
                     if self.geom_epoch == o.geom_epoch_at_start
-                        && matches!(o.power, TxPower::Sparse { .. })
+                        && matches!(o.power, TxPower::Sparse(_))
                     {
                         // The pad mirrors the audible-row build's
                         // rounding absorption; it only ever keeps an
@@ -782,7 +755,7 @@ impl Medium {
                     }
                 }
             }
-            TxPower::Sparse { audible, .. } => {
+            TxPower::Sparse(audible) => {
                 for &(ri, p) in audible.iter() {
                     if self.listens(ri as usize, tx) {
                         admit(ri as usize, p);
@@ -839,7 +812,7 @@ impl Medium {
                     *sum += dbm_to_mw(p - rej);
                 }
             }
-            TxPower::Sparse { audible, overrides } => {
+            TxPower::Sparse(audible) => {
                 let mut k = 0;
                 for (&(ri, _), sum) in candidates.iter().zip(sums.iter_mut()) {
                     debug_assert_ne!(ri, o.src.0, "an interferer's source is deaf");
@@ -849,13 +822,10 @@ impl Medium {
                     while k < audible.len() && audible[k].0 < ri {
                         k += 1;
                     }
-                    let p = if k < audible.len() && audible[k].0 == ri {
-                        audible[k].1
-                    } else if let Some(e) = overrides.iter().find(|e| e.0 == ri) {
-                        e.1
-                    } else {
+                    if k == audible.len() || audible[k].0 != ri {
                         continue;
-                    };
+                    }
+                    let p = audible[k].1;
                     if p < floor {
                         continue;
                     }
@@ -881,11 +851,10 @@ impl Medium {
         }
         match &tx.power {
             TxPower::Dense(lp) => Some(self.lazy_dbm(tx, lp, ri)),
-            TxPower::Sparse { audible, overrides } => audible
+            TxPower::Sparse(audible) => audible
                 .binary_search_by_key(&(ri as u32), |e| e.0)
                 .ok()
-                .map(|k| audible[k].1)
-                .or_else(|| overrides.iter().find(|e| e.0 == ri as u32).map(|e| e.1)),
+                .map(|k| audible[k].1),
         }
     }
 
@@ -1016,7 +985,7 @@ impl Medium {
             .filter_map(|s| s.tx.as_ref())
             .map(|t| match &t.power {
                 TxPower::Dense(lp) => lp.cells.len(),
-                TxPower::Sparse { audible, overrides } => audible.len() + overrides.len(),
+                TxPower::Sparse(audible) => audible.len(),
             })
             .sum()
     }
@@ -1531,7 +1500,7 @@ mod tests {
         let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
         let (h, end) = m.begin_tx(SimTime::ZERO, a, bytes(500), Bitrate::B1);
         // Registered mid-flight, then moved mid-flight: still invisible
-        // to the in-flight tx (no begin-time sample, no override).
+        // to the in-flight tx (no begin-time sample).
         let late = m.add_radio(Pos::new(5.0, 0.0), 1, 15.0);
         m.set_pos(late, Pos::new(3.0, 0.0));
         let ds = m.complete_tx(end, h);

@@ -1,9 +1,10 @@
 //! Beacon analysis: SSID clones, BSSID spoofs, and churn.
 //!
-//! The streaming counterpart of `rogue_detect::audit::SiteAuditor` —
-//! instead of digesting a finished sweep, it checks every beacon as it
-//! arrives against the administrator's AP registry ("good record
-//! keeping", §2.3 of the paper):
+//! The radio site audit of §2.3 ("good record keeping and doing radio
+//! site audits will help detect these rogues"), streamed: it checks
+//! every beacon as it arrives against the administrator's AP registry.
+//! E6 feeds it a finished channel sweep; the pipeline feeds it live
+//! sensors.
 //!
 //! * an **authorized BSSID** heard beaconing on a channel it is not
 //!   registered for is the Figure-1 cloned-BSSID rogue,
@@ -286,6 +287,35 @@ mod tests {
         assert_eq!(out.len(), 1, "one alert per (bssid, channel): {out:?}");
         assert_eq!(out[0].kind, AlertKind::BssidSpoof);
         assert_eq!(out[0].subject, corp);
+    }
+
+    #[test]
+    fn cloned_bssid_on_second_channel_alarms() {
+        // Figure 1: the same BSSID beaconing on channels 1 and 6.
+        let bssid = MacAddr::local(1);
+        let mut d = BeaconDetector::new(BeaconConfig::single_ap(bssid, 1));
+        let mut out = Vec::new();
+        d.on_event(&beacon(0, bssid, "CORP", 1), &mut out);
+        d.on_event(&beacon(120, bssid, "CORP", 6), &mut out);
+        assert_eq!(d.beacons_seen, 2);
+        assert!(out
+            .iter()
+            .any(|a| a.kind == AlertKind::BssidSpoof && a.subject == bssid));
+    }
+
+    #[test]
+    fn clean_network_no_alarms() {
+        // Two registered members of one ESS, each on its own channel.
+        let (a, b) = (MacAddr::local(1), MacAddr::local(2));
+        let mut d = BeaconDetector::new(BeaconConfig {
+            authorized: vec![(a, 1), (b, 6)],
+            ..BeaconConfig::default()
+        });
+        let mut out = Vec::new();
+        d.on_event(&beacon(0, a, "CORP", 1), &mut out);
+        d.on_event(&beacon(100, b, "CORP", 6), &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(d.beacons_seen, 2);
     }
 
     #[test]

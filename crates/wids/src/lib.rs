@@ -16,7 +16,8 @@
 //!   the pipeline.
 //! * [`sensors`] — taps that digest capture substrates into events:
 //!   [`sensors::RadioSensor`] over monitor-mode sniffer buffers,
-//!   [`sensors::WiredSensor`] over a switch span port.
+//!   [`sensors::WiredSensor`] over a switch span port, and the
+//!   [`sensors::WiredMonitor`] MAC census on the same port.
 //! * [`detector`] — the per-event [`detector::Detector`] interface and
 //!   the [`detector::RawAlert`] evidence type.
 //! * [`detectors`] — the built-in suite: sequence-control anomalies,
@@ -54,4 +55,4 @@ pub use detectors::{
 pub use eval::{evaluate, EvalOutcome, TruthLabel};
 pub use event::{ArpEvent, Dot11Event, Dot11Kind, SensorEvent, SensorId, SensorRing};
 pub use pipeline::{WidsConfig, WidsPipeline};
-pub use sensors::{RadioSensor, WiredSensor};
+pub use sensors::{RadioSensor, WiredMonitor, WiredSensor};

@@ -14,7 +14,6 @@
 //! cases live in bounded tables ([`crate::sketch`]), so a step's cost
 //! does not grow with the number of addresses an attacker mints.
 
-use rogue_detect::seqmon::SeqMonConfig;
 use rogue_dot11::MacAddr;
 use rogue_netstack::Ipv4Addr;
 use rogue_sim::trace::Metrics;
@@ -27,7 +26,7 @@ use crate::detectors::beacon::{BeaconConfig, BeaconDetector};
 use crate::detectors::deauth::{DeauthFloodConfig, DeauthFloodDetector};
 use crate::detectors::probe::{ProbeAuditConfig, ProbeAuditDetector};
 use crate::detectors::rssi::{RssiSplitConfig, RssiSplitDetector};
-use crate::detectors::seq::SeqControlDetector;
+use crate::detectors::seq::{SeqControlDetector, SeqMonConfig};
 use crate::event::{SensorId, SensorRing};
 
 /// Whole-pipeline configuration.

@@ -5,11 +5,16 @@
 //! and after each slice the sensor converts only what arrived since its
 //! last drain. A [`WiredSensor`] does the same for a switch span port,
 //! decoding Ethernet frames and surfacing the ARP traffic the wired-side
-//! detectors inspect.
+//! detectors inspect. A [`WiredMonitor`] is the paper's wired-segment
+//! MAC census on the same span port: it flags source addresses missing
+//! from the registry.
+
+use std::collections::HashSet;
 
 use bytes::Bytes;
 use rogue_dot11::frame::FrameBody;
 use rogue_dot11::monitor::{Capture, Sniffer};
+use rogue_dot11::MacAddr;
 use rogue_netstack::arp::{ArpOp, ArpPacket};
 use rogue_netstack::ethernet::EthFrame;
 use rogue_sim::SimTime;
@@ -143,11 +148,53 @@ impl WiredSensor {
     }
 }
 
+/// Wired-segment monitoring (§2.3: "monitoring the traffic on the wired
+/// LAN can also aid in detection of Rogue APs"): a registry of the
+/// site's devices, and the first sighting of every other source MAC on
+/// the segment. It catches a rogue AP bridged onto the wired LAN under
+/// its own address. Of the paper's client-side rogue it sees only the
+/// MITM gateway's wireless uplink relaying the victims onto the LAN,
+/// and under MAC filtering that uplink wears a cloned, registered
+/// employee address and passes (§2.1).
+pub struct WiredMonitor {
+    /// Registered devices plus every stranger already reported.
+    seen: HashSet<MacAddr>,
+    /// Each unregistered source's first sighting, in order.
+    pub strangers: Vec<(SimTime, MacAddr)>,
+    /// Frames inspected.
+    pub inspected: u64,
+}
+
+impl WiredMonitor {
+    /// Monitor with the given authorized-device registry.
+    pub fn new(known: impl IntoIterator<Item = MacAddr>) -> WiredMonitor {
+        WiredMonitor {
+            seen: known.into_iter().collect(),
+            strangers: Vec::new(),
+            inspected: 0,
+        }
+    }
+
+    /// Add a device to the registry.
+    pub fn register(&mut self, mac: MacAddr) {
+        self.seen.insert(mac);
+    }
+
+    /// Inspect one wired frame.
+    pub fn inspect(&mut self, at: SimTime, frame_bytes: &Bytes) {
+        self.inspected += 1;
+        if let Some(eth) = EthFrame::decode(frame_bytes) {
+            if self.seen.insert(eth.src) {
+                self.strangers.push((at, eth.src));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rogue_dot11::frame::{Frame, MgmtInfo, CAP_ESS};
-    use rogue_dot11::MacAddr;
     use rogue_netstack::Ipv4Addr;
 
     #[test]
@@ -226,5 +273,43 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn eth_from(src: MacAddr) -> Bytes {
+        EthFrame::new(MacAddr::BROADCAST, src, 0x0800, Bytes::from_static(b"x")).encode()
+    }
+
+    #[test]
+    fn known_devices_pass() {
+        let mut m = WiredMonitor::new([MacAddr::local(1), MacAddr::local(2)]);
+        m.inspect(SimTime::ZERO, &eth_from(MacAddr::local(1)));
+        m.inspect(SimTime::ZERO, &eth_from(MacAddr::local(2)));
+        assert!(m.strangers.is_empty());
+        assert_eq!(m.inspected, 2);
+    }
+
+    #[test]
+    fn stranger_alarms_once() {
+        let mut m = WiredMonitor::new([MacAddr::local(1)]);
+        m.inspect(SimTime::from_millis(5), &eth_from(MacAddr::local(66)));
+        m.inspect(SimTime::from_millis(6), &eth_from(MacAddr::local(66)));
+        assert_eq!(m.strangers, [(SimTime::from_millis(5), MacAddr::local(66))]);
+        assert_eq!(m.inspected, 2);
+    }
+
+    #[test]
+    fn late_registration_suppresses() {
+        let mut m = WiredMonitor::new([]);
+        m.register(MacAddr::local(9));
+        m.inspect(SimTime::ZERO, &eth_from(MacAddr::local(9)));
+        assert!(m.strangers.is_empty());
+    }
+
+    #[test]
+    fn garbage_ignored() {
+        let mut m = WiredMonitor::new([]);
+        m.inspect(SimTime::ZERO, &Bytes::from_static(b"short"));
+        assert!(m.strangers.is_empty());
+        assert_eq!(m.inspected, 1);
     }
 }

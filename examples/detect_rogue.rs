@@ -1,5 +1,5 @@
 //! §2.3: detecting the rogue — site audit, sequence-control monitoring,
-//! and the wired monitor's telling silence.
+//! and the wired monitor's silence.
 //!
 //! ```text
 //! cargo run --release --example detect_rogue
@@ -31,7 +31,7 @@ fn main() {
             .unwrap_or_else(|| "not detected".into())
     );
     println!(
-        "wired monitor alarmed          : {} (the rogue never touches the wired LAN)\n",
+        "wired monitor alarmed          : {} (no frame crosses the corp switch during the sweep)\n",
         o.wired_alarmed
     );
 

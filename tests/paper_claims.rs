@@ -10,6 +10,9 @@ use rogue_core::experiments::e5_tcp_over_tcp::{tunnel_comparison, InnerFlow};
 use rogue_core::experiments::e6_detection::run_detection_once;
 use rogue_core::experiments::e7_matrix::{defense_matrix, scenario_for};
 use rogue_core::policy::ClientPolicy;
+use rogue_core::scenario::{addrs, build_corp};
+use rogue_dot11::MacAddr;
+use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimRng, SimTime};
 use rogue_vpn::Transport;
 
@@ -102,7 +105,12 @@ fn claim_tcp_encap_retransmits_udp() {
 }
 
 /// §2.3: sequence-control monitoring and site audits detect the rogue;
-/// wired-side monitoring does not (the rogue never touches the LAN).
+/// wired-side monitoring does not. No frame crosses the corp switch
+/// during E6, so the wired half is also checked where traffic does
+/// cross it, under the paper's download MITM: the gateway relays the
+/// victim across the corp LAN under the cloned, registered employee MAC
+/// (§2.1), and the monitor stays silent. Without MAC filtering the
+/// uplink keeps its own address, and that address is the one stranger.
 #[test]
 fn claim_detection_asymmetry() {
     let o = run_detection_once(
@@ -113,6 +121,40 @@ fn claim_detection_asymmetry() {
     assert!(o.audit_latency_secs.is_some());
     assert!(o.seqmon_latency_secs.is_some());
     assert!(!o.wired_alarmed);
+
+    let (inspected, strangers) = wired_census_under_download(true);
+    assert!(inspected > 0, "the download must cross the corp LAN");
+    assert!(strangers.is_empty(), "{strangers:?}");
+    let (_, strangers) = wired_census_under_download(false);
+    let only: Vec<MacAddr> = strangers.iter().map(|&(_, mac)| mac).collect();
+    assert_eq!(only, [MacAddr::local(60)], "the uplink's own MAC");
+}
+
+/// Frames the corp switch's wired monitor inspected, and the strangers
+/// it found, over the paper's download MITM at `Seed(8)`, with or
+/// without MAC filtering (which makes the gateway's uplink clone the
+/// employee MAC).
+fn wired_census_under_download(mac_filter: bool) -> (u64, Vec<(SimTime, MacAddr)>) {
+    let cfg = DownloadMitmConfig::paper();
+    let mut scenario = cfg.scenario.clone();
+    scenario.wired_monitor = true;
+    scenario.mac_filter = mac_filter;
+    let mut sc = build_corp(&scenario, Seed(8));
+    sc.world.add_app(
+        sc.victim,
+        Box::new(DownloadClient::new(
+            addrs::TARGET,
+            "/download.html",
+            cfg.download_start,
+            cfg.download_timeout,
+        )),
+    );
+    sc.world.run_until(cfg.run_time);
+    let monitor = sc
+        .world
+        .wired_monitor(sc.monitor_node.expect("wired monitor deployed"))
+        .expect("attached to the corp switch");
+    (monitor.inspected, monitor.strangers.clone())
 }
 
 /// The thesis, in one table: only the VPN row defeats the attack.
