@@ -1,5 +1,6 @@
 //! WIDS engine throughput: events/s and incidents/s at N monitor
-//! sensors.
+//! sensors, plus what a pipeline costs to build and how much detector
+//! state the run leaves allocated.
 //!
 //! The workload is a deterministic multi-sensor campus under attack:
 //! per sensor, a pool of well-behaved clients plus an interleaved MAC
@@ -16,6 +17,11 @@
 //! engines opened the same incidents. The seed engine's events/s from
 //! its last full run is kept as [`BASELINE`].
 //!
+//! Two memory columns ride along: `build_us`, the median wall time of
+//! `WidsPipeline::new` plus drop at the sensor count's configuration,
+//! and `resident_bytes`, the detector state allocated after the run,
+//! next to its bound (`bound_bytes`, `WidsPipeline::detector_state_bytes`).
+//!
 //! Run modes:
 //!   cargo bench -p rogue-bench --bench wids_throughput            # full
 //!   cargo bench -p rogue-bench --bench wids_throughput -- --test  # smoke
@@ -24,6 +30,7 @@
 //! the smoke writes it to `target/tmp`.
 
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
@@ -290,9 +297,19 @@ fn rows(incidents: &[rogue_wids::Incident]) -> Vec<IncidentRow> {
         .collect()
 }
 
+/// What one timed run of the pipeline leaves behind.
+struct Run {
+    secs: f64,
+    incidents: Vec<IncidentRow>,
+    raw_alerts: u64,
+    evictions: u64,
+    resident_bytes: usize,
+    bound_bytes: usize,
+}
+
 /// One timed run of the pipeline over pre-staged slices. Each slice fits
 /// the ring, and the step's stable time sort keeps the slice's order.
-fn run_engine(sensors: usize, slices: Vec<Vec<SensorEvent>>) -> (f64, Vec<IncidentRow>, u64, u64) {
+fn run_engine(sensors: usize, slices: Vec<Vec<SensorEvent>>) -> Run {
     let mut pipe = WidsPipeline::new(wids_config(sensors));
     let t0 = Instant::now();
     for slice in slices {
@@ -309,8 +326,29 @@ fn run_engine(sensors: usize, slices: Vec<Vec<SensorEvent>>) -> (f64, Vec<Incide
         0,
         "slices must fit the ring"
     );
-    let raw = pipe.metrics().counter("wids.alerts_raw");
-    (dt, rows(pipe.incidents()), raw, pipe.state_evictions())
+    Run {
+        secs: dt,
+        incidents: rows(pipe.incidents()),
+        raw_alerts: pipe.metrics().counter("wids.alerts_raw"),
+        evictions: pipe.state_evictions(),
+        resident_bytes: pipe.detector_resident_bytes(),
+        bound_bytes: pipe.detector_state_bytes(),
+    }
+}
+
+/// Median wall time of `WidsPipeline::new` plus drop, in microseconds.
+fn build_us(sensors: usize, reps: usize) -> f64 {
+    let cfg = wids_config(sensors);
+    let mut us: Vec<f64> = (0..reps)
+        .map(|_| {
+            let cfg = cfg.clone();
+            let t0 = Instant::now();
+            drop(black_box(WidsPipeline::new(cfg)));
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[reps / 2]
 }
 
 /// FNV-1a over every incident row's fields, the score as its bits.
@@ -340,6 +378,9 @@ struct Sweep {
     incidents: usize,
     incidents_per_s: f64,
     raw_alerts: u64,
+    build_us: f64,
+    resident_bytes: usize,
+    bound_bytes: usize,
 }
 
 fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -> Sweep {
@@ -349,17 +390,29 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
     let mut best_dt = f64::INFINITY;
     let mut out = None;
     for _ in 0..reps {
-        let (dt, inc, raw, evictions) = run_engine(sensors, slices.clone());
-        best_dt = best_dt.min(dt);
+        let run = run_engine(sensors, slices.clone());
+        best_dt = best_dt.min(run.secs);
         // The randomizer must actually pressure the bounded tables.
         // (Smoke streams are too short to overflow a 4-way group.)
         assert!(
-            smoke || evictions > 0,
+            smoke || run.evictions > 0,
             "churn must recycle bounded-table slots"
         );
-        out = Some((inc, raw));
+        assert!(
+            run.resident_bytes <= run.bound_bytes,
+            "{} B resident exceed the {} B bound",
+            run.resident_bytes,
+            run.bound_bytes
+        );
+        out = Some(run);
     }
-    let (incidents, raw_alerts) = out.expect("at least one rep");
+    let Run {
+        incidents,
+        raw_alerts,
+        resident_bytes,
+        bound_bytes,
+        ..
+    } = out.expect("at least one rep");
     let &(_, smoke_digest, smoke_raw, full_digest, full_raw) = EXPECTED
         .iter()
         .find(|e| e.0 == sensors)
@@ -387,6 +440,9 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
         incidents: incidents.len(),
         incidents_per_s: incidents.len() as f64 / best_dt,
         raw_alerts,
+        build_us: build_us(sensors, if smoke { 11 } else { 101 }),
+        resident_bytes,
+        bound_bytes,
     }
 }
 
@@ -406,7 +462,8 @@ fn write_json(path: &Path, sweeps: &[Sweep], mode: &str) -> std::io::Result<()> 
             f,
             "    {{\"sensors\": {}, \"events\": {}, \"baseline_eps\": {:.0}, \
              \"engine_eps\": {:.0}, \"speedup\": {:.2}, \"incidents\": {}, \
-             \"incidents_per_s\": {:.1}, \"raw_alerts\": {}}}{comma}",
+             \"incidents_per_s\": {:.1}, \"raw_alerts\": {}, \"build_us\": {:.1}, \
+             \"resident_bytes\": {}, \"bound_bytes\": {}}}{comma}",
             s.sensors,
             s.events,
             s.baseline_eps,
@@ -414,7 +471,10 @@ fn write_json(path: &Path, sweeps: &[Sweep], mode: &str) -> std::io::Result<()> 
             s.engine_eps / s.baseline_eps,
             s.incidents,
             s.incidents_per_s,
-            s.raw_alerts
+            s.raw_alerts,
+            s.build_us,
+            s.resident_bytes,
+            s.bound_bytes
         )?;
     }
     writeln!(f, "  ],")?;
@@ -436,19 +496,26 @@ fn main() {
     };
 
     println!("WIDS throughput: pipeline vs the committed seed-engine baseline ({mode})");
-    println!("| sensors | events | baseline ev/s | pipeline ev/s | speedup | incidents |");
-    println!("|---------|--------|---------------|---------------|---------|-----------|");
+    println!(
+        "| sensors | events | baseline ev/s | pipeline ev/s | speedup | incidents | build µs | resident B | bound B |"
+    );
+    println!(
+        "|---------|--------|---------------|---------------|---------|-----------|----------|------------|---------|"
+    );
     let mut sweeps = Vec::new();
     for sensors in [1, 2, 4, 8] {
         let s = measure(sensors, events_per_sensor, reps, smoke);
         println!(
-            "| {} | {} | {:.0} | {:.0} | {:.2}x | {} |",
+            "| {} | {} | {:.0} | {:.0} | {:.2}x | {} | {:.1} | {} | {} |",
             s.sensors,
             s.events,
             s.baseline_eps,
             s.engine_eps,
             s.engine_eps / s.baseline_eps,
-            s.incidents
+            s.incidents,
+            s.build_us,
+            s.resident_bytes,
+            s.bound_bytes
         );
         sweeps.push(s);
     }

@@ -1124,6 +1124,11 @@ impl World {
         self.queue.dispatched()
     }
 
+    /// Events scheduled and not yet dispatched, across all shards.
+    pub fn pending_events(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Region ownership of an event: the stripe of the position whose
     /// state its dispatch touches first. Stable for the whole run once
     /// the region map exists; shard 0 before that (setup-time events).

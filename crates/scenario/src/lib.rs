@@ -37,7 +37,7 @@ pub mod spec;
 pub mod toml;
 
 pub use compile::{compile, Compiled};
-pub use run::{apply_override, run_scenario, run_summary, SummaryStats};
+pub use run::{apply_override, run_scenario, run_summary, run_tick, SummaryStats};
 pub use spec::{parse_scenario, ReportKind, Scenario};
 pub use toml::{parse, parse_value_or_str, Error};
 

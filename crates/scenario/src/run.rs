@@ -17,7 +17,7 @@ use rogue_dot11::MacEvent;
 use rogue_dot11::StaState;
 use rogue_services::apps::{BrowserApp, DownloadClient};
 use rogue_services::traffic::{PingApp, UdpCbrSource, UdpSink};
-use rogue_sim::SimTime;
+use rogue_sim::{SimDuration, SimTime};
 
 use crate::compile::{compile, Compiled};
 use crate::spec::{ReportKind, Scenario};
@@ -68,6 +68,28 @@ pub struct SummaryRun {
     pub stats: SummaryStats,
 }
 
+/// One scenario tick ending at `now`: run the world there, move the
+/// walkers over `tick`, then drain the WIDS sensors (radio monitors and
+/// the span port) into the pipeline and step it. [`run_summary`] calls
+/// this once per tick up to the horizon; tests that sample a run between
+/// ticks drive the same loop through it.
+pub fn run_tick(c: &mut Compiled, now: SimTime, tick: SimDuration) {
+    c.world.run_until(now);
+    c.mobility.step(now, tick, &mut c.world.medium);
+    if let Some(w) = &mut c.wids {
+        for (sensor, &mon) in w.radio_sensors.iter_mut().zip(&w.monitors) {
+            sensor.drain(c.world.sniffer(w.node, mon), &mut w.pipe.ring);
+        }
+        if let Some(tap) = c.world.wire_tap(w.node) {
+            for (at, bytes) in &tap.frames[w.wired_cursor..] {
+                w.wired_sensor.ingest(*at, bytes, &mut w.pipe.ring);
+            }
+            w.wired_cursor = tap.frames.len();
+        }
+        w.pipe.step(now);
+    }
+}
+
 /// Compile `sc` and run it to its horizon, stepping mobility and the
 /// WIDS pipeline on the scenario tick.
 pub fn run_summary(sc: &Scenario) -> Result<SummaryRun, Error> {
@@ -76,20 +98,7 @@ pub fn run_summary(sc: &Scenario) -> Result<SummaryRun, Error> {
     let mut now = SimTime::ZERO;
     while now < end {
         now = (now + sc.tick).min(end);
-        c.world.run_until(now);
-        c.mobility.step(now, sc.tick, &mut c.world.medium);
-        if let Some(w) = &mut c.wids {
-            for (sensor, &mon) in w.radio_sensors.iter_mut().zip(&w.monitors) {
-                sensor.drain(c.world.sniffer(w.node, mon), &mut w.pipe.ring);
-            }
-            if let Some(tap) = c.world.wire_tap(w.node) {
-                for (at, bytes) in &tap.frames[w.wired_cursor..] {
-                    w.wired_sensor.ingest(*at, bytes, &mut w.pipe.ring);
-                }
-                w.wired_cursor = tap.frames.len();
-            }
-            w.pipe.step(now);
-        }
+        run_tick(&mut c, now, sc.tick);
     }
 
     let mut stats = SummaryStats {

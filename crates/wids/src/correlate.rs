@@ -241,9 +241,15 @@ impl Correlator {
         self.opened.insert(key, (id as usize, case));
     }
 
-    /// Fixed footprint of the dedup and pending-case tables, in bytes.
+    /// Bound on the footprint of the dedup and pending-case tables, in
+    /// bytes.
     pub fn state_bytes(&self) -> usize {
         self.last_claim.bytes() + self.pending.bytes()
+    }
+
+    /// Dedup and pending-case table memory allocated so far, in bytes.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.last_claim.resident_bytes() + self.pending.resident_bytes()
     }
 
     /// Entries held: dedup claims, pending case files and opened cases.

@@ -12,7 +12,7 @@
 //!
 //! The learned binding table, the conflict-alert latches, and the burst
 //! counters all live on the bounded substrates in [`crate::sketch`]:
-//! memory is fixed at construction, so a spoofer cycling forged
+//! memory is capped at construction, so a spoofer cycling forged
 //! addresses recycles slots instead of growing the detector.
 
 use rogue_dot11::MacAddr;
@@ -84,12 +84,20 @@ impl ArpSpoofDetector {
         *self.bindings.entry(SimTime::ZERO, hash_ip(ip), ip, || mac) = mac;
     }
 
-    /// Fixed state footprint, in bytes.
+    /// Bound on the state footprint, in bytes.
     pub fn state_bytes(&self) -> usize {
         self.bindings.bytes()
             + self.alerted_conflicts.bytes()
             + self.gratuitous.bytes()
             + self.alerted_bursts.bytes()
+    }
+
+    /// State allocated so far, in bytes.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.bindings.resident_bytes()
+            + self.alerted_conflicts.resident_bytes()
+            + self.gratuitous.resident_bytes()
+            + self.alerted_bursts.resident_bytes()
     }
 }
 

@@ -88,9 +88,16 @@ impl OwnedSsids {
         self.names.iter().flatten().count()
     }
 
-    /// Fixed footprint: every slot holding a name of the longest length.
+    /// Bound on the footprint: every slot holding a name of the longest
+    /// length.
     pub(crate) fn bytes(&self) -> usize {
         self.names.len() * (size_of::<Option<String>>() + MAX_SSID_BYTES)
+    }
+
+    /// Footprint now: the slots plus the names learned so far.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let learned: usize = self.names.iter().flatten().map(String::capacity).sum();
+        self.names.len() * size_of::<Option<String>>() + learned
     }
 }
 
@@ -160,10 +167,17 @@ impl BeaconDetector {
         }
     }
 
-    /// Fixed footprint of the owned names, the clone latches and the
-    /// churn sketch, in bytes.
+    /// Bound on the footprint of the owned names, the clone latches and
+    /// the churn sketch, in bytes.
     pub fn state_bytes(&self) -> usize {
         self.owned_ssids.bytes() + self.alerted_clone.bytes() + self.churn.bytes()
+    }
+
+    /// State allocated so far, in bytes.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.owned_ssids.resident_bytes()
+            + self.alerted_clone.resident_bytes()
+            + self.churn.resident_bytes()
     }
 
     /// SSIDs learned as owned (at most one per registry entry).

@@ -6,7 +6,7 @@
 //! system at work. Legitimate disconnects are rare and isolated; the
 //! detector counts deauths per claimed transmitter in a sliding window.
 //!
-//! Counting lives in [`WindowCounter`] sketches, so memory is fixed no
+//! Counting lives in [`WindowCounter`] sketches, so memory is capped no
 //! matter how many forged transmitter addresses appear. Two horizons run
 //! side by side:
 //!
@@ -80,9 +80,15 @@ impl DeauthFloodDetector {
         }
     }
 
-    /// Fixed state footprint (sketches plus latch table), in bytes.
+    /// Bound on the state footprint (sketches plus latch table), in
+    /// bytes.
     pub fn state_bytes(&self) -> usize {
         self.short.bytes() + self.long.bytes() + self.flags.bytes()
+    }
+
+    /// State allocated so far, in bytes.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.short.resident_bytes() + self.long.resident_bytes() + self.flags.resident_bytes()
     }
 }
 

@@ -10,9 +10,9 @@
 //! | [`probe::ProbeAuditDetector`] | cloaked twins, karma probe responders | radio |
 //!
 //! Every per-source map in the suite lives on the bounded substrates in
-//! [`crate::sketch`], so detector memory is fixed at construction no
+//! [`crate::sketch`], so detector memory is capped at construction no
 //! matter how many distinct (possibly attacker-randomized) addresses the
-//! sensors report.
+//! sensors report, and only what the traffic writes is allocated.
 
 pub mod arp;
 pub mod beacon;

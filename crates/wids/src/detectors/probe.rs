@@ -90,10 +90,18 @@ impl ProbeAuditDetector {
         }
     }
 
-    /// Fixed state footprint of the owned names and the bounded
+    /// Bound on the state footprint of the owned names and the bounded
     /// substrates, in bytes.
     pub fn state_bytes(&self) -> usize {
         self.owned_ssids.bytes() + self.flags.bytes() + self.seen_pairs.bytes() + self.karma.bytes()
+    }
+
+    /// State allocated so far, in bytes.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.owned_ssids.resident_bytes()
+            + self.flags.resident_bytes()
+            + self.seen_pairs.resident_bytes()
+            + self.karma.resident_bytes()
     }
 
     /// SSIDs learned as owned (at most one per registry entry).

@@ -12,7 +12,7 @@
 //! State lives in a [`BoundedTable`] keyed by (TA, sensor, channel) but
 //! *grouped* by transmitter hash, so every vantage point on one
 //! transmitter competes for the same group's ways. Like every per-source
-//! map in the suite, memory is fixed at construction: a MAC-randomizing
+//! map in the suite, memory is capped at construction: a MAC-randomizing
 //! attacker recycles slots instead of growing the detector.
 
 use rogue_dot11::MacAddr;
@@ -92,9 +92,14 @@ impl RssiSplitDetector {
         self.table.tracked()
     }
 
-    /// Fixed per-source state footprint, in bytes.
+    /// Bound on the per-source state footprint, in bytes.
     pub fn state_bytes(&self) -> usize {
         self.table.bytes()
+    }
+
+    /// Per-source state allocated so far, in bytes.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.table.resident_bytes()
     }
 
     /// Entries recycled under source-cardinality pressure.

@@ -106,9 +106,14 @@ impl SeqControlDetector {
         self.table.tracked()
     }
 
-    /// Fixed per-source state footprint, in bytes.
+    /// Bound on the per-source state footprint, in bytes.
     pub fn state_bytes(&self) -> usize {
         self.table.bytes()
+    }
+
+    /// Per-source state allocated so far, in bytes.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.table.resident_bytes()
     }
 
     /// Entries recycled under source-cardinality pressure.

@@ -26,7 +26,8 @@
 //!   (cloaked twins, karma responders).
 //! * [`sketch`] — the bounded state substrates (windowed count-min
 //!   sketches, set-associative tables) keeping detector and correlator
-//!   memory fixed under address-randomizing attackers.
+//!   memory capped under address-randomizing attackers, and allocated
+//!   only where the traffic writes.
 //! * [`correlate`] — dedup and noisy-or fusion of raw alerts into
 //!   scored [`correlate::Incident`]s.
 //! * [`eval`] — precision / recall / latency scoring against scripted

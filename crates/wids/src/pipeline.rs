@@ -177,10 +177,13 @@ impl WidsPipeline {
         &self.correlator
     }
 
-    /// Total fixed footprint of the pipeline's bounded per-source state
-    /// (the detectors' tables and sketches plus the correlator's dedup
-    /// and pending-case tables), in bytes. Constant over the pipeline's
-    /// lifetime — the bounded-memory suite pins this.
+    /// Bound on the pipeline's per-source state (the detectors' tables
+    /// and sketches plus the correlator's dedup and pending-case tables),
+    /// in bytes: their footprint with every group and sketch counter
+    /// allocated. Fixed by the configuration — the bounded-memory suite
+    /// pins that no flood moves it. Storage under it is allocated on
+    /// first write; [`WidsPipeline::detector_resident_bytes`] reports
+    /// how much.
     pub fn detector_state_bytes(&self) -> usize {
         self.seq.state_bytes()
             + self.beacon.state_bytes()
@@ -189,6 +192,20 @@ impl WidsPipeline {
             + self.arp.state_bytes()
             + self.probe.state_bytes()
             + self.correlator.state_bytes()
+    }
+
+    /// The part of the same state allocated so far, in bytes: every
+    /// table's group directory plus the groups and sketch counters that
+    /// have been written. Grows with the sources the traffic carries
+    /// until the tables saturate, never with the sources past that.
+    pub fn detector_resident_bytes(&self) -> usize {
+        self.seq.resident_bytes()
+            + self.beacon.resident_bytes()
+            + self.rssi.resident_bytes()
+            + self.deauth.resident_bytes()
+            + self.arp.resident_bytes()
+            + self.probe.resident_bytes()
+            + self.correlator.resident_bytes()
     }
 
     /// SSIDs the beacon and the probe auditor have learned as owned, in

@@ -3,23 +3,30 @@
 //! Every per-transmitter map in the original detector suite
 //! (`HashMap<MacAddr, TaState>` and friends) grows with the number of
 //! *distinct sources observed* — which an attacker controls outright by
-//! randomizing MAC addresses. The structures here cap that at
-//! configuration time:
+//! randomizing MAC addresses. The structures here fix a cap on that at
+//! configuration time, and allocate the storage under the cap on first
+//! write: a table or sketch that the traffic has barely touched holds
+//! little more than its group directory.
 //!
 //! * [`WindowCounter`] — sliding-window event counts per key, kept as a
-//!   ring of count-min-sketch buckets. Memory is O(buckets × width ×
-//!   depth) no matter how many distinct keys appear; estimates can only
+//!   ring of count-min-sketch buckets. Memory is at most O(buckets ×
+//!   width × depth) no matter how many distinct keys appear, and a
+//!   bucket holds no counters until its first event; estimates can only
 //!   over-count (sketch collisions, plus up to one bucket of
 //!   quantization slack at the trailing window edge), never under-count.
 //! * [`BoundedTable`] — a set-associative table (`groups × ways`
 //!   entries) with deterministic least-recently-touched eviction inside
 //!   a group. Per-key state (sequence counters, last-RSSI) lives here;
 //!   under a cardinality attack old entries are recycled instead of the
-//!   table growing.
+//!   table growing. A group's `ways` slots are allocated when the first
+//!   key lands in it.
 //!
 //! Both are deterministic functions of the (simulated-time-stamped)
 //! event stream: eviction reads simulated time, never wall time or
 //! allocation order, so a replayed stream recycles the same slots.
+//! Each reports two sizes: `bytes()`, the bound (what the structure
+//! holds once every group and counter is written), and
+//! `resident_bytes()`, what it holds now.
 
 use rogue_sim::{SimDuration, SimTime};
 
@@ -45,22 +52,31 @@ pub fn hash_mac(mac: &[u8; 6]) -> u64 {
 }
 
 /// A count-min sketch: `depth` rows of `width` counters; an increment
-/// bumps one counter per row, an estimate takes the row minimum.
+/// bumps one counter per row, an estimate takes the row minimum. The
+/// counters are allocated by the first increment; until then every
+/// estimate is 0, as over a zero-filled sketch.
 #[derive(Clone)]
 struct CountMin {
     width_mask: u64,
     depth: u32,
+    /// Empty until the first [`CountMin::add`], then `width × depth`.
     counts: Vec<u32>,
 }
 
 impl CountMin {
     fn new(width: usize, depth: u32) -> CountMin {
         assert!(width.is_power_of_two(), "sketch width must be 2^k");
+        assert!(depth >= 1, "sketch depth must be at least 1");
         CountMin {
             width_mask: width as u64 - 1,
             depth,
-            counts: vec![0; width * depth as usize],
+            counts: Vec::new(),
         }
+    }
+
+    /// Counters a fully allocated sketch holds.
+    fn len(&self) -> usize {
+        (self.width_mask as usize + 1) * self.depth as usize
     }
 
     #[inline]
@@ -74,6 +90,9 @@ impl CountMin {
 
     #[inline]
     fn add(&mut self, key_hash: u64) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; self.len()];
+        }
         for row in 0..self.depth {
             let idx = self.row_col(row, key_hash);
             self.counts[idx] = self.counts[idx].saturating_add(1);
@@ -82,6 +101,9 @@ impl CountMin {
 
     #[inline]
     fn estimate(&self, key_hash: u64) -> u32 {
+        if self.counts.is_empty() {
+            return 0;
+        }
         let mut est = u32::MAX;
         for row in 0..self.depth {
             est = est.min(self.counts[self.row_col(row, key_hash)]);
@@ -89,11 +111,16 @@ impl CountMin {
         est
     }
 
+    /// Zero the counters in place (a no-op before the first add).
     fn clear(&mut self) {
         self.counts.fill(0);
     }
 
     fn bytes(&self) -> usize {
+        self.len() * core::mem::size_of::<u32>()
+    }
+
+    fn resident_bytes(&self) -> usize {
         self.counts.len() * core::mem::size_of::<u32>()
     }
 }
@@ -150,9 +177,16 @@ impl WindowCounter {
         total
     }
 
-    /// Fixed memory footprint of the sketch ring, in bytes.
+    /// Bound on the sketch ring's counter memory, in bytes: every
+    /// bucket allocated.
     pub fn bytes(&self) -> usize {
         self.buckets.iter().map(|b| b.bytes()).sum()
+    }
+
+    /// Counter memory allocated so far, in bytes: the buckets that have
+    /// taken an event. At most [`WindowCounter::bytes`].
+    pub fn resident_bytes(&self) -> usize {
+        self.buckets.iter().map(|b| b.resident_bytes()).sum()
     }
 }
 
@@ -166,13 +200,19 @@ struct Slot<K, V> {
     value: V,
 }
 
+/// One group's `ways` slots.
+type Group<K, V> = Box<[Option<Slot<K, V>>]>;
+
 /// Set-associative bounded map: `groups × ways` slots, deterministic
 /// least-recently-touched eviction within a group (ties broken by way
-/// index).
+/// index). A group's slots are allocated by the first
+/// [`BoundedTable::entry`] that lands in it; lookups and removals never
+/// allocate.
 pub struct BoundedTable<K, V> {
-    groups: usize,
     ways: usize,
-    slots: Vec<Option<Slot<K, V>>>,
+    /// One entry per group (a power of two of them); `None` until the
+    /// group's first insert.
+    groups: Vec<Option<Group<K, V>>>,
     /// Entries recycled under pressure (cardinality-attack telemetry).
     pub evictions: u64,
 }
@@ -181,36 +221,45 @@ impl<K: Eq + Copy, V> BoundedTable<K, V> {
     /// Table with `groups` (a power of two) times `ways` slots.
     pub fn new(groups: usize, ways: usize) -> BoundedTable<K, V> {
         assert!(groups.is_power_of_two(), "groups must be 2^k");
-        let mut slots = Vec::new();
-        slots.resize_with(groups * ways, || None);
         BoundedTable {
-            groups,
             ways,
-            slots,
+            groups: (0..groups).map(|_| None).collect(),
             evictions: 0,
         }
     }
 
     /// Total slot capacity.
     pub fn capacity(&self) -> usize {
-        self.groups * self.ways
+        self.groups.len() * self.ways
     }
 
-    /// The slot range of the group a key hash belongs to.
+    /// The group a key hash belongs to.
     #[inline]
-    fn group_of(&self, key_hash: u64) -> core::ops::Range<usize> {
-        let base = (key_hash & (self.groups as u64 - 1)) as usize * self.ways;
-        base..base + self.ways
+    fn group_of(&self, key_hash: u64) -> usize {
+        (key_hash & (self.groups.len() as u64 - 1)) as usize
     }
 
     /// Occupied slots (bounded by [`BoundedTable::capacity`] forever).
     pub fn tracked(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.groups
+            .iter()
+            .flatten()
+            .map(|g| g.iter().filter(|s| s.is_some()).count())
+            .sum()
     }
 
-    /// Fixed memory footprint of the slot array, in bytes.
+    /// Bound on the slot memory, in bytes: every group allocated.
     pub fn bytes(&self) -> usize {
-        self.slots.len() * core::mem::size_of::<Option<Slot<K, V>>>()
+        self.capacity() * core::mem::size_of::<Option<Slot<K, V>>>()
+    }
+
+    /// Memory allocated so far, in bytes: the group directory plus the
+    /// groups that have taken an insert. Exceeds [`BoundedTable::bytes`]
+    /// by the directory once every group is written.
+    pub fn resident_bytes(&self) -> usize {
+        let allocated = self.groups.iter().flatten().count();
+        self.groups.len() * core::mem::size_of::<Option<Group<K, V>>>()
+            + allocated * self.ways * core::mem::size_of::<Option<Slot<K, V>>>()
     }
 
     /// Lookup-or-insert; `key_hash` must come from [`mix64`]/[`hash_mac`]
@@ -223,8 +272,9 @@ impl<K: Eq + Copy, V> BoundedTable<K, V> {
         key: K,
         default: impl FnOnce() -> V,
     ) -> &mut V {
-        let group = self.group_of(key_hash);
-        let slots = &mut self.slots[group];
+        let g = self.group_of(key_hash);
+        let ways = self.ways;
+        let slots = self.groups[g].get_or_insert_with(|| (0..ways).map(|_| None).collect());
         let mut empty: Option<usize> = None;
         let mut victim = 0usize;
         let mut victim_touched = SimTime::FOREVER;
@@ -272,8 +322,8 @@ impl<K: Eq + Copy, V> BoundedTable<K, V> {
     /// Lookup without insert; refreshes the entry's eviction clock on a
     /// hit (a consulted binding is a binding worth keeping).
     pub fn get_touch(&mut self, at: SimTime, key_hash: u64, key: K) -> Option<&mut V> {
-        let group = self.group_of(key_hash);
-        for s in self.slots[group].iter_mut().flatten() {
+        let g = self.group_of(key_hash);
+        for s in self.groups[g].as_deref_mut()?.iter_mut().flatten() {
             if s.key == key {
                 s.touched = at;
                 return Some(&mut s.value);
@@ -284,8 +334,9 @@ impl<K: Eq + Copy, V> BoundedTable<K, V> {
 
     /// Take `key`'s entry out of the table, freeing its slot.
     pub fn remove(&mut self, key_hash: u64, key: K) -> Option<V> {
-        let group = self.group_of(key_hash);
-        self.slots[group]
+        let g = self.group_of(key_hash);
+        self.groups[g]
+            .as_deref_mut()?
             .iter_mut()
             .find(|s| s.as_ref().is_some_and(|s| s.key == key))?
             .take()
@@ -336,6 +387,40 @@ mod tests {
             w.observe(t(i / 10), mix64(i));
         }
         assert_eq!(w.bytes(), before, "sketch must not grow with keys");
+        assert_eq!(w.resident_bytes(), before, "every bucket was written");
+    }
+
+    #[test]
+    fn window_counter_allocates_a_bucket_per_written_epoch() {
+        let mut w = WindowCounter::new(SimDuration::from_secs(2), 8, 256, 4);
+        let bucket = w.bytes() / 9;
+        assert_eq!(w.resident_bytes(), 0);
+        w.observe(t(0), mix64(1));
+        w.observe(t(100), mix64(2));
+        assert_eq!(w.resident_bytes(), bucket, "one epoch, one bucket");
+        w.observe(t(300), mix64(1));
+        assert_eq!(w.resident_bytes(), 2 * bucket);
+    }
+
+    #[test]
+    fn count_min_without_counters_estimates_zero() {
+        let mut cm = CountMin::new(64, 4);
+        assert_eq!(cm.resident_bytes(), 0);
+        assert_eq!(cm.estimate(mix64(7)), 0, "as over a zero-filled sketch");
+        cm.clear();
+        assert_eq!(cm.resident_bytes(), 0, "clearing allocates nothing");
+        cm.add(mix64(7));
+        assert_eq!(cm.resident_bytes(), cm.bytes());
+        assert_eq!(cm.estimate(mix64(7)), 1);
+        cm.clear();
+        assert_eq!(cm.resident_bytes(), cm.bytes(), "cleared in place");
+        assert_eq!(cm.estimate(mix64(7)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth")]
+    fn count_min_needs_a_row() {
+        CountMin::new(64, 0);
     }
 
     #[test]

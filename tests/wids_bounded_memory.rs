@@ -1,10 +1,17 @@
 //! The MAC-randomization stress claim, measured: one million distinct
 //! forged transmitter addresses stream through the full pipeline and
-//! per-source state must not grow by a single byte. Every per-source
-//! map in the suite, and every per-subject map in the correlator, is a
-//! fixed-size sketch or set-associative table sized at construction — an
-//! attacker who can mint addresses faster than we can forget them would
-//! otherwise turn the WIDS itself into the denial-of-service target.
+//! per-source state must not grow past its bound. Every per-source map
+//! in the suite, and every per-subject map in the correlator, is a
+//! sketch or set-associative table whose capacity is fixed at
+//! construction — an attacker who can mint addresses faster than we can
+//! forget them would otherwise turn the WIDS itself into the
+//! denial-of-service target. Storage under that cap is allocated on
+//! first write, so the suite pins two numbers: the bound
+//! (`detector_state_bytes`), which no flood moves, and the resident
+//! bytes (`detector_resident_bytes`), which after every step stay under
+//! the bound and stop growing once the flood has written every group
+//! and sketch bucket it reaches. A pipeline that has seen nothing holds
+//! little more than its tables' group directories.
 //!
 //! Three floods: beacons of SSIDs nobody owns, which load the detectors'
 //! tables; clones of an owned SSID from fresh BSSIDs, each of which
@@ -21,9 +28,13 @@ use rogue_wids::{
 const TOTAL: u64 = 1_000_000;
 const CHUNK: u64 = 2048; // below the ring capacity: no drops
 
-/// Push `TOTAL` events from `make`, stepping every `CHUNK`.
+/// Push `TOTAL` events from `make`, stepping every `CHUNK`. After every
+/// step the allocated state must sit under the bound, and once the
+/// flood has written every group and sketch bucket it reaches it must
+/// stop growing: the second half of the flood allocates nothing.
 fn flood(pipe: &mut WidsPipeline, make: impl Fn(u64) -> SensorEvent) {
     let mut fed = 0;
+    let mut resident = Vec::new();
     while fed < TOTAL {
         let n = CHUNK.min(TOTAL - fed);
         for i in fed..fed + n {
@@ -31,7 +42,46 @@ fn flood(pipe: &mut WidsPipeline, make: impl Fn(u64) -> SensorEvent) {
         }
         fed += n;
         pipe.step(SimTime(fed * 50_000));
+        let now = pipe.detector_resident_bytes();
+        assert!(
+            now <= pipe.detector_state_bytes(),
+            "after {fed} events {now} B resident exceed the {} B bound",
+            pipe.detector_state_bytes()
+        );
+        resident.push(now);
     }
+    let (half, last) = (resident[resident.len() / 2], resident[resident.len() - 1]);
+    assert_eq!(
+        last, half,
+        "resident state kept growing after the tables saturated"
+    );
+}
+
+/// 512 KiB: a pipeline that has seen nothing holds its tables' group
+/// directories (16 B a group, 28,160 groups: 440 KiB) and its two
+/// owned-SSID slot arrays, none of the tables' slots or sketch counters.
+const FRESH_RESIDENT_CEILING: usize = 512 * 1024;
+
+/// The bound of a default pipeline: what its tables and sketches held
+/// when they were allocated whole at construction.
+const DEFAULT_BOUND: usize = 6_332_416;
+
+#[test]
+fn a_fresh_pipeline_allocates_directories_not_tables() {
+    assert_eq!(
+        WidsPipeline::new(WidsConfig::default()).detector_state_bytes(),
+        DEFAULT_BOUND
+    );
+    let pipe = WidsPipeline::new(WidsConfig {
+        authorized_aps: vec![(MacAddr::local(1), 1)],
+        ..WidsConfig::default()
+    });
+    let resident = pipe.detector_resident_bytes();
+    assert!(
+        resident < FRESH_RESIDENT_CEILING,
+        "a fresh pipeline holds {resident} B"
+    );
+    assert!(resident < pipe.detector_state_bytes() / 10);
 }
 
 /// A beacon from a freshly minted BSSID — the worst case: it lands in
