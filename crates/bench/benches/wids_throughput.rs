@@ -17,6 +17,10 @@
 //! engines opened the same incidents. The seed engine's events/s from
 //! its last full run is kept as [`BASELINE`].
 //!
+//! Each sensor count runs `reps` times over the same staged slices;
+//! `engine_eps` and `incidents_per_s` are the median rep's, with their
+//! quartiles beside them in the JSON (`*_q1`, `*_q3`).
+//!
 //! Two memory columns ride along: `build_us`, the median wall time of
 //! `WidsPipeline::new` plus drop at the sensor count's configuration,
 //! and `resident_bytes`, the detector state allocated after the run,
@@ -35,6 +39,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
+use rogue_bench::quartiles;
 use rogue_dot11::MacAddr;
 use rogue_netstack::Ipv4Addr;
 use rogue_sim::rng::{Seed, SplitMix64};
@@ -66,6 +71,9 @@ const EXPECTED: [(usize, u64, u64, u64, u64); 4] = [
     (4, 0xcaa3_0ed9_28e4_e93a, 40, 0xcaa3_0ed9_28e4_e93a, 40),
     (8, 0x3312_3bd0_8ddf_b75d, 80, 0x3312_3bd0_8ddf_b75d, 81),
 ];
+
+/// Timed runs per sensor count in a full run (the smoke runs one).
+const REPS: usize = 5;
 
 const CHANNELS: [u8; 3] = [1, 6, 11];
 const CLIENTS_PER_SENSOR: u64 = 24;
@@ -339,7 +347,7 @@ fn run_engine(sensors: usize, slices: Vec<Vec<SensorEvent>>) -> Run {
 /// Median wall time of `WidsPipeline::new` plus drop, in microseconds.
 fn build_us(sensors: usize, reps: usize) -> f64 {
     let cfg = wids_config(sensors);
-    let mut us: Vec<f64> = (0..reps)
+    let us: Vec<f64> = (0..reps)
         .map(|_| {
             let cfg = cfg.clone();
             let t0 = Instant::now();
@@ -347,8 +355,7 @@ fn build_us(sensors: usize, reps: usize) -> f64 {
             t0.elapsed().as_secs_f64() * 1e6
         })
         .collect();
-    us.sort_by(f64::total_cmp);
-    us[reps / 2]
+    quartiles(&us).0
 }
 
 /// FNV-1a over every incident row's fields, the score as its bits.
@@ -373,10 +380,12 @@ fn incident_digest(rows: &[IncidentRow]) -> u64 {
 struct Sweep {
     sensors: usize,
     events: usize,
-    engine_eps: f64,
+    /// Median, first and third quartile over the reps.
+    engine_eps: (f64, f64, f64),
     baseline_eps: f64,
     incidents: usize,
-    incidents_per_s: f64,
+    /// Median, first and third quartile over the reps.
+    incidents_per_s: (f64, f64, f64),
     raw_alerts: u64,
     build_us: f64,
     resident_bytes: usize,
@@ -387,11 +396,11 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
     let slices = workload(sensors, events_per_sensor, Seed(0x3D1_BEEF));
     let events: usize = slices.iter().map(Vec::len).sum();
 
-    let mut best_dt = f64::INFINITY;
+    let mut secs = Vec::with_capacity(reps);
     let mut out = None;
     for _ in 0..reps {
         let run = run_engine(sensors, slices.clone());
-        best_dt = best_dt.min(run.secs);
+        secs.push(run.secs);
         // The randomizer must actually pressure the bounded tables.
         // (Smoke streams are too short to overflow a 4-way group.)
         assert!(
@@ -432,13 +441,17 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
         .iter()
         .find(|b| b.0 == sensors)
         .map_or(f64::NAN, |b| b.1);
+    let per_sec = |count: usize| {
+        let rates: Vec<f64> = secs.iter().map(|dt| count as f64 / dt).collect();
+        quartiles(&rates)
+    };
     Sweep {
         sensors,
         events,
-        engine_eps: events as f64 / best_dt,
+        engine_eps: per_sec(events),
         baseline_eps,
         incidents: incidents.len(),
-        incidents_per_s: incidents.len() as f64 / best_dt,
+        incidents_per_s: per_sec(incidents.len()),
         raw_alerts,
         build_us: build_us(sensors, if smoke { 11 } else { 101 }),
         resident_bytes,
@@ -458,19 +471,21 @@ fn write_json(path: &Path, sweeps: &[Sweep], mode: &str) -> std::io::Result<()> 
     writeln!(f, "  \"sweep\": [")?;
     for (i, s) in sweeps.iter().enumerate() {
         let comma = if i + 1 < sweeps.len() { "," } else { "" };
+        let (eps, eps_q1, eps_q3) = s.engine_eps;
+        let (ips, ips_q1, ips_q3) = s.incidents_per_s;
         writeln!(
             f,
             "    {{\"sensors\": {}, \"events\": {}, \"baseline_eps\": {:.0}, \
-             \"engine_eps\": {:.0}, \"speedup\": {:.2}, \"incidents\": {}, \
-             \"incidents_per_s\": {:.1}, \"raw_alerts\": {}, \"build_us\": {:.1}, \
+             \"engine_eps\": {eps:.0}, \"engine_eps_q1\": {eps_q1:.0}, \
+             \"engine_eps_q3\": {eps_q3:.0}, \"speedup\": {:.2}, \"incidents\": {}, \
+             \"incidents_per_s\": {ips:.1}, \"incidents_per_s_q1\": {ips_q1:.1}, \
+             \"incidents_per_s_q3\": {ips_q3:.1}, \"raw_alerts\": {}, \"build_us\": {:.1}, \
              \"resident_bytes\": {}, \"bound_bytes\": {}}}{comma}",
             s.sensors,
             s.events,
             s.baseline_eps,
-            s.engine_eps,
-            s.engine_eps / s.baseline_eps,
+            eps / s.baseline_eps,
             s.incidents,
-            s.incidents_per_s,
             s.raw_alerts,
             s.build_us,
             s.resident_bytes,
@@ -481,7 +496,7 @@ fn write_json(path: &Path, sweeps: &[Sweep], mode: &str) -> std::io::Result<()> 
     let at8 = sweeps
         .iter()
         .find(|s| s.sensors == 8)
-        .map_or(0.0, |s| s.engine_eps / s.baseline_eps);
+        .map_or(0.0, |s| s.engine_eps.0 / s.baseline_eps);
     writeln!(f, "  \"speedup_at_8_sensors\": {at8:.2}")?;
     writeln!(f, "}}")?;
     Ok(())
@@ -492,26 +507,26 @@ fn main() {
     let (events_per_sensor, reps, mode) = if smoke {
         (4_000, 1, "smoke")
     } else {
-        (500_000, 3, "full")
+        (500_000, REPS, "full")
     };
 
     println!("WIDS throughput: pipeline vs the committed seed-engine baseline ({mode})");
     println!(
-        "| sensors | events | baseline ev/s | pipeline ev/s | speedup | incidents | build µs | resident B | bound B |"
+        "| sensors | events | baseline ev/s | pipeline ev/s (median) | [q1, q3] | speedup | incidents | build µs | resident B | bound B |"
     );
     println!(
-        "|---------|--------|---------------|---------------|---------|-----------|----------|------------|---------|"
+        "|---------|--------|---------------|------------------------|----------|---------|-----------|----------|------------|---------|"
     );
     let mut sweeps = Vec::new();
     for sensors in [1, 2, 4, 8] {
         let s = measure(sensors, events_per_sensor, reps, smoke);
+        let (eps, eps_q1, eps_q3) = s.engine_eps;
         println!(
-            "| {} | {} | {:.0} | {:.0} | {:.2}x | {} | {:.1} | {} | {} |",
+            "| {} | {} | {:.0} | {eps:.0} | [{eps_q1:.0}, {eps_q3:.0}] | {:.2}x | {} | {:.1} | {} | {} |",
             s.sensors,
             s.events,
             s.baseline_eps,
-            s.engine_eps,
-            s.engine_eps / s.baseline_eps,
+            eps / s.baseline_eps,
             s.incidents,
             s.build_us,
             s.resident_bytes,

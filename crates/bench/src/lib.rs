@@ -387,3 +387,46 @@ macro_rules! bench_json_path {
         .join(concat!("BENCH_", $name, ".json"))
     };
 }
+
+/// Median, first and third quartile of `v`, by the method of Python's
+/// `statistics.quantiles(v, n=4)` (the default, "exclusive"), so a layer
+/// bench's spreads match those computed from its JSON with Python. A
+/// single value is its own quartiles; an empty slice reads 0.
+pub fn quartiles(v: &[f64]) -> (f64, f64, f64) {
+    let mut d = v.to_vec();
+    d.sort_by(f64::total_cmp);
+    let n = d.len();
+    match n {
+        0 => (0.0, 0.0, 0.0),
+        1 => (d[0], d[0], d[0]),
+        _ => {
+            let q = |i: usize| {
+                let m = i * (n + 1);
+                let j = (m / 4).clamp(1, n - 1);
+                let delta = m as f64 / 4.0 - j as f64;
+                d[j - 1] + (d[j] - d[j - 1]) * delta
+            };
+            let median = if n % 2 == 1 {
+                d[n / 2]
+            } else {
+                (d[n / 2 - 1] + d[n / 2]) / 2.0
+            };
+            (median, q(1), q(3))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quartiles;
+
+    #[test]
+    fn quartiles_match_python_exclusive_method() {
+        // statistics.quantiles([...], n=4) and statistics.median.
+        assert_eq!(quartiles(&[]), (0.0, 0.0, 0.0));
+        assert_eq!(quartiles(&[2.0]), (2.0, 2.0, 2.0));
+        assert_eq!(quartiles(&[3.0, 1.0, 2.0]), (2.0, 1.0, 3.0));
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0]), (2.5, 1.25, 3.75));
+        assert_eq!(quartiles(&[5.0, 1.0, 4.0, 2.0, 3.0]), (3.0, 1.5, 4.5));
+    }
+}

@@ -39,4 +39,4 @@ pub mod scenario;
 pub mod world;
 
 pub use policy::ClientPolicy;
-pub use world::{with_default_shards, NodeId, World};
+pub use world::{NodeId, World};

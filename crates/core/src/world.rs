@@ -31,12 +31,12 @@ use rogue_dot11::sta::{StaMac, StaState};
 use rogue_dot11::{ApConfig, MacAddr, RxFilter, StaConfig};
 use rogue_netstack::ethernet::EthFrame;
 use rogue_netstack::{Host, IfIndex, Ipv4Addr};
-use rogue_phy::{Bitrate, Medium, MediumParams, Pos, RadioId, RegionMap, TxHandle};
+use rogue_phy::{Bitrate, Medium, MediumParams, Pos, RadioId, TxHandle};
 use rogue_services::apps::{App, AppEvent};
 use rogue_sim::profile::{self, Phase, Profiler};
 use rogue_sim::queue::EventId;
 use rogue_sim::trace::Metrics;
-use rogue_sim::{Seed, ShardedQueue, SimDuration, SimRng, SimTime};
+use rogue_sim::{EventQueue, Seed, SimDuration, SimRng, SimTime};
 use rogue_vpn::{VpnClient, VpnServer};
 use rogue_wids::WiredMonitor;
 
@@ -174,7 +174,7 @@ struct PollClock {
     /// *earlier* poll (or a `kick`) can cancel the outstanding one
     /// instead of leaving a redundant entry behind. Invariant: `Some`
     /// exactly while `at != FOREVER`, and the entry fires at `at`.
-    event: Option<(usize, EventId)>,
+    event: Option<EventId>,
 }
 
 impl Default for PollClock {
@@ -590,22 +590,7 @@ struct Switch {
 pub struct World {
     /// The shared radio medium.
     pub medium: Medium,
-    queue: ShardedQueue<Event>,
-    /// Spatial shard ownership, built lazily from the radio extent on
-    /// the first sharded `run_until`. `None` while single-sharded or
-    /// before the first run.
-    region_map: Option<RegionMap>,
-    /// Lockstep window width of a sharded run: the unit `sim.windows`
-    /// counts. It groups events for that metric only; dispatch order
-    /// is the same at any width.
-    window: SimDuration,
-    /// Shard whose event is currently being dispatched (0 while idle or
-    /// single-sharded); a schedule targeting a different shard is a
-    /// boundary crossing.
-    current_shard: usize,
-    sim_windows: u64,
-    sim_boundary_crossings: u64,
-    sim_shard_occupancy_max: u64,
+    queue: EventQueue<Event>,
     nodes: Vec<Node>,
     /// Per node, its poll clock (indexed like `nodes`).
     poll_clock: Vec<PollClock>,
@@ -635,31 +620,6 @@ pub struct World {
     pub metrics: Metrics,
 }
 
-/// Process-wide default shard count for new worlds; see
-/// [`with_default_shards`].
-static DEFAULT_SHARDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-
-/// Run `f` with every [`World::new`] in scope starting at `n` event-loop
-/// shards, restoring the previous default afterwards (panic-safe).
-/// Every shard count dispatches through the same serial loop, so this
-/// knob exists for exactly one purpose: letting the determinism suite
-/// re-render whole experiment reports — whose drivers build worlds
-/// internally — under shard counts the drivers never ask for.
-/// Concurrent scopes are serialized by a global lock, like
-/// [`rayon::with_num_threads`].
-pub fn with_default_shards<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    use std::sync::atomic::Ordering;
-    static SCOPE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _scope = SCOPE.lock().unwrap_or_else(|p| p.into_inner());
-    let previous = DEFAULT_SHARDS.swap(n.max(1), Ordering::Relaxed);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    DEFAULT_SHARDS.store(previous, Ordering::Relaxed);
-    match outcome {
-        Ok(value) => value,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
 impl World {
     /// New empty world.
     pub fn new(seed: Seed, params: MediumParams) -> World {
@@ -674,13 +634,7 @@ impl World {
         ];
         World {
             medium: Medium::new(params, Seed(rng.next_u64())),
-            queue: ShardedQueue::new(DEFAULT_SHARDS.load(std::sync::atomic::Ordering::Relaxed)),
-            region_map: None,
-            window: SimDuration::from_millis(1),
-            current_shard: 0,
-            sim_windows: 0,
-            sim_boundary_crossings: 0,
-            sim_shard_occupancy_max: 0,
+            queue: EventQueue::new(),
             nodes: Vec::new(),
             poll_clock: Vec::new(),
             switches: Vec::new(),
@@ -1075,48 +1029,17 @@ impl World {
     // Event loop
     // ------------------------------------------------------------------
 
-    /// Partition the event queue into `n` spatial shards (DESIGN.md §15).
-    ///
-    /// Must be called before the first `run_until`. Events already
-    /// queued during setup migrate into the new layout with their
-    /// sequence numbers preserved, and the k-way merge pops them in
-    /// global `(time, seq)` order through the same serial dispatcher
-    /// as `n == 1`, so any shard count yields **bit-identical** output.
-    /// Shards change only the queue layout and the `sim.windows` and
-    /// `sim.boundary_crossings` counts.
-    pub fn set_shards(&mut self, n: usize) {
-        assert!(
-            self.queue.dispatched() == 0,
-            "set_shards must run before the first run_until"
-        );
-        let old = std::mem::replace(&mut self.queue, ShardedQueue::new(n));
-        self.region_map = None;
-        self.ensure_region_map();
-        for (at, seq, ev) in old.into_entries() {
-            let shard = self.shard_for(&ev);
-            let poll_node = match &ev {
-                Event::NodePoll { node } => Some(*node as usize),
-                _ => None,
-            };
-            let id = self.queue.schedule_at_seq(shard, at, seq, ev);
-            // Pending-poll handles point into the old queue's shards;
-            // rebind them to the migrated entries.
-            if let Some(node) = poll_node {
-                self.poll_clock[node].event = Some((shard, id));
-            }
-        }
-    }
+    /// Accepted and ignored: every world runs one event queue. Kept only
+    /// because the frozen repository benchmark still calls it; the
+    /// benchmark re-cut of ROADMAP item 2 deletes it.
+    #[doc(hidden)]
+    pub fn set_shards(&mut self, _n: usize) {}
 
-    /// Number of event-loop shards (1 = classic serial loop).
-    pub fn shards(&self) -> usize {
-        self.queue.num_shards()
-    }
-
-    /// Width of the lockstep window a sharded run counts in
-    /// `sim.windows`. Any width is bit-identical.
-    pub fn set_shard_window(&mut self, window: SimDuration) {
-        self.window = window;
-    }
+    /// Accepted and ignored, like [`Self::set_shards`]. Kept only because
+    /// the frozen repository benchmark still calls it; the benchmark
+    /// re-cut of ROADMAP item 2 deletes it.
+    #[doc(hidden)]
+    pub fn set_shard_window(&mut self, _window: SimDuration) {}
 
     /// Total events dispatched through the loop so far (the events/s
     /// numerator in the scaling benches).
@@ -1124,129 +1047,47 @@ impl World {
         self.queue.dispatched()
     }
 
-    /// Events scheduled and not yet dispatched, across all shards.
+    /// Events scheduled and not yet dispatched.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
-    /// Region ownership of an event: the stripe of the position whose
-    /// state its dispatch touches first. Stable for the whole run once
-    /// the region map exists; shard 0 before that (setup-time events).
-    fn shard_for(&self, ev: &Event) -> usize {
-        let Some(map) = &self.region_map else {
-            return 0;
-        };
-        let node = match ev {
-            Event::TxComplete { tx } => return map.region_of(self.medium.tx_src_pos(*tx)),
-            Event::NodePoll { node } => *node,
-            Event::WireDeliver(f) => f.node,
-            Event::BridgeDeliver(f) => f.node,
-            Event::TapDeliver(f) => f.node,
-        };
-        self.nodes[node as usize]
-            .radios
-            .first()
-            .map(|rb| map.region_of(self.medium.pos(rb.radio)))
-            .unwrap_or(0)
-    }
-
-    /// Schedule `ev`, routing it to its owning shard and counting
-    /// boundary crossings: schedules landing on a different shard than
-    /// the one currently dispatching, plus completions whose audible
-    /// disc spills across a stripe edge.
-    fn schedule_event(&mut self, at: SimTime, ev: Event) -> (usize, EventId) {
-        let shard = self.shard_for(&ev);
-        if self.queue.num_shards() > 1 {
-            if shard != self.current_shard {
-                self.sim_boundary_crossings += 1;
-            } else if let (Event::TxComplete { tx }, Some(map)) = (&ev, &self.region_map) {
-                if map.disc_crosses_region(
-                    self.medium.tx_src_pos(*tx),
-                    self.medium.tx_audible_range_m(*tx),
-                ) {
-                    self.sim_boundary_crossings += 1;
-                }
-            }
-        }
+    /// Schedule `ev` at `at`, sampling the queue-schedule phase.
+    fn schedule_event(&mut self, at: SimTime, ev: Event) -> EventId {
         // Probing every insert would dominate the cost being measured;
         // sample 1-in-64 and extrapolate at snapshot time.
         self.sched_count += 1;
-        let id = if self.sched_count & 0x3F == 0 {
+        if self.sched_count & 0x3F == 0 {
             let t0 = profile::now();
-            let id = self.queue.schedule(shard, at, ev);
+            let id = self.queue.schedule(at, ev);
             self.prof.record(Phase::QueueSchedule, t0);
             id
         } else {
-            self.queue.schedule(shard, at, ev)
-        };
-        (shard, id)
+            self.queue.schedule(at, ev)
+        }
     }
 
-    /// Build the stripe partition from the current radio extent, once,
-    /// on the first sharded run.
-    fn ensure_region_map(&mut self) {
-        if self.region_map.is_some()
-            || self.queue.num_shards() == 1
-            || self.medium.radio_count() == 0
-        {
-            return;
-        }
-        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        for i in 0..self.medium.radio_count() {
-            let x = self.medium.pos(RadioId(i as u32)).x;
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-        }
-        if !min_x.is_finite() || !max_x.is_finite() {
-            (min_x, max_x) = (0.0, 0.0);
-        }
-        self.region_map = Some(RegionMap::new(self.queue.num_shards(), min_x, max_x));
-    }
-
-    /// Run until simulated time `deadline`: pop events in global
-    /// `(time, seq)` order and dispatch each one. Every shard count runs
-    /// this one loop (DESIGN §15.3).
+    /// Run until simulated time `deadline`: pop events in `(time, seq)`
+    /// order and dispatch each one (DESIGN §15).
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.ensure_region_map();
-        let sharded = self.queue.num_shards() > 1;
-        // End of the open lockstep window; the first event past it opens
-        // the next one.
-        let mut window_end: Option<SimTime> = None;
         loop {
             let t0 = profile::now();
             let popped = self.queue.pop_until(deadline);
             self.prof.record(Phase::QueuePop, t0);
-            let Some((now, ev, shard)) = popped else {
+            let Some((now, ev)) = popped else {
                 break;
             };
-            if sharded && window_end.is_none_or(|end| now > end) {
-                window_end = Some((now + self.window).min(deadline));
-                self.sim_windows += 1;
-                // Occupancy as the window opens: the popped head still
-                // counts on its shard.
-                let occupancy = (0..self.queue.num_shards())
-                    .map(|s| self.queue.shard_len(s) + usize::from(s == shard))
-                    .max()
-                    .unwrap_or(0) as u64;
-                self.sim_shard_occupancy_max = self.sim_shard_occupancy_max.max(occupancy);
-            }
-            self.current_shard = shard;
             let kind = self.prof_kinds[event_kind(&ev)];
             let t0 = profile::now();
             self.dispatch_event(now, ev);
             self.prof.record_kind(kind, t0);
         }
-        self.current_shard = 0;
         // Mirror the medium's counters into the metrics sink so reports
         // and tests read them the same way as the `mac.*` family.
         self.metrics.set("phy.frames_sent", self.medium.frames_sent);
         self.metrics
             .set("phy.halfduplex_misses", self.medium.halfduplex_misses);
         self.metrics.set("phy.sinr_drops", self.medium.sinr_drops);
-        let (pairs, hits, misses) = self.medium.pathloss_cache_stats();
-        self.metrics.set("phy.pathloss_cache_pairs", pairs as u64);
-        self.metrics.set("phy.pathloss_cache_hits", hits);
-        self.metrics.set("phy.pathloss_cache_misses", misses);
         self.metrics
             .set("phy.audible_rows_reused", self.medium.audible_rows_reused());
         self.metrics.set(
@@ -1271,17 +1112,8 @@ impl World {
         self.metrics.set("vpn.records_sealed", sealed);
         self.metrics.set("vpn.records_opened", opened);
         self.metrics.set("vpn.bytes_copied", copied);
-        // Sharded-loop observability (all zero in the serial loop).
-        // These live beside `phy.*` in the sink but are never rendered
-        // into a golden table: they vary with the shard count while
-        // every table must not.
-        self.metrics.set("sim.windows", self.sim_windows);
-        self.metrics
-            .set("sim.boundary_crossings", self.sim_boundary_crossings);
-        self.metrics
-            .set("sim.shard_occupancy_max", self.sim_shard_occupancy_max);
         // Profiler breakdown: wall-clock, so strictly `sim.*` (never in
-        // a golden table, which must be identical across shard counts
+        // a golden table, which must be identical across thread counts
         // and hosts).
         let snap = self.profile_snapshot();
         for (i, &(_, ns, _)) in snap.phases.iter().enumerate() {
@@ -1568,8 +1400,8 @@ impl World {
     /// ≤ 1-pending-poll-per-node invariant. Callers have already decided
     /// the move is wanted; no earlier-poll gate here.
     fn commit_schedule_poll(&mut self, node: usize, at: SimTime) {
-        if let Some((shard, id)) = self.poll_clock[node].event.take() {
-            self.queue.cancel_on(shard, id);
+        if let Some(id) = self.poll_clock[node].event.take() {
+            self.queue.cancel(id);
         }
         let handle = self.schedule_event(at, Event::NodePoll { node: node as u32 });
         self.poll_clock[node] = PollClock {

@@ -14,7 +14,7 @@
 //!   `should_panic`), the audit fires at the first skipped poll.
 //! - A node made due again by input at the very instant of a
 //!   completion it only overhears is still polled at the completion's
-//!   position, at one shard and at two shards on a two-thread pool.
+//!   position.
 
 use std::any::Any;
 
@@ -227,64 +227,57 @@ impl FrameInjector for OneShot {
 /// poll. X's second phase must run at the completion's position, as
 /// the poll-everyone dispatcher ran it, not at its own later poll
 /// entry. Returns the app events at `ARRIVE_AT`.
-fn due_at_completion(shards: usize, threads: usize) -> Vec<NodeId> {
-    rayon::with_num_threads(threads, || {
-        let mut w = World::new(Seed(29), MediumParams::default());
-        let sw = w.add_switch(WIRE);
-        let x = w.add_node("x");
-        w.add_wired_iface(x, sw, MacAddr::local(1), X_IP, 24);
-        let cfg = StaConfig {
-            channels: vec![1],
-            ..StaConfig::typical(MacAddr::local(2), "NOBODY", None)
-        };
-        let ip = Ipv4Addr::new(10, 0, 1, 1);
-        w.add_sta(x, Pos::new(0.0, 0.0), 15.0, cfg, ip, 24);
-        let y = w.add_node("y");
-        w.add_wired_iface(y, sw, MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 2), 24);
-        // The first datagram resolves ARP; the second is timed.
-        let at = vec![SEND_AT, SimTime::from_millis(1)];
-        w.add_app(y, Box::new(Sender { sock: None, at }));
-        let z = w.add_node("z");
-        let payload = Bytes::from(vec![0xAA; 20]);
-        let body = FrameBody::Data { payload };
-        let (them, me) = (MacAddr::local(4), MacAddr::local(5));
-        let frame = Frame::new(them, me, me, body).encode();
-        let airtime = Bitrate::B1.airtime(frame.len()).as_nanos();
-        let tx_at = SimTime::ZERO + SimDuration::from_nanos(ARRIVE_AT.as_nanos() - airtime);
-        let shot = OneShot {
-            at: tx_at,
-            frame: Some(frame),
-        };
-        w.add_injector(z, Pos::new(5.0, 0.0), 15.0, 1, shot);
-        // Tickers faster than the frame's airtime: their polls at
-        // ARRIVE_AT are scheduled after the frame began, so they follow
-        // the completion at that instant.
-        for name in ["w", "v"] {
-            let n = w.add_node(name);
-            let period = SimDuration::from_micros(100);
-            let next = SimTime::ZERO;
-            w.add_app(n, Box::new(Ticker { next, period }));
-        }
-        let two_phase = w.add_app(x, Box::<TwoPhase>::default());
-        if shards > 1 {
-            w.set_shards(shards);
-        }
-        w.run_until(ARRIVE_AT + SimDuration::from_millis(5));
-        let received = &w.app::<TwoPhase>(x, two_phase).received_at;
-        assert_eq!(received.last(), Some(&ARRIVE_AT), "the timed datagram");
-        w.app_events
-            .iter()
-            .filter(|(t, _, _)| *t == ARRIVE_AT)
-            .map(|(_, n, _)| *n)
-            .collect()
-    })
+fn due_at_completion() -> Vec<NodeId> {
+    let mut w = World::new(Seed(29), MediumParams::default());
+    let sw = w.add_switch(WIRE);
+    let x = w.add_node("x");
+    w.add_wired_iface(x, sw, MacAddr::local(1), X_IP, 24);
+    let cfg = StaConfig {
+        channels: vec![1],
+        ..StaConfig::typical(MacAddr::local(2), "NOBODY", None)
+    };
+    let ip = Ipv4Addr::new(10, 0, 1, 1);
+    w.add_sta(x, Pos::new(0.0, 0.0), 15.0, cfg, ip, 24);
+    let y = w.add_node("y");
+    w.add_wired_iface(y, sw, MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 2), 24);
+    // The first datagram resolves ARP; the second is timed.
+    let at = vec![SEND_AT, SimTime::from_millis(1)];
+    w.add_app(y, Box::new(Sender { sock: None, at }));
+    let z = w.add_node("z");
+    let payload = Bytes::from(vec![0xAA; 20]);
+    let body = FrameBody::Data { payload };
+    let (them, me) = (MacAddr::local(4), MacAddr::local(5));
+    let frame = Frame::new(them, me, me, body).encode();
+    let airtime = Bitrate::B1.airtime(frame.len()).as_nanos();
+    let tx_at = SimTime::ZERO + SimDuration::from_nanos(ARRIVE_AT.as_nanos() - airtime);
+    let shot = OneShot {
+        at: tx_at,
+        frame: Some(frame),
+    };
+    w.add_injector(z, Pos::new(5.0, 0.0), 15.0, 1, shot);
+    // Tickers faster than the frame's airtime: their polls at
+    // ARRIVE_AT are scheduled after the frame began, so they follow
+    // the completion at that instant.
+    for name in ["w", "v"] {
+        let n = w.add_node(name);
+        let period = SimDuration::from_micros(100);
+        let next = SimTime::ZERO;
+        w.add_app(n, Box::new(Ticker { next, period }));
+    }
+    let two_phase = w.add_app(x, Box::<TwoPhase>::default());
+    w.run_until(ARRIVE_AT + SimDuration::from_millis(5));
+    let received = &w.app::<TwoPhase>(x, two_phase).received_at;
+    assert_eq!(received.last(), Some(&ARRIVE_AT), "the timed datagram");
+    w.app_events
+        .iter()
+        .filter(|(t, _, _)| *t == ARRIVE_AT)
+        .map(|(_, n, _)| *n)
+        .collect()
 }
 
 #[test]
 fn node_due_at_a_completion_is_polled_in_place() {
-    let serial = due_at_completion(1, 1);
-    let names: Vec<usize> = serial.iter().map(|n| n.0).collect();
+    let names: Vec<usize> = due_at_completion().iter().map(|n| n.0).collect();
     // Nodes: x = 0, y = 1, z = 2, w = 3, v = 4.
     assert_eq!(names, vec![0, 3, 4], "x acts at the completion, first");
-    assert_eq!(due_at_completion(2, 2), serial);
 }

@@ -19,12 +19,9 @@
 
 #![forbid(unsafe_code)]
 
-mod cache;
 mod grid;
 pub mod medium;
 pub mod propagation;
-pub mod region;
 
 pub use medium::{Delivery, Medium, MediumParams, RadioId, TxHandle, TxPlan};
 pub use propagation::{Bitrate, Pos, CHANNEL_SPACING_NONOVERLAP};
-pub use region::RegionMap;

@@ -33,10 +33,6 @@
 //!   interaction span can exchange energy) and **by source** (the
 //!   half-duplex check), both as dense slot vectors.
 //!
-//! The pairwise path-loss cache ([`crate::cache`]) serves only the
-//! estimate API, [`Medium::rssi_estimate_dbm`]; the frame path never
-//! consults it.
-//!
 //! The audible floor is a **uniform far-field cutoff**: a signal below
 //! it can neither decode, nor trip CCA, nor contribute to an
 //! interference sum. The sparse path is bit-identical to the dense map
@@ -63,19 +59,17 @@
 //! dBm is computed when a completion or carrier-sense probe first reads
 //! it and is memoized per (tx, radio), as is its same-channel
 //! interference power in mW; most samples are never read. The memo cells
-//! are atomics: planners on different threads may race to fill one, but
-//! each stores the same pure function of frozen inputs, so concurrent
-//! plans equal serial ones and `Medium` stays `Sync`.
+//! are plain `Cell`s: a world plans and commits on one thread, so
+//! `Medium` is `Send` but not `Sync`, and the compiler holds it there.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use rogue_sim::{Seed, SimRng, SimTime};
 
-use crate::cache::PathLossCache;
 use crate::grid::SpatialGrid;
 use crate::propagation::{
     aci_rejection_db, dbm_to_mw, max_range_m, path_loss_db, Bitrate, Pos,
@@ -128,7 +122,7 @@ struct Radio {
     channel: u8,
     tx_power_dbm: f64,
     enabled: bool,
-    /// Bumped by every position change; keys the path-loss cache.
+    /// How many times [`Medium::set_pos`] has moved this radio.
     pos_epoch: u64,
 }
 
@@ -158,9 +152,8 @@ struct LazyPower {
     /// draws of radio `k * CHECKPOINT_EVERY`.
     checkpoints: Vec<SimRng>,
     /// Per radio, `[dBm, same-channel interference mW]` as f64 bits, or
-    /// [`UNSET`]. Relaxed ordering suffices: a cell publishes nothing but
-    /// its own value, and every writer stores the same one.
-    cells: Box<[[AtomicU64; 2]]>,
+    /// [`UNSET`].
+    cells: Box<[[Cell<u64>; 2]]>,
 }
 
 /// Received power samples of one transmission.
@@ -184,13 +177,12 @@ struct Transmission {
     start: SimTime,
     end: SimTime,
     bytes: Bytes,
-    /// Transmitter geometry frozen at begin time: the shard-routing key
-    /// for the completion event, and the anchor of the far-field
-    /// interferer cull in [`Medium::plan_complete`].
+    /// Transmitter geometry frozen at begin time: the anchor of the
+    /// far-field interferer cull in [`Medium::plan_complete`].
     src_pos: Pos,
     tx_power_dbm: f64,
     /// [`max_range_m`] down to the audible floor: the radius of the
-    /// far-field interferer cull and of shard-boundary classification.
+    /// far-field interferer cull.
     audible_range_m: f64,
     /// Radios registered later are treated as out of range.
     radios_at_start: u32,
@@ -290,7 +282,6 @@ pub struct Medium {
     /// Dense (one entry per radio, nearly all empty), no hashing.
     by_src: Vec<Vec<u32>>,
     grid: SpatialGrid,
-    cache: PathLossCache,
     /// Per-source audible rows, valid while `geom_epoch` is unchanged.
     /// Dense, indexed by radio.
     audible_rows: Vec<Option<(u64, AudibleRow)>>,
@@ -332,7 +323,6 @@ impl Medium {
             by_channel: std::array::from_fn(|_| Vec::new()),
             by_src: Vec::new(),
             grid: SpatialGrid::default(),
-            cache: PathLossCache::default(),
             audible_rows: Vec::new(),
             begin_positions: None,
             cand_scratch: Vec::new(),
@@ -371,9 +361,9 @@ impl Medium {
         RadioId(idx)
     }
 
-    /// Move a radio (client mobility). Invalidates the cached path
-    /// losses and audible rows involving this radio; transmissions
-    /// already in flight keep their begin-time power samples.
+    /// Move a radio (client mobility). Invalidates the cached audible
+    /// rows; transmissions already in flight keep their begin-time power
+    /// samples.
     pub fn set_pos(&mut self, id: RadioId, pos: Pos) {
         let ri = id.0 as usize;
         let old = self.radios[ri].pos;
@@ -391,9 +381,9 @@ impl Medium {
         self.radios[id.0 as usize].pos
     }
 
-    /// Position-change epoch of a radio. Bumped by every [`set_pos`]
-    /// call that actually moves the radio; the pairwise path-loss cache
-    /// keys on it, so a bump proves the cached losses were invalidated.
+    /// How many times a radio has moved: bumped by every [`set_pos`]
+    /// call that actually changes its position, untouched by a call that
+    /// leaves it where it is.
     ///
     /// [`set_pos`]: Medium::set_pos
     pub fn pos_epoch(&self, id: RadioId) -> u64 {
@@ -401,8 +391,7 @@ impl Medium {
     }
 
     /// Retune a radio (channel hopping during scans / site audits).
-    /// Pure frequency change: path-loss cache and audible rows stay
-    /// valid.
+    /// Pure frequency change: audible rows stay valid.
     pub fn set_channel(&mut self, id: RadioId, channel: u8) {
         assert!((1..=14).contains(&channel), "invalid 802.11b channel");
         self.radios[id.0 as usize].channel = channel;
@@ -416,22 +405,6 @@ impl Medium {
     /// Enable or disable (power off) a radio.
     pub fn set_enabled(&mut self, id: RadioId, enabled: bool) {
         self.radios[id.0 as usize].enabled = enabled;
-    }
-
-    /// Deterministic (shadowing-free) received power estimate of `from`'s
-    /// transmitter at `to`'s position — used by tooling (site-audit range
-    /// predictions), not by the decode path. Served from the shared
-    /// path-loss cache.
-    pub fn rssi_estimate_dbm(&self, from: RadioId, to: RadioId) -> f64 {
-        let f = &self.radios[from.0 as usize];
-        let t = &self.radios[to.0 as usize];
-        f.tx_power_dbm
-            - self.cache.loss_db(
-                (from.0, f.pos, f.pos_epoch),
-                (to.0, t.pos, t.pos_epoch),
-                self.params.ref_loss_db,
-                self.params.path_loss_exponent,
-            )
     }
 
     /// The audible set of `src` at its current position: every other
@@ -502,7 +475,7 @@ impl Medium {
             positions,
             checkpoints,
             cells: (0..n)
-                .map(|_| [AtomicU64::new(UNSET), AtomicU64::new(UNSET)])
+                .map(|_| [Cell::new(UNSET), Cell::new(UNSET)])
                 .collect(),
         }
     }
@@ -611,8 +584,8 @@ impl Medium {
 
     /// The pure half of [`Self::complete_tx`]: compute every delivery
     /// and counter delta for the transmission ending at `now`, without
-    /// mutating anything. `&self` only, so plans may be computed on any
-    /// thread.
+    /// mutating anything the plan depends on (it only fills lazy memo
+    /// cells).
     ///
     /// Interferer-major: the candidates are narrowed first, then each
     /// overlapping interferer is visited once and adds its power at
@@ -625,8 +598,8 @@ impl Medium {
         assert!(!tx.completed, "complete_tx called twice");
         assert_eq!(tx.end, now, "complete_tx at wrong time");
         // The lists live in a per-thread scratch: plan_complete takes
-        // `&self` and may run on several threads at once, so the scratch
-        // must not be medium state.
+        // `&self`, so the scratch cannot be plain medium state, and one
+        // scratch serves every world a pool thread runs.
         PLAN_SCRATCH.with(|cell| {
             let s = &mut *cell.borrow_mut();
             self.collect_interferers(tx, handle.slot, &mut s.interferers);
@@ -864,7 +837,7 @@ impl Medium {
     /// same f64 expression as an eager registration-order fill.
     fn lazy_dbm(&self, tx: &Transmission, lp: &LazyPower, ri: usize) -> f64 {
         let cell = &lp.cells[ri][0];
-        let bits = cell.load(Ordering::Relaxed);
+        let bits = cell.get();
         if bits != UNSET {
             return f64::from_bits(bits);
         }
@@ -880,7 +853,7 @@ impl Medium {
             rng.skip_gaussians(ri % CHECKPOINT_EVERY);
             p += rng.gaussian(0.0, sigma);
         }
-        cell.store(p.to_bits(), Ordering::Relaxed);
+        cell.set(p.to_bits());
         p
     }
 
@@ -890,7 +863,7 @@ impl Medium {
     /// term.
     fn same_channel_mw(&self, tx: &Transmission, lp: &LazyPower, ri: usize) -> f64 {
         let cell = &lp.cells[ri][1];
-        let bits = cell.load(Ordering::Relaxed);
+        let bits = cell.get();
         if bits != UNSET {
             return f64::from_bits(bits);
         }
@@ -901,7 +874,7 @@ impl Medium {
         } else {
             dbm_to_mw(p)
         };
-        cell.store(mw.to_bits(), Ordering::Relaxed);
+        cell.set(mw.to_bits());
         mw
     }
 
@@ -953,21 +926,6 @@ impl Medium {
         self.radios.len()
     }
 
-    /// Source position of an in-flight transmission, frozen at begin
-    /// time — the shard-routing key for its completion event.
-    pub fn tx_src_pos(&self, handle: TxHandle) -> Pos {
-        self.tx_ref(handle).src_pos
-    }
-
-    /// Conservative audible radius of an in-flight transmission: the
-    /// distance at which its received power falls to the audible floor.
-    /// Infinite when the floor is unreachable (degenerate parameters).
-    /// Used with [`crate::RegionMap::disc_crosses_region`] to classify
-    /// boundary events.
-    pub fn tx_audible_range_m(&self, handle: TxHandle) -> f64 {
-        self.tx_ref(handle).audible_range_m
-    }
-
     /// Transmission records currently retained (in-flight plus completed
     /// ones that still overlap an in-flight frame) — the working-set the
     /// `complete_tx` scans walk. Exposed for tests and benches.
@@ -990,10 +948,12 @@ impl Medium {
             .sum()
     }
 
-    /// Pairwise path-loss cache statistics: (pairs cached, hits,
-    /// misses). Exposed for tests and metrics mirroring.
+    /// Always `(0, 0, 0)`: the medium keeps no pairwise path-loss cache.
+    /// Kept only because the frozen repository benchmark still reads it;
+    /// the benchmark re-cut of ROADMAP item 2 deletes it.
+    #[doc(hidden)]
     pub fn pathloss_cache_stats(&self) -> (usize, u64, u64) {
-        self.cache.stats()
+        (0, 0, 0)
     }
 
     /// `begin_tx` calls served by a cached audible row (sparse path
@@ -1073,7 +1033,7 @@ impl Medium {
 }
 
 /// Per-thread scratch lists of [`Medium::plan_complete`], which takes
-/// `&self` and may run on several threads at once.
+/// `&self`; one set serves every world its thread runs.
 #[derive(Default)]
 struct PlanScratch {
     /// Overlapping interferer slots, ascending by tx id.
@@ -1247,9 +1207,11 @@ mod tests {
         let mut m = medium();
         let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
         let b = m.add_radio(Pos::new(10.0, 0.0), 1, 15.0);
-        let near = m.rssi_estimate_dbm(a, b);
+        let (h, end) = m.begin_tx(SimTime::ZERO, a, bytes(10), Bitrate::B1);
+        let near = m.complete_tx(end, h)[0].rssi_dbm;
         m.set_pos(b, Pos::new(40.0, 0.0));
-        let far = m.rssi_estimate_dbm(a, b);
+        let (h, end) = m.begin_tx(end, a, bytes(10), Bitrate::B1);
+        let far = m.complete_tx(end, h)[0].rssi_dbm;
         assert!(near > far);
     }
 
@@ -1422,7 +1384,7 @@ mod tests {
     }
 
     #[test]
-    fn set_pos_invalidates_cache_and_deliveries_track_the_move() {
+    fn set_pos_moves_deliveries_and_their_rssi() {
         let mut m = medium();
         let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
         let b = m.add_radio(Pos::new(2000.0, 0.0), 1, 15.0);
@@ -1432,16 +1394,16 @@ mod tests {
         };
         let (ds, t1) = fire(&mut m, SimTime::ZERO);
         assert!(ds.is_empty(), "b starts out of range");
-        // Walk b into range: the cached loss for (a, b) must refresh.
+        // Walk b into range: a's audible row must refresh.
         m.set_pos(b, Pos::new(10.0, 0.0));
-        assert!((m.rssi_estimate_dbm(a, b) - -55.0).abs() < 1e-9);
         let (ds, t2) = fire(&mut m, t1);
         assert_eq!(ds.len(), 1, "after the move b decodes");
         assert_eq!(ds[0].to, b);
+        assert!((ds[0].rssi_dbm - -55.0).abs() < 1e-9);
         // And back out again.
         m.set_pos(b, Pos::new(2000.0, 0.0));
         let (ds, _) = fire(&mut m, t2);
-        assert!(ds.is_empty(), "stale cache must not deliver to a far radio");
+        assert!(ds.is_empty(), "a stale row must not deliver to a far radio");
     }
 
     #[test]
@@ -1556,25 +1518,5 @@ mod tests {
             (sig, m.halfduplex_misses, m.sinr_drops)
         };
         assert_eq!(run_serial(), run_planned());
-    }
-
-    #[test]
-    fn medium_is_sync_for_the_parallel_plan_phase() {
-        fn assert_sync<T: Sync>() {}
-        assert_sync::<Medium>();
-        assert_sync::<TxPlan>();
-    }
-
-    #[test]
-    fn rssi_estimate_serves_from_cache() {
-        let mut m = medium();
-        let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
-        let b = m.add_radio(Pos::new(10.0, 0.0), 1, 15.0);
-        let first = m.rssi_estimate_dbm(a, b);
-        let (_, hits0, _) = m.pathloss_cache_stats();
-        let second = m.rssi_estimate_dbm(b, a);
-        let (_, hits1, _) = m.pathloss_cache_stats();
-        assert_eq!(first.to_bits(), second.to_bits(), "symmetric estimate");
-        assert!(hits1 > hits0, "reverse direction must hit the cache");
     }
 }

@@ -21,13 +21,9 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rayon::prelude::*;
 use rogue_phy::propagation::{aci_rejection_db, dbm_to_mw, path_loss_db};
-use rogue_phy::{Bitrate, Delivery, Medium, MediumParams, Pos, RadioId, TxHandle, TxPlan};
+use rogue_phy::{Bitrate, Delivery, Medium, MediumParams, Pos, RadioId, TxHandle};
 use rogue_sim::{Seed, SimRng, SimTime};
-
-/// Shadowing standard deviations under test, dB.
-const SIGMAS: [f64; 2] = [4.0, 6.0];
 
 /// The property runs these, σ = 0 being the sparse path with
 /// `force_dense` flipped by the toggle ops.
@@ -389,68 +385,5 @@ proptest! {
             );
             prop_assert_eq!(lazy, eager, "sigma {}", sigma);
         }
-    }
-}
-
-/// 40 radios within 140 m × 100 m on channels 1, 2 and 6, and 24
-/// frames begun 120 µs apart, most of them in flight together.
-fn cluster(sigma: f64) -> (Medium, Vec<(TxHandle, SimTime)>) {
-    let mut m = Medium::new(params(sigma), Seed(0x5AD0));
-    let ids: Vec<RadioId> = (0..40)
-        .map(|i| {
-            let pos = Pos::new((i % 8) as f64 * 20.0, (i / 8) as f64 * 25.0);
-            m.add_radio(pos, [1, 2, 6][i % 3], 15.0)
-        })
-        .collect();
-    let txs = (0..24)
-        .map(|k| {
-            let payload = Bytes::from(vec![0xA5; 60 + 20 * k]);
-            let now = SimTime(k as u64 * 120_000);
-            m.begin_tx(now, ids[k * 5 % 40], payload, RATES[k % 4])
-        })
-        .collect();
-    (m, txs)
-}
-
-/// `plan_complete` takes `&self` and runs on the pool: planners that
-/// evaluate the same lazy samples at once must produce the serial plans.
-#[test]
-fn concurrent_plans_match_serial_plans() {
-    for sigma in SIGMAS {
-        let (mut serial, txs) = cluster(sigma);
-        let want: Vec<Vec<DeliverySig>> = txs
-            .iter()
-            .map(|&(h, end)| sigs(serial.plan_complete(end, h).deliveries()))
-            .collect();
-        for &(h, end) in &txs {
-            serial.complete_tx(end, h);
-        }
-        assert!(want.iter().any(|w| !w.is_empty()), "some frames decode");
-        assert!(serial.sinr_drops > 0, "some frames collide");
-
-        let (mut pooled, _) = cluster(sigma);
-        // Every frame planned four times, so workers share samples.
-        let jobs: Vec<(TxHandle, SimTime)> =
-            txs.iter().cycle().take(4 * txs.len()).copied().collect();
-        let plans: Vec<TxPlan> = rayon::with_num_threads(4, || {
-            jobs.par_iter()
-                .map(|&(h, end)| pooled.plan_complete(end, h))
-                .collect()
-        });
-        for (k, plan) in plans.iter().enumerate() {
-            assert_eq!(
-                sigs(plan.deliveries()),
-                want[k % txs.len()],
-                "sigma {sigma}, plan {k}"
-            );
-        }
-        for plan in plans.into_iter().take(txs.len()) {
-            pooled.commit_complete(plan);
-        }
-        assert_eq!(
-            (pooled.halfduplex_misses, pooled.sinr_drops),
-            (serial.halfduplex_misses, serial.sinr_drops),
-            "sigma {sigma}"
-        );
     }
 }

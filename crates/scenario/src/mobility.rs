@@ -3,8 +3,8 @@
 //! The compiler builds one [`Walker`] per mobile client; each scenario
 //! tick, [`MobilityPlan::step`] advances every walker and pushes the new
 //! position into the medium via `set_pos` — which bumps the radio's
-//! position epoch and invalidates the pairwise path-loss cache rows for
-//! exactly that radio (see `rogue-phy`). Walkers carry their own forked
+//! move count (`Medium::pos_epoch`) and invalidates the medium's cached
+//! audible rows (see `rogue-phy`). Walkers carry their own forked
 //! RNG, so movement is deterministic per client regardless of how many
 //! other clients exist or how the executor schedules replications.
 
@@ -178,8 +178,8 @@ mod tests {
             now += dt;
             let moved = plan.step(now, dt, &mut medium);
             let epoch = medium.pos_epoch(radio);
-            // Every applied move must invalidate the path-loss cache
-            // for this radio (epoch strictly increases).
+            // Every applied move reaches the medium: the radio's move
+            // count rises by exactly the moves applied.
             assert_eq!(epoch, last_epoch + moved as u64);
             last_epoch = epoch;
             let p = medium.pos(radio);

@@ -16,18 +16,14 @@
 //! Design rule (see DESIGN.md §5 and §15): one simulation world
 //! dispatches events serially and deterministically; parallelism happens
 //! *across* worlds (seeds, parameter points) in the `rogue-core`
-//! experiment drivers. A world's queue may be split into region shards
-//! ([`ShardedQueue`]), whose merged dispatch order is provably identical
-//! to a single [`EventQueue`].
+//! experiment drivers. Each world owns one [`EventQueue`].
 
 pub mod profile;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod trace;
 
 pub use queue::EventQueue;
 pub use rng::{Seed, SimRng};
-pub use shard::ShardedQueue;
 pub use time::{SimDuration, SimTime};

@@ -29,7 +29,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Queue pop / peek / merge work.
+    /// Queue pop / peek work.
     QueuePop = 0,
     /// Scheduling follow-up events (queue inserts, cancels).
     QueueSchedule = 1,
@@ -44,10 +44,11 @@ pub enum Phase {
     /// Applying deferred ops (medium mutations, queue inserts, switch
     /// forwarding) at the commit point, in canonical order.
     OpCommit = 6,
-    /// Wall-clock time of parallel dispatch regions. The dispatcher is
-    /// serial, so nothing records this phase and it reads 0; it stays
-    /// because the repository benchmark still reports it
-    /// (`core.exec_wall_s`).
+    /// Wall-clock time of parallel dispatch regions. A world dispatches
+    /// on one thread, so nothing records this phase and it reads 0. Kept
+    /// only because the frozen repository benchmark still reports it
+    /// (`core.exec_wall_s`); the benchmark re-cut of ROADMAP item 2
+    /// deletes it.
     ExecWall = 7,
 }
 

@@ -56,9 +56,8 @@ const COMPACT_FLOOR: usize = 64;
 /// Opaque handle returned by [`EventQueue::schedule`], usable to cancel.
 ///
 /// Identity (equality/hashing) is the sequence number alone — the slot is a
-/// private O(1) lookup hint. Two handles for the same scheduled event (e.g.
-/// observed through a [`crate::ShardedQueue`] and its inner queue, which
-/// share one seq counter) therefore compare equal.
+/// private O(1) lookup hint. Seqs come only from the queue's own counter,
+/// so no two scheduled events share one.
 #[derive(Clone, Copy, Debug)]
 pub struct EventId {
     slot: u32,
@@ -127,10 +126,6 @@ pub struct EventQueue<E> {
     next_seq: u64,
     now: SimTime,
     dispatched: u64,
-    /// Debug shadow of pending seqs, preserving the duplicate-seq guard on
-    /// [`Self::schedule_at_seq`] without hashing on the release hot path.
-    #[cfg(debug_assertions)]
-    pending_seqs: std::collections::HashSet<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -162,8 +157,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             dispatched: 0,
-            #[cfg(debug_assertions)]
-            pending_seqs: std::collections::HashSet::new(),
         }
     }
 
@@ -264,39 +257,8 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert_seq(at, seq, event)
-    }
-
-    /// Schedule `event` at `at` under an externally assigned sequence
-    /// number. This is the shard hook: a [`crate::ShardedQueue`] draws
-    /// seqs from one global counter and injects entries into per-shard
-    /// queues, so that the k-way `(time, seq)` merge across shards pops
-    /// in exactly the order a single queue would have. `seq` must be
-    /// fresh (never pending on this queue); the internal counter is
-    /// bumped past it so mixing with [`Self::schedule`] stays
-    /// collision-free. The freshness requirement is checked in debug
-    /// builds only — the release hot path carries no seq-membership
-    /// index.
-    pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
-        assert!(
-            at >= self.now,
-            "attempted to schedule event in the past ({at:?} < {:?})",
-            self.now
-        );
-        #[cfg(debug_assertions)]
-        assert!(
-            !self.pending_seqs.contains(&seq),
-            "seq {seq} already known to this queue"
-        );
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.insert_seq(at, seq, event)
-    }
-
-    fn insert_seq(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
         let slot = self.alloc_slot(at, seq, event);
         self.live += 1;
-        #[cfg(debug_assertions)]
-        self.pending_seqs.insert(seq);
         self.insert_node(Node { at, seq, slot });
         EventId { slot, seq }
     }
@@ -316,8 +278,6 @@ impl<E> EventQueue<E> {
         self.free.push(id.slot);
         self.live -= 1;
         self.stale += 1;
-        #[cfg(debug_assertions)]
-        self.pending_seqs.remove(&id.seq);
         self.maybe_compact();
         true
     }
@@ -403,20 +363,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// `(fire_time, seq)` of the next pending event, if any.
-    ///
-    /// The seq is the global tiebreak for same-instant events; the
-    /// sharded merge uses this to pick which shard's head fires next
-    /// without popping speculatively.
-    pub fn peek_next(&mut self) -> Option<(SimTime, u64)> {
-        if self.ensure_head() {
-            let n = &self.current[self.head];
-            Some((n.at, n.seq))
-        } else {
-            None
-        }
-    }
-
     /// Pop the next event, advancing `now` to its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if !self.ensure_head() {
@@ -428,8 +374,6 @@ impl<E> EventQueue<E> {
         let event = s.event.take().expect("ensure_head checked liveness");
         self.free.push(n.slot);
         self.live -= 1;
-        #[cfg(debug_assertions)]
-        self.pending_seqs.remove(&n.seq);
         debug_assert!(n.at >= self.now);
         self.now = n.at;
         self.dispatched += 1;
@@ -448,11 +392,9 @@ impl<E> EventQueue<E> {
     ///   *after* `run_until(now)`, so a TX that completes exactly on a
     ///   tick boundary must be delivered before the detector samples —
     ///   an exclusive boundary would defer it one whole tick.
-    /// - The sharded loop's lockstep windows (`sim.windows`) follow the
-    ///   same convention: a window `[start, end]` owns events with
-    ///   `t <= end`, and the next window starts strictly after.
-    ///   Inclusive-here / exclusive-next partitions the timeline with no
-    ///   event falling between windows.
+    /// - Consecutive calls therefore partition the timeline: a slice
+    ///   `(prev, deadline]` owns events with `t <= deadline`, and the next
+    ///   slice starts strictly after, so no event falls between slices.
     ///
     /// Callers audited for off-by-one window assumptions (PR 8):
     /// `World::run_until` is the only non-test caller; the medium's
@@ -463,17 +405,6 @@ impl<E> EventQueue<E> {
             Some(t) if t <= deadline => self.pop(),
             _ => None,
         }
-    }
-
-    /// Consume the queue, yielding every pending (non-cancelled) event
-    /// as `(fire_time, seq, event)` in unspecified order. Used to
-    /// migrate a queue into a different shard layout with sequence
-    /// numbers — and therefore dispatch order — preserved.
-    pub fn into_entries(self) -> Vec<(SimTime, u64, E)> {
-        self.slab
-            .into_iter()
-            .filter_map(|s| s.event.map(|e| (s.at, s.seq, e)))
-            .collect()
     }
 
     /// Lazy tombstone compaction: once cancelled nodes outnumber live
@@ -620,8 +551,8 @@ mod tests {
     fn pop_until_deadline_is_inclusive() {
         // An event at exactly the deadline fires in THIS window; one
         // nanosecond later belongs to the next. Both sides of the
-        // boundary are pinned because the scenario tick loop and the
-        // sharded lockstep windows partition time on this convention.
+        // boundary are pinned because the scenario tick loop partitions
+        // time on this convention.
         let t = SimTime::from_millis(10);
         let mut q = EventQueue::new();
         q.schedule(t, "on-boundary");
@@ -668,32 +599,6 @@ mod tests {
         assert_eq!(q.pop_until(t).unwrap().1, "live");
         assert!(q.pop_until(t).is_none());
         assert_eq!(q.dispatched(), 1, "cancelled event never dispatches");
-    }
-
-    #[test]
-    fn schedule_at_seq_merges_with_local_seqs() {
-        // The shard hook: externally assigned seqs interleave with
-        // locally assigned ones in strict (time, seq) order, and the
-        // internal counter never collides with an injected seq.
-        let t = SimTime::from_millis(1);
-        let mut q = EventQueue::new();
-        q.schedule_at_seq(t, 5, "five");
-        q.schedule_at_seq(t, 2, "two");
-        let id = q.schedule(t, "six"); // counter bumped past 5 -> seq 6
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().unwrap().1, "two");
-        assert_eq!(q.pop().unwrap().1, "five");
-        assert_eq!(q.pop().unwrap().1, "six");
-        assert!(!q.cancel(id), "already fired");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "already known")]
-    fn schedule_at_seq_rejects_duplicate_seq() {
-        let mut q = EventQueue::new();
-        q.schedule_at_seq(SimTime::from_millis(1), 7, ());
-        q.schedule_at_seq(SimTime::from_millis(2), 7, ());
     }
 
     #[test]

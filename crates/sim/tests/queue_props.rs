@@ -1,23 +1,19 @@
-//! Property tests for the event-queue core and the sharded merge.
+//! Property tests for the event-queue core.
 //!
 //! Two contracts are pinned here:
 //!
-//! 1. **Merge identity** — a [`ShardedQueue`] with any shard count pops
-//!    the exact `(time, seq)` sequence a single [`EventQueue`] would,
-//!    for the same global schedule/cancel/pop history. This is the
-//!    foundation the sharded world loop's bit-identity rests on.
-//! 2. **Cancel-storm accounting** — under heavy schedule/cancel/pop
+//! 1. **Cancel-storm accounting** — under heavy schedule/cancel/pop
 //!    interleaving (the deauth-flood shape), `len()`, tombstone
 //!    accounting and `dispatched()` never drift from a reference model,
 //!    and tombstone compaction keeps resident wheel nodes bounded.
-//! 3. **Wheel-vs-heap differential** — the timer-wheel queue pops the
-//!    exact sequence a straightforward `BinaryHeap<(time, seq)>` does,
-//!    for arbitrary `schedule` / `schedule_at_seq` / `cancel` /
-//!    `pop_until` interleavings.
+//! 2. **Wheel-vs-heap differential** — the timer-wheel [`EventQueue`]
+//!    pops the exact sequence a straightforward `BinaryHeap<(time, seq)>`
+//!    does, for arbitrary `schedule` / `cancel` / `pop` / `pop_until`
+//!    interleavings.
 
 use proptest::collection;
 use proptest::prelude::*;
-use rogue_sim::{EventQueue, ShardedQueue, SimDuration, SimTime};
+use rogue_sim::{EventQueue, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
@@ -50,12 +46,6 @@ impl<E> RefQueue<E> {
         self.heap.push(Reverse((at, seq)));
         self.live.insert(seq, (at, ev));
         seq
-    }
-
-    fn schedule_at_seq(&mut self, at: SimTime, seq: u64, ev: E) {
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.heap.push(Reverse((at, seq)));
-        self.live.insert(seq, (at, ev));
     }
 
     fn cancel(&mut self, seq: u64) -> bool {
@@ -92,8 +82,8 @@ impl<E> RefQueue<E> {
 
 /// Decoded queue operation. `word` is raw proptest entropy.
 enum Op {
-    /// Schedule at now + (0..50) ms on shard (word-derived).
-    Schedule { delay_ms: u64, shard_salt: u64 },
+    /// Schedule at now + (0..50) ms.
+    Schedule { delay_ms: u64 },
     /// Cancel the id at index (word mod ids.len()), if any.
     Cancel { pick: u64 },
     /// Pop unconditionally.
@@ -108,7 +98,6 @@ fn decode(word: u64) -> Op {
     match word % 100 {
         0..=54 => Op::Schedule {
             delay_ms: (word / 100) % 50,
-            shard_salt: word / 7,
         },
         55..=69 => Op::Cancel { pick: word / 100 },
         70..=84 => Op::Pop,
@@ -119,62 +108,6 @@ fn decode(word: u64) -> Op {
 }
 
 proptest! {
-    /// Replay one operation history against a single queue and sharded
-    /// queues of width 2, 3 and 8; every pop, every len, every cancel
-    /// outcome must agree exactly.
-    #[test]
-    fn sharded_merge_is_identical_to_single_queue(words in collection::vec(any::<u64>(), 1..400)) {
-        for num_shards in [2usize, 3, 8] {
-            let mut single: EventQueue<u64> = EventQueue::new();
-            let mut sharded: ShardedQueue<u64> = ShardedQueue::new(num_shards);
-            let mut ids_single = Vec::new();
-            let mut ids_sharded = Vec::new();
-            for (i, &word) in words.iter().enumerate() {
-                match decode(word) {
-                    Op::Schedule { delay_ms, shard_salt } => {
-                        let at = single.now() + SimDuration::from_millis(delay_ms);
-                        let shard = (shard_salt as usize) % num_shards;
-                        ids_single.push(single.schedule(at, i as u64));
-                        ids_sharded.push(sharded.schedule(shard, at, i as u64));
-                        // Same global counter -> same EventId.
-                        prop_assert_eq!(ids_single.last(), ids_sharded.last());
-                    }
-                    Op::Cancel { pick } => {
-                        if !ids_single.is_empty() {
-                            let idx = (pick as usize) % ids_single.len();
-                            let a = single.cancel(ids_single[idx]);
-                            let b = sharded.cancel(ids_sharded[idx]);
-                            prop_assert_eq!(a, b, "cancel outcome diverged");
-                        }
-                    }
-                    Op::Pop => {
-                        let a = single.pop();
-                        let b = sharded.pop().map(|(t, e, _)| (t, e));
-                        prop_assert_eq!(a, b, "pop diverged");
-                    }
-                    Op::PopUntil { horizon_ms } => {
-                        let deadline = single.now() + SimDuration::from_millis(horizon_ms);
-                        let a = single.pop_until(deadline);
-                        let b = sharded.pop_until(deadline).map(|(t, e, _)| (t, e));
-                        prop_assert_eq!(a, b, "pop_until diverged");
-                    }
-                }
-                prop_assert_eq!(single.len(), sharded.len());
-                prop_assert_eq!(single.now(), sharded.now());
-                prop_assert_eq!(single.dispatched(), sharded.dispatched());
-            }
-            // Drain both to the end: the tails must match too.
-            loop {
-                let a = single.pop();
-                let b = sharded.pop().map(|(t, e, _)| (t, e));
-                prop_assert_eq!(&a, &b, "drain diverged");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
     /// Cancel storm against a reference model: a BTreeMap keyed by
     /// (time, seq) — exactly the queue's dispatch order — tracking the
     /// live set. len(), pop results, cancel outcomes and dispatched()
@@ -188,7 +121,7 @@ proptest! {
         let mut expected_dispatched = 0u64;
         for (i, &word) in words.iter().enumerate() {
             match decode(word) {
-                Op::Schedule { delay_ms, .. } => {
+                Op::Schedule { delay_ms } => {
                     let at = q.now() + SimDuration::from_millis(delay_ms);
                     let id = q.schedule(at, i as u64);
                     model.insert((at, seq), i as u64);
@@ -248,9 +181,9 @@ proptest! {
     }
 
     /// Differential test: the timer-wheel queue against [`RefQueue`],
-    /// the naive BinaryHeap it replaced. Every schedule (auto-seq and
-    /// explicit `schedule_at_seq`), cancel outcome, pop result, and the
-    /// len/now/dispatched counters must agree at every step.
+    /// the naive BinaryHeap it replaced. Every schedule, cancel outcome,
+    /// pop result, and the len/now/dispatched counters must agree at
+    /// every step.
     #[test]
     fn wheel_matches_reference_binaryheap(words in collection::vec(any::<u64>(), 1..500)) {
         let mut q: EventQueue<u64> = EventQueue::new();
@@ -258,22 +191,11 @@ proptest! {
         let mut ids: Vec<(rogue_sim::queue::EventId, u64)> = Vec::new();
         for (i, &word) in words.iter().enumerate() {
             match decode(word) {
-                Op::Schedule { delay_ms, shard_salt } => {
+                Op::Schedule { delay_ms } => {
                     let at = q.now() + SimDuration::from_millis(delay_ms);
-                    if shard_salt % 5 == 0 {
-                        // Explicit-seq path (the restore/replay API):
-                        // unique seqs far above the auto range, so they
-                        // sort after auto-scheduled events at the same
-                        // instant — both queues must agree on that.
-                        let seq = 1_000_000 + i as u64;
-                        let id = q.schedule_at_seq(at, seq, i as u64);
-                        r.schedule_at_seq(at, seq, i as u64);
-                        ids.push((id, seq));
-                    } else {
-                        let id = q.schedule(at, i as u64);
-                        let seq = r.schedule(at, i as u64);
-                        ids.push((id, seq));
-                    }
+                    let id = q.schedule(at, i as u64);
+                    let seq = r.schedule(at, i as u64);
+                    ids.push((id, seq));
                 }
                 Op::Cancel { pick } => {
                     if !ids.is_empty() {

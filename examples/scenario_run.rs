@@ -14,12 +14,6 @@
 //! validation; numeric path segments index `[[array]]` tables. Values
 //! parse as TOML when they can (`42`, `true`, `[1, 6]`) and fall back to
 //! bare strings (`30s`) so durations need no inner quotes.
-//!
-//! `--shards N` runs every world the scenario builds under N event-loop
-//! shards. Sharding is bit-identical by construction (DESIGN.md §15),
-//! so the report must not change; in `--smoke` mode that is enforced —
-//! each scenario is rendered serially AND under the requested shard
-//! count (default 2) and the two reports are asserted byte-identical.
 
 use std::process::ExitCode;
 
@@ -27,8 +21,8 @@ use rogue_scenario::{load_source, run_scenario};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: scenario_run <file.toml> [--shards N] [--override key.path=value]...\n\
-         \x20      scenario_run --smoke <dir> [--shards N]"
+        "usage: scenario_run <file.toml> [--override key.path=value]...\n\
+         \x20      scenario_run --smoke <dir>"
     );
     ExitCode::FAILURE
 }
@@ -38,7 +32,6 @@ fn main() -> ExitCode {
     let mut file: Option<String> = None;
     let mut smoke_dir: Option<String> = None;
     let mut overrides: Vec<String> = Vec::new();
-    let mut shards: Option<usize> = None;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -51,10 +44,6 @@ fn main() -> ExitCode {
                 Some(d) => smoke_dir = Some(d),
                 None => return usage(),
             },
-            "--shards" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n >= 1 => shards = Some(n),
-                _ => return usage(),
-            },
             "--help" | "-h" => return usage(),
             _ if file.is_none() => file = Some(arg),
             _ => return usage(),
@@ -62,8 +51,8 @@ fn main() -> ExitCode {
     }
 
     let ok = match (file, smoke_dir) {
-        (Some(path), None) => run_one(&path, &overrides, false, shards.unwrap_or(1)),
-        (None, Some(dir)) => smoke(&dir, &overrides, shards.unwrap_or(2)),
+        (Some(path), None) => run_one(&path, &overrides, false),
+        (None, Some(dir)) => smoke(&dir, &overrides),
         _ => return usage(),
     };
     if ok {
@@ -74,10 +63,8 @@ fn main() -> ExitCode {
 }
 
 /// Load, run, print. In smoke mode the scenario is downscaled first so a
-/// CI leg can cover every checked-in file in seconds, and — when a shard
-/// count other than 1 is in play — the report is rendered both serially
-/// and sharded and the two are asserted byte-identical.
-fn run_one(path: &str, overrides: &[String], smoke: bool, shards: usize) -> bool {
+/// CI leg can cover every checked-in file in seconds.
+fn run_one(path: &str, overrides: &[String], smoke: bool) -> bool {
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -93,31 +80,13 @@ fn run_one(path: &str, overrides: &[String], smoke: bool, shards: usize) -> bool
         }
     };
     let sc = if smoke { downscale(sc) } else { sc };
-    let render = |n: usize| rogue_core::world::with_default_shards(n, || run_scenario(&sc));
-    let report = match render(shards) {
+    let report = match run_scenario(&sc) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("{path}: {e}");
             return false;
         }
     };
-    if smoke && shards > 1 {
-        // The determinism gate: a sharded world must render the exact
-        // bytes the serial world does, or sharding has a bug.
-        match render(1) {
-            Ok(serial) if serial == report => {
-                println!("[shards {shards} == serial: byte-identical]");
-            }
-            Ok(_) => {
-                eprintln!("{path}: report under {shards} shards diverged from serial");
-                return false;
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return false;
-            }
-        }
-    }
     println!("== {path} ==");
     println!("{report}");
     true
@@ -166,9 +135,8 @@ fn collect_tomls(dir: &str, paths: &mut Vec<String>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Run every `.toml` under `dir`, downscaled and cross-checked against
-/// `shards` event-loop shards; fail if any file fails or diverges.
-fn smoke(dir: &str, overrides: &[String], shards: usize) -> bool {
+/// Run every `.toml` under `dir`, downscaled; fail if any file fails.
+fn smoke(dir: &str, overrides: &[String]) -> bool {
     let mut paths = Vec::new();
     if let Err(e) = collect_tomls(dir, &mut paths) {
         eprintln!("{dir}: {e}");
@@ -180,13 +148,10 @@ fn smoke(dir: &str, overrides: &[String], shards: usize) -> bool {
         return false;
     }
     for p in &paths {
-        if !run_one(p, overrides, true, shards) {
+        if !run_one(p, overrides, true) {
             return false;
         }
     }
-    println!(
-        "smoke: {} scenario(s) ran clean under {shards} shard(s)",
-        paths.len()
-    );
+    println!("smoke: {} scenario(s) ran clean", paths.len());
     true
 }

@@ -134,10 +134,11 @@ fn returning_home_reverses_the_handover() {
 // Scenario-driven mobility: the same physics, reached through the
 // declarative layer. The compiler turns `[population.mobility]` into
 // walkers stepped on the scenario tick; every applied move must go
-// through `Medium::set_pos` and therefore bump the moved radio's
-// position epoch (invalidating its path-loss cache rows). The epoch
-// bookkeeping is what keeps a 500-client waypoint scenario honest — a
-// stale cache would silently freeze the radio environment.
+// through `Medium::set_pos` and therefore bump the moved radio's move
+// count (`Medium::pos_epoch`), which is also what invalidates the
+// medium's cached audible rows. A move that bypassed `set_pos` would
+// silently freeze the radio environment of a 500-client waypoint
+// scenario.
 
 const WAYPOINT_SRC: &str = r#"
 name = "mobility-ticks"
@@ -193,7 +194,7 @@ fn scenario_tick_mobility_bumps_pathloss_epochs_per_move() {
         .sum();
     assert_eq!(
         epoch_sum, run.stats.moves,
-        "every waypoint move must invalidate the mover's path-loss cache"
+        "every waypoint move must reach the medium through set_pos"
     );
 
     // And every walker actually moved (no one-walker-does-everything

@@ -34,46 +34,11 @@ fn every_report_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn every_report_is_byte_identical_across_shard_counts() {
-    // PR 8's contract, held at the artifact level: the sharded event
-    // loop must be unobservable in every rendered table, whatever the
-    // combination of shard count and pool size. Shard count 1 is the
-    // classic serial loop (the baseline); 2 and 8 exercise region
-    // routing and the (time, seq) merge, on a one- and a four-thread
-    // pool.
-    let reps = 2;
-    let baseline: Vec<String> = rayon::with_num_threads(1, || {
-        report_builders()
-            .iter()
-            .map(|build| render_report(&build(reps)))
-            .collect()
-    });
-    for shards in [2, 8] {
-        for threads in [1, 4] {
-            let sharded: Vec<String> = rogue_core::with_default_shards(shards, || {
-                rayon::with_num_threads(threads, || {
-                    report_builders()
-                        .iter()
-                        .map(|build| render_report(&build(reps)))
-                        .collect()
-                })
-            });
-            for (i, (a, b)) in baseline.iter().zip(&sharded).enumerate() {
-                assert_eq!(
-                    a, b,
-                    "report {i} diverged at shards={shards} threads={threads}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn evasion_report_is_byte_identical_across_thread_counts() {
     // E10-evasion lives outside `report_builders` (the ten-report
     // harness contract is frozen) but is held to the same standard: its
-    // replication fan-out and the sharded WIDS engine underneath must
-    // render identical bytes whatever the pool size.
+    // replication fan-out must render identical bytes whatever the pool
+    // size.
     let reps = 2;
     let serial = rayon::with_num_threads(1, || render_report(&report_e10_evasion(reps)));
     for threads in [2, 4] {
@@ -120,15 +85,6 @@ fn scenario_reports_are_byte_identical_across_thread_counts() {
                 serial, parallel,
                 "{file} diverged between 1 and {threads} threads"
             );
-        }
-        // And under the sharded event loop: the campus case moves
-        // radios across region stripes every mobility tick, the WIDS
-        // case runs the full sensor pipeline — both must render the
-        // same bytes as the serial loop.
-        for shards in [2, 8] {
-            let sharded =
-                rogue_core::with_default_shards(shards, || scenario_report(file, overrides));
-            assert_eq!(serial, sharded, "{file} diverged at shards={shards}");
         }
     }
 }
