@@ -22,37 +22,24 @@
 //!   5-in-2-s burst window never fills. Caught by the flood detector's
 //!   long horizon (12 in 20 s).
 
-use rayon::prelude::*;
 use rogue_attack::{KarmaProbeRogue, MacRandomizingRogue, PulsedDeauthFlooder, SpoofBeaconer};
 use rogue_dot11::MacAddr;
 use rogue_phy::Pos;
-use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimTime};
-use rogue_wids::{
-    evaluate, EvalOutcome, IncidentCategory, RadioSensor, TruthLabel, WidsConfig, WidsPipeline,
-    WiredSensor,
-};
+use rogue_wids::{EvalOutcome, IncidentCategory, TruthLabel};
 
+use super::e10_wids::{run_scored, score_cell, WidsRow, WidsRunOutcome, WidsRunParams};
 use crate::report::Table;
-use crate::scenario::{addrs, build_corp, corp_bssid, victim_mac, CorpScenarioCfg};
+use crate::scenario::{corp_bssid, victim_mac, CorpScenario, CorpScenarioCfg};
 
 /// Parameters of the evasion driver. Defaults are what the checked-in
 /// report and the `scenarios/evasion/` files pin.
 #[derive(Clone, Debug)]
 pub struct E10EvasionParams {
-    /// Wall-clock horizon of each replication (long enough for the
-    /// pulsed flood's 12th frame at attack start + 7.35 s).
-    pub run_time: SimTime,
-    /// When the evading attacker powers on.
-    pub attack_start: SimTime,
-    /// Lockstep slice between WIDS pipeline steps.
-    pub slice: SimDuration,
-    /// Channels the fixed monitor radios listen on.
-    pub monitor_channels: Vec<u8>,
-    /// Where the monitor radios sit.
-    pub monitor_pos: Pos,
-    /// Truth-matching window passed to [`evaluate`].
-    pub match_window: SimDuration,
+    /// The replication shared with E10; `attack_start` is when the
+    /// evading attacker powers on, and the horizon is long enough for
+    /// the pulsed flood's 12th frame at attack start + 7.35 s.
+    pub run: WidsRunParams,
     /// Variants scored, in table order.
     pub variants: Vec<EvasionVariant>,
 }
@@ -60,12 +47,10 @@ pub struct E10EvasionParams {
 impl Default for E10EvasionParams {
     fn default() -> E10EvasionParams {
         E10EvasionParams {
-            run_time: SimTime::from_secs(12),
-            attack_start: SimTime::from_secs(2),
-            slice: SimDuration::from_millis(100),
-            monitor_channels: vec![1, 6, 11],
-            monitor_pos: Pos::new(20.0, 10.0),
-            match_window: SimDuration::from_millis(500),
+            run: WidsRunParams {
+                run_time: SimTime::from_secs(12),
+                ..WidsRunParams::default()
+            },
             variants: EvasionVariant::all().to_vec(),
         }
     }
@@ -106,11 +91,6 @@ impl EvasionVariant {
         ]
     }
 
-    /// Inverse of [`name`](EvasionVariant::name), for scenario files.
-    pub fn from_name(name: &str) -> Option<EvasionVariant> {
-        EvasionVariant::all().into_iter().find(|v| v.name() == name)
-    }
-
     /// Pinned (precision, recall) floor for this variant — the
     /// acceptance bar `tests/wids_evasion.rs` enforces against every
     /// rendered row.
@@ -131,21 +111,6 @@ fn karma_bssid() -> MacAddr {
     MacAddr::local(0x6B)
 }
 
-/// One replication's outcome.
-#[derive(Clone, Debug)]
-pub struct EvasionRunOutcome {
-    /// Variant run.
-    pub variant: EvasionVariant,
-    /// Ground-truth score.
-    pub eval: EvalOutcome,
-    /// Incidents the pipeline opened.
-    pub incidents: usize,
-    /// Sensor events processed.
-    pub events: u64,
-    /// (category, subject, opened at, score) per incident.
-    pub incident_log: Vec<(IncidentCategory, MacAddr, SimTime, f64)>,
-}
-
 /// Run one replication of `variant` against the corp baseline (no loud
 /// rogue on air — only the evading attacker), stepping the WIDS in
 /// lockstep. Defaults: [`run_evasion_once`].
@@ -154,136 +119,9 @@ pub fn run_evasion_once_with(
     params: &E10EvasionParams,
     variant: EvasionVariant,
     seed: Seed,
-) -> EvasionRunOutcome {
-    let run_time = params.run_time;
-    let start = params.attack_start;
-
-    let mut cfg = base.clone();
-    cfg.rogue = None;
-    cfg.wired_monitor = false;
-    let mut sc = build_corp(&cfg, seed);
-
-    // The victim browses at attack start, as in E10: legitimate traffic
-    // the detectors must not flag is part of the precision score.
-    sc.world.add_app(
-        sc.victim,
-        Box::new(DownloadClient::new(
-            addrs::TARGET,
-            "/download.html",
-            start,
-            SimDuration::from_secs(25),
-        )),
-    );
-
-    // --- the evading attacker -----------------------------------------
-    let attacker = sc.world.add_node("evader");
-    let attacker_pos = Pos::new(40.0, 0.0);
-    match variant {
-        EvasionVariant::MacRandomizing => {
-            let rogue = MacRandomizingRogue::new(
-                "CORP",
-                6,
-                SimDuration::from_millis(100),
-                SimDuration::from_millis(500),
-                seed.fork(0xE7A).0,
-                start,
-                run_time,
-            );
-            sc.world
-                .add_injector(attacker, attacker_pos, 18.0, 6, rogue);
-        }
-        EvasionVariant::KarmaCloaked => {
-            let rogue = KarmaProbeRogue::new(
-                karma_bssid(),
-                6,
-                vec![
-                    "HOME".into(),
-                    "AIRPORT".into(),
-                    "HOTEL".into(),
-                    "CORP".into(),
-                ],
-                SimDuration::from_millis(100),
-                SimDuration::from_millis(250),
-                start,
-                run_time,
-            );
-            sc.world
-                .add_injector(attacker, attacker_pos, 18.0, 6, rogue);
-        }
-        EvasionVariant::LowPowerStealth => {
-            let rogue = SpoofBeaconer::new(
-                corp_bssid(),
-                "CORP",
-                6,
-                SimDuration::from_millis(800),
-                start,
-                run_time,
-            );
-            // 8 dBm from 50 m out: audible at the monitors, barely.
-            sc.world
-                .add_injector(attacker, Pos::new(50.0, 0.0), 8.0, 6, rogue);
-        }
-        EvasionVariant::PulsedDeauth => {
-            let flooder = PulsedDeauthFlooder::new(
-                corp_bssid(),
-                Some(victim_mac()),
-                4,
-                SimDuration::from_millis(450),
-                SimDuration::from_secs(3),
-                start,
-                run_time,
-            );
-            // On the corp channel, impersonating the corp AP, parked
-            // near the monitors so its sparse bursts survive collisions
-            // with the victim's own traffic.
-            sc.world
-                .add_injector(attacker, Pos::new(22.0, 8.0), 18.0, 1, flooder);
-        }
-    }
-
-    // --- the WIDS deployment (E10's shape) ----------------------------
-    let defender = sc.world.add_node("wids-defender");
-    let monitors: Vec<usize> = params
-        .monitor_channels
-        .iter()
-        .map(|&ch| sc.world.add_monitor(defender, params.monitor_pos, ch))
-        .collect();
-    sc.world.add_wire_tap(defender, sc.corp_switch);
-
-    let mut pipe = WidsPipeline::new(WidsConfig {
-        authorized_aps: vec![(corp_bssid(), 1)],
-        trusted_bindings: vec![
-            (addrs::CORP_GW, MacAddr::local(254)),
-            (addrs::VICTIM, victim_mac()),
-        ],
-        ..WidsConfig::default()
-    });
-    let mut radio_sensors: Vec<RadioSensor> = monitors
-        .iter()
-        .map(|_| RadioSensor::new(pipe.new_sensor_id()))
-        .collect();
-    let wired_id = pipe.new_sensor_id();
-    let mut wired_sensor = WiredSensor::new(wired_id);
-    let mut wired_cursor = 0usize;
-
-    let slice = params.slice;
-    let mut now = SimTime::ZERO;
-    while now < run_time {
-        now = (now + slice).min(run_time);
-        sc.world.run_until(now);
-        for (sensor, &mon) in radio_sensors.iter_mut().zip(&monitors) {
-            sensor.drain(sc.world.sniffer(defender, mon), &mut pipe.ring);
-        }
-        if let Some(tap) = sc.world.wire_tap(defender) {
-            for (at, bytes) in &tap.frames[wired_cursor..] {
-                wired_sensor.ingest(*at, bytes, &mut pipe.ring);
-            }
-            wired_cursor = tap.frames.len();
-        }
-        pipe.step(now);
-    }
-
-    // --- ground truth --------------------------------------------------
+) -> WidsRunOutcome {
+    let run = &params.run;
+    let (start, run_time) = (run.attack_start, run.run_time);
     let labels = match variant {
         // The rotating rogue has no single true address; any RogueAp
         // subject inside the window counts.
@@ -323,23 +161,77 @@ pub fn run_evasion_once_with(
             ),
         ],
     };
-    let eval = evaluate(pipe.incidents(), &labels, params.match_window);
-
-    EvasionRunOutcome {
-        variant,
-        eval,
-        incidents: pipe.incidents().len(),
-        events: pipe.metrics().counter("wids.events"),
-        incident_log: pipe
-            .incidents()
-            .iter()
-            .map(|i| (i.category, i.subject, i.opened_at, i.score))
-            .collect(),
-    }
+    let attacker = |sc: &mut CorpScenario| {
+        let attacker = sc.world.add_node("evader");
+        let attacker_pos = Pos::new(40.0, 0.0);
+        match variant {
+            EvasionVariant::MacRandomizing => {
+                let rogue = MacRandomizingRogue::new(
+                    "CORP",
+                    6,
+                    SimDuration::from_millis(100),
+                    SimDuration::from_millis(500),
+                    seed.fork(0xE7A).0,
+                    start,
+                    run_time,
+                );
+                sc.world
+                    .add_injector(attacker, attacker_pos, 18.0, 6, rogue);
+            }
+            EvasionVariant::KarmaCloaked => {
+                let rogue = KarmaProbeRogue::new(
+                    karma_bssid(),
+                    6,
+                    vec![
+                        "HOME".into(),
+                        "AIRPORT".into(),
+                        "HOTEL".into(),
+                        "CORP".into(),
+                    ],
+                    SimDuration::from_millis(100),
+                    SimDuration::from_millis(250),
+                    start,
+                    run_time,
+                );
+                sc.world
+                    .add_injector(attacker, attacker_pos, 18.0, 6, rogue);
+            }
+            EvasionVariant::LowPowerStealth => {
+                let rogue = SpoofBeaconer::new(
+                    corp_bssid(),
+                    "CORP",
+                    6,
+                    SimDuration::from_millis(800),
+                    start,
+                    run_time,
+                );
+                // 8 dBm from 50 m out: audible at the monitors, barely.
+                sc.world
+                    .add_injector(attacker, Pos::new(50.0, 0.0), 8.0, 6, rogue);
+            }
+            EvasionVariant::PulsedDeauth => {
+                let flooder = PulsedDeauthFlooder::new(
+                    corp_bssid(),
+                    Some(victim_mac()),
+                    4,
+                    SimDuration::from_millis(450),
+                    SimDuration::from_secs(3),
+                    start,
+                    run_time,
+                );
+                // On the corp channel, impersonating the corp AP, parked
+                // near the monitors so its sparse bursts survive
+                // collisions with the victim's own traffic.
+                sc.world
+                    .add_injector(attacker, Pos::new(22.0, 8.0), 18.0, 1, flooder);
+            }
+        }
+    };
+    run_scored(base, run, None, seed, attacker, &labels)
 }
 
 /// [`run_evasion_once_with`] on the corp baseline with default timing.
-pub fn run_evasion_once(variant: EvasionVariant, seed: Seed) -> EvasionRunOutcome {
+pub fn run_evasion_once(variant: EvasionVariant, seed: Seed) -> WidsRunOutcome {
     run_evasion_once_with(
         &CorpScenarioCfg::paper_attack(),
         &E10EvasionParams::default(),
@@ -381,27 +273,19 @@ pub fn evasion_table_with(
         .variants
         .iter()
         .map(|&variant| {
-            let outcomes: Vec<EvasionRunOutcome> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    run_evasion_once_with(
-                        base,
-                        params,
-                        variant,
-                        seed.fork(0xE7A * 100 + rep as u64),
-                    )
-                })
-                .collect();
-            let mut eval = EvalOutcome::default();
-            for o in &outcomes {
-                eval.merge(&o.eval);
-            }
+            let WidsRow {
+                reps,
+                eval,
+                mean_incidents,
+                ..
+            } = score_cell(variant.name(), reps, seed, 0xE7A, |s| {
+                run_evasion_once_with(base, params, variant, s)
+            });
             EvasionRow {
                 variant,
-                reps: outcomes.len(),
+                reps,
                 eval,
-                mean_incidents: outcomes.iter().map(|o| o.incidents as f64).sum::<f64>()
-                    / outcomes.len().max(1) as f64,
+                mean_incidents,
             }
         })
         .collect()

@@ -29,28 +29,22 @@ use rogue_netstack::Ipv4Addr;
 use rogue_phy::Pos;
 use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimTime};
-use rogue_wids::{
-    evaluate, EvalOutcome, IncidentCategory, RadioSensor, TruthLabel, WidsConfig, WidsPipeline,
-    WiredSensor,
-};
+use rogue_wids::{evaluate, EvalOutcome, IncidentCategory, TruthLabel, WidsConfig};
 
 use crate::report::Table;
 use crate::scenario::{addrs, build_corp, corp_bssid, victim_mac};
-use crate::scenario::{CorpScenarioCfg, RogueCfg};
+use crate::scenario::{CorpScenario, CorpScenarioCfg, RogueCfg};
+use crate::wids::WidsDeployment;
 
-/// Parameters of the E10 driver. [`E10Params::default`] is exactly the
-/// deployment the checked-in report was generated with; the scenario
-/// compiler (`rogue-scenario`) overrides fields from a `.toml` file and
-/// must reproduce that table byte-for-byte at the defaults.
+/// What every scored WIDS replication shares, E10's scripted scenarios
+/// and E10-evasion's variants alike. The defaults are E10's.
 #[derive(Clone, Debug)]
-pub struct E10Params {
+pub struct WidsRunParams {
     /// Wall-clock horizon of each replication.
     pub run_time: SimTime,
-    /// When the rogue-AP + deauth attack powers on.
+    /// When the attacker powers on and the victim starts its download.
     pub attack_start: SimTime,
-    /// When the wired ARP poisoner starts claiming the gateway.
-    pub spoof_start: SimTime,
-    /// Lockstep slice between WIDS pipeline steps.
+    /// Lockstep slice between WIDS pipeline steps (positive).
     pub slice: SimDuration,
     /// Channels the fixed monitor radios listen on.
     pub monitor_channels: Vec<u8>,
@@ -58,6 +52,32 @@ pub struct E10Params {
     pub monitor_pos: Pos,
     /// Truth-matching window passed to [`evaluate`].
     pub match_window: SimDuration,
+}
+
+impl Default for WidsRunParams {
+    fn default() -> WidsRunParams {
+        WidsRunParams {
+            run_time: SimTime::from_secs(10),
+            attack_start: SimTime::from_secs(2),
+            slice: SimDuration::from_millis(100),
+            monitor_channels: vec![1, 6, 11],
+            monitor_pos: Pos::new(20.0, 10.0),
+            match_window: SimDuration::from_millis(500),
+        }
+    }
+}
+
+/// Parameters of the E10 driver. [`E10Params::default`] is exactly the
+/// deployment the checked-in report was generated with; the scenario
+/// compiler (`rogue-scenario`) overrides fields from a `.toml` file and
+/// must reproduce that table byte-for-byte at the defaults.
+#[derive(Clone, Debug)]
+pub struct E10Params {
+    /// The replication shared with E10-evasion; `attack_start` is when
+    /// the rogue-AP + deauth attack powers on.
+    pub run: WidsRunParams,
+    /// When the wired ARP poisoner starts claiming the gateway.
+    pub spoof_start: SimTime,
     /// Scenarios scored, in table order.
     pub scenarios: Vec<WidsScenario>,
 }
@@ -65,13 +85,8 @@ pub struct E10Params {
 impl Default for E10Params {
     fn default() -> E10Params {
         E10Params {
-            run_time: SimTime::from_secs(10),
-            attack_start: SimTime::from_secs(2),
+            run: WidsRunParams::default(),
             spoof_start: SimTime::from_secs(3),
-            slice: SimDuration::from_millis(100),
-            monitor_channels: vec![1, 6, 11],
-            monitor_pos: Pos::new(20.0, 10.0),
-            match_window: SimDuration::from_millis(500),
             scenarios: WidsScenario::all().to_vec(),
         }
     }
@@ -89,7 +104,7 @@ pub enum WidsScenario {
 }
 
 impl WidsScenario {
-    /// Table label.
+    /// Table label (and the scenario-file scenario name).
     pub fn name(self) -> &'static str {
         match self {
             WidsScenario::Clean => "clean",
@@ -106,11 +121,6 @@ impl WidsScenario {
             WidsScenario::ArpSpoof,
         ]
     }
-
-    /// Inverse of [`name`](WidsScenario::name), for scenario files.
-    pub fn from_name(name: &str) -> Option<WidsScenario> {
-        WidsScenario::all().into_iter().find(|s| s.name() == name)
-    }
 }
 
 /// MAC of the wired ARP attacker.
@@ -121,8 +131,6 @@ fn arp_attacker_mac() -> MacAddr {
 /// One replication's outcome.
 #[derive(Clone, Debug)]
 pub struct WidsRunOutcome {
-    /// Scenario run.
-    pub scenario: WidsScenario,
     /// Ground-truth score.
     pub eval: EvalOutcome,
     /// Incidents the pipeline opened.
@@ -136,6 +144,80 @@ pub struct WidsRunOutcome {
     pub incident_log: Vec<(IncidentCategory, MacAddr, SimTime, f64)>,
 }
 
+/// One scored replication, E10's and E10-evasion's alike: the corp
+/// network built from `base` with `rogue` on air and no wired monitor,
+/// the victim's download at attack start, the caller's `attacker`, then
+/// the WIDS on a defender node (a monitor per channel plus a span port
+/// on the corp switch) fed in lockstep slices to the horizon, and its
+/// incidents scored against `labels`.
+pub(crate) fn run_scored(
+    base: &CorpScenarioCfg,
+    run: &WidsRunParams,
+    rogue: Option<RogueCfg>,
+    seed: Seed,
+    attacker: impl FnOnce(&mut CorpScenario),
+    labels: &[TruthLabel],
+) -> WidsRunOutcome {
+    assert!(
+        run.slice > SimDuration::ZERO,
+        "the lockstep slice must be positive"
+    );
+    let mut cfg = base.clone();
+    cfg.rogue = rogue;
+    cfg.wired_monitor = false;
+    let mut sc = build_corp(&cfg, seed);
+
+    // The victim browses at attack start (t = 2 s, as in E2/E9), so a
+    // rogue scenario exercises the full MITM path and every run carries
+    // legitimate traffic the detectors must not flag.
+    sc.world.add_app(
+        sc.victim,
+        Box::new(DownloadClient::new(
+            addrs::TARGET,
+            "/download.html",
+            run.attack_start,
+            SimDuration::from_secs(25),
+        )),
+    );
+    attacker(&mut sc);
+
+    let defender = sc.world.add_node("wids-defender");
+    let mut wids = WidsDeployment::new(
+        &mut sc.world,
+        defender,
+        run.monitor_pos,
+        &run.monitor_channels,
+        Some(sc.corp_switch),
+        WidsConfig {
+            authorized_aps: vec![(corp_bssid(), 1)],
+            trusted_bindings: vec![
+                (addrs::CORP_GW, MacAddr::local(254)),
+                (addrs::VICTIM, victim_mac()),
+            ],
+            ..WidsConfig::default()
+        },
+    );
+    let mut now = SimTime::ZERO;
+    while now < run.run_time {
+        now = (now + run.slice).min(run.run_time);
+        sc.world.run_until(now);
+        wids.feed(&sc.world, now);
+    }
+
+    let pipe = &wids.pipe;
+    WidsRunOutcome {
+        eval: evaluate(pipe.incidents(), labels, run.match_window),
+        incidents: pipe.incidents().len(),
+        events: pipe.metrics().counter("wids.events"),
+        ring_dropped: pipe.metrics().counter("wids.ring_dropped"),
+        incident_log: pipe
+            .incidents()
+            .iter()
+            .map(|i| (i.category, i.subject, i.opened_at, i.score))
+            .collect(),
+    }
+}
+
 /// Run one replication of `scenario` against `base`, stepping the WIDS
 /// pipeline in lockstep slices alongside the simulation. Defaults:
 /// [`run_wids_once`].
@@ -145,37 +227,42 @@ pub fn run_wids_once_with(
     scenario: WidsScenario,
     seed: Seed,
 ) -> WidsRunOutcome {
-    let run_time = params.run_time;
-    let attack_start = params.attack_start;
-    let spoof_start = params.spoof_start;
-
-    let mut cfg = base.clone();
-    cfg.rogue = match scenario {
-        WidsScenario::RogueApDeauth => Some(RogueCfg {
-            start_at: attack_start,
-            deauth_victim: true,
-            ..base.rogue.clone().unwrap_or_default()
-        }),
-        // clean / arp-spoof run the baseline network: no rogue on air.
-        _ => None,
+    let run = &params.run;
+    // clean / arp-spoof run the baseline network: no rogue on air.
+    let rogue = (scenario == WidsScenario::RogueApDeauth).then(|| RogueCfg {
+        start_at: run.attack_start,
+        deauth_victim: true,
+        ..base.rogue.clone().unwrap_or_default()
+    });
+    let labels = match scenario {
+        WidsScenario::Clean => Vec::new(),
+        WidsScenario::RogueApDeauth => vec![
+            // The cloned-BSSID rogue itself.
+            TruthLabel::new(
+                IncidentCategory::RogueAp,
+                Some(corp_bssid()),
+                run.attack_start,
+                run.run_time,
+            ),
+            // Its targeted deauth flood (from rogue start + 700 ms).
+            TruthLabel::new(
+                IncidentCategory::DeauthFlood,
+                Some(corp_bssid()),
+                run.attack_start + SimDuration::from_millis(700),
+                run.run_time,
+            ),
+        ],
+        WidsScenario::ArpSpoof => vec![TruthLabel::new(
+            IncidentCategory::ArpSpoof,
+            Some(arp_attacker_mac()),
+            params.spoof_start,
+            run.run_time,
+        )],
     };
-    cfg.wired_monitor = false;
-    let mut sc = build_corp(&cfg, seed);
-
-    // The victim browses at t = 2 s (as in E2/E9), so the rogue scenario
-    // exercises the full MITM path and the clean/arp runs carry the same
-    // legitimate traffic the detectors must not flag.
-    sc.world.add_app(
-        sc.victim,
-        Box::new(DownloadClient::new(
-            addrs::TARGET,
-            "/download.html",
-            attack_start,
-            SimDuration::from_secs(25),
-        )),
-    );
-
-    if scenario == WidsScenario::ArpSpoof {
+    let attacker = |sc: &mut CorpScenario| {
+        if scenario != WidsScenario::ArpSpoof {
+            return;
+        }
         let attacker = sc.world.add_node("arp-attacker");
         let a_if = sc.world.add_wired_iface(
             attacker,
@@ -190,97 +277,12 @@ pub fn run_wids_once_with(
                 addrs::CORP_GW,
                 None,
                 a_if,
-                spoof_start,
+                params.spoof_start,
                 SimDuration::from_millis(800),
             )),
         );
-    }
-
-    // --- the WIDS deployment ------------------------------------------
-    // Fixed sensors on the three non-overlapping channels, plus a span
-    // port on the corp switch.
-    let defender = sc.world.add_node("wids-defender");
-    let monitors: Vec<usize> = params
-        .monitor_channels
-        .iter()
-        .map(|&ch| sc.world.add_monitor(defender, params.monitor_pos, ch))
-        .collect();
-    sc.world.add_wire_tap(defender, sc.corp_switch);
-
-    let mut pipe = WidsPipeline::new(WidsConfig {
-        authorized_aps: vec![(corp_bssid(), 1)],
-        trusted_bindings: vec![
-            (addrs::CORP_GW, MacAddr::local(254)),
-            (addrs::VICTIM, victim_mac()),
-        ],
-        ..WidsConfig::default()
-    });
-    let mut radio_sensors: Vec<RadioSensor> = monitors
-        .iter()
-        .map(|_| RadioSensor::new(pipe.new_sensor_id()))
-        .collect();
-    let wired_id = pipe.new_sensor_id();
-    let mut wired_sensor = WiredSensor::new(wired_id);
-    let mut wired_cursor = 0usize;
-
-    // --- lockstep run --------------------------------------------------
-    let slice = params.slice;
-    let mut now = SimTime::ZERO;
-    while now < run_time {
-        now = (now + slice).min(run_time);
-        sc.world.run_until(now);
-        for (sensor, &mon) in radio_sensors.iter_mut().zip(&monitors) {
-            sensor.drain(sc.world.sniffer(defender, mon), &mut pipe.ring);
-        }
-        if let Some(tap) = sc.world.wire_tap(defender) {
-            for (at, bytes) in &tap.frames[wired_cursor..] {
-                wired_sensor.ingest(*at, bytes, &mut pipe.ring);
-            }
-            wired_cursor = tap.frames.len();
-        }
-        pipe.step(now);
-    }
-
-    // --- ground truth --------------------------------------------------
-    let labels: Vec<TruthLabel> = match scenario {
-        WidsScenario::Clean => Vec::new(),
-        WidsScenario::RogueApDeauth => vec![
-            // The cloned-BSSID rogue itself.
-            TruthLabel::new(
-                IncidentCategory::RogueAp,
-                Some(corp_bssid()),
-                attack_start,
-                run_time,
-            ),
-            // Its targeted deauth flood (from rogue start + 700 ms).
-            TruthLabel::new(
-                IncidentCategory::DeauthFlood,
-                Some(corp_bssid()),
-                attack_start + SimDuration::from_millis(700),
-                run_time,
-            ),
-        ],
-        WidsScenario::ArpSpoof => vec![TruthLabel::new(
-            IncidentCategory::ArpSpoof,
-            Some(arp_attacker_mac()),
-            spoof_start,
-            run_time,
-        )],
     };
-    let eval = evaluate(pipe.incidents(), &labels, params.match_window);
-
-    WidsRunOutcome {
-        scenario,
-        eval,
-        incidents: pipe.incidents().len(),
-        events: pipe.metrics().counter("wids.events"),
-        ring_dropped: pipe.metrics().counter("wids.ring_dropped"),
-        incident_log: pipe
-            .incidents()
-            .iter()
-            .map(|i| (i.category, i.subject, i.opened_at, i.score))
-            .collect(),
-    }
+    run_scored(base, run, rogue, seed, attacker, &labels)
 }
 
 /// [`run_wids_once_with`] on the paper scenario with paper timing.
@@ -308,6 +310,35 @@ pub struct WidsRow {
     pub ring_dropped: u64,
 }
 
+/// Score one table cell over `reps` replications fanned out over the
+/// pool: replication `rep` runs `once` at `seed.fork(stream * 100 +
+/// rep)`, and the outcomes merge in replication order. E10 and
+/// E10-evasion both fan out through here.
+pub(crate) fn score_cell(
+    label: &'static str,
+    reps: usize,
+    seed: Seed,
+    stream: u64,
+    once: impl Fn(Seed) -> WidsRunOutcome + Sync,
+) -> WidsRow {
+    let outcomes: Vec<WidsRunOutcome> = (0..reps)
+        .into_par_iter()
+        .map(|rep| once(seed.fork(stream * 100 + rep as u64)))
+        .collect();
+    let mut eval = EvalOutcome::default();
+    for o in &outcomes {
+        eval.merge(&o.eval);
+    }
+    WidsRow {
+        scenario: label,
+        reps: outcomes.len(),
+        eval,
+        mean_incidents: outcomes.iter().map(|o| o.incidents as f64).sum::<f64>()
+            / outcomes.len().max(1) as f64,
+        ring_dropped: outcomes.iter().map(|o| o.ring_dropped).sum(),
+    }
+}
+
 /// Score every scenario over `reps` replications each; the last row is
 /// the merged "overall" line the acceptance thresholds apply to.
 /// Defaults: [`wids_table`].
@@ -321,24 +352,9 @@ pub fn wids_table_with(
         .scenarios
         .iter()
         .map(|&scenario| {
-            let outcomes: Vec<WidsRunOutcome> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    run_wids_once_with(base, params, scenario, seed.fork(0xE10 * 100 + rep as u64))
-                })
-                .collect();
-            let mut eval = EvalOutcome::default();
-            for o in &outcomes {
-                eval.merge(&o.eval);
-            }
-            WidsRow {
-                scenario: scenario.name(),
-                reps: outcomes.len(),
-                eval,
-                mean_incidents: outcomes.iter().map(|o| o.incidents as f64).sum::<f64>()
-                    / outcomes.len().max(1) as f64,
-                ring_dropped: outcomes.iter().map(|o| o.ring_dropped).sum(),
-            }
+            score_cell(scenario.name(), reps, seed, 0xE10, |s| {
+                run_wids_once_with(base, params, scenario, s)
+            })
         })
         .collect();
     let mut overall = EvalOutcome::default();

@@ -19,9 +19,10 @@ use rogue_attack::DeauthFlooder;
 use rogue_phy::Pos;
 use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimTime};
-use rogue_wids::{IncidentCategory, RadioSensor, WidsConfig, WidsPipeline};
+use rogue_wids::{IncidentCategory, WidsConfig};
 
 use crate::scenario::{addrs, build_corp, corp_bssid, CorpScenarioCfg};
+use crate::wids::WidsDeployment;
 
 /// One replication's outcome.
 #[derive(Clone, Debug)]
@@ -54,15 +55,21 @@ pub fn run_containment_once(
             SimDuration::from_secs(25),
         )),
     );
-    // The defender: monitor + WIDS pipeline + (later) containment
-    // injector.
+    // The defender: one sweeping monitor feeding the WIDS (no span
+    // port) and, later, a containment injector.
     let defender = sc.world.add_node("defender");
-    let mon = sc.world.add_monitor(defender, Pos::new(20.0, 10.0), 1);
-    let mut pipe = WidsPipeline::new(WidsConfig {
-        authorized_aps: vec![(corp_bssid(), 1)],
-        ..WidsConfig::default()
-    });
-    let mut sensor = RadioSensor::new(pipe.new_sensor_id());
+    let mut wids = WidsDeployment::new(
+        &mut sc.world,
+        defender,
+        Pos::new(20.0, 10.0),
+        &[1],
+        None,
+        WidsConfig {
+            authorized_aps: vec![(corp_bssid(), 1)],
+            ..WidsConfig::default()
+        },
+    );
+    let mon = wids.monitors[0];
 
     let channels: Vec<u8> = (1..=11).collect();
     let rogue_channel = cfg.rogue.as_ref().map(|r| r.channel).unwrap_or(6);
@@ -79,10 +86,10 @@ pub fn run_containment_once(
         now = now.saturating_add(sweep_dwell).min(run_time);
         sc.world.run_until(now);
 
-        sensor.drain(sc.world.sniffer(defender, mon), &mut pipe.ring);
-        pipe.step(now);
+        wids.feed(&sc.world, now);
         if detected_at.is_none() {
-            let rogue_flagged = pipe
+            let rogue_flagged = wids
+                .pipe
                 .incidents()
                 .iter()
                 .any(|i| i.category == IncidentCategory::RogueAp && i.subject == corp_bssid());

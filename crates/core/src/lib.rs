@@ -16,6 +16,8 @@
 //! * [`experiments`] — E1–E10, one module per paper artifact (see
 //!   DESIGN.md §4), each returning a plain result struct that the
 //!   benches, examples and EXPERIMENTS.md tables are generated from,
+//! * [`wids`] — the defender's WIDS deployment: monitor radios and a
+//!   span-port tap feeding one `rogue-wids` pipeline,
 //! * [`report`] — fixed-width table rendering for harness output.
 //!
 //! ## Quick start
@@ -36,6 +38,7 @@ pub mod experiments;
 pub mod policy;
 pub mod report;
 pub mod scenario;
+pub mod wids;
 pub mod world;
 
 pub use policy::ClientPolicy;

@@ -94,29 +94,6 @@ fn event_kind(ev: &Event) -> usize {
     }
 }
 
-/// `sim.prof.*` metric keys for the per-phase nanosecond totals, in
-/// [`Phase`] order.
-const PROF_PHASE_KEYS: [&str; rogue_sim::profile::NUM_PHASES] = [
-    "sim.prof.queue_pop_ns",
-    "sim.prof.queue_schedule_ns",
-    "sim.prof.medium_plan_ns",
-    "sim.prof.medium_commit_ns",
-    "sim.prof.deliver_ns",
-    "sim.prof.poll_ns",
-    "sim.prof.op_commit_ns",
-    "sim.prof.exec_wall_ns",
-];
-
-/// `sim.prof.*` metric keys for the per-event-kind nanosecond totals,
-/// in [`event_kind`] order.
-const PROF_KIND_KEYS: [&str; 5] = [
-    "sim.prof.ev_tx_complete_ns",
-    "sim.prof.ev_node_poll_ns",
-    "sim.prof.ev_wire_deliver_ns",
-    "sim.prof.ev_bridge_deliver_ns",
-    "sim.prof.ev_tap_deliver_ns",
-];
-
 /// A radio's MAC-layer role.
 enum RadioRole {
     Sta {
@@ -599,8 +576,8 @@ pub struct World {
     radio_owner: Vec<RadioOwner>,
     rng: SimRng,
     /// Always-on hot-path cycle profiler (wall-clock attribution; only
-    /// surfaced through `sim.prof.*` metrics and bench JSONs, never a
-    /// golden table).
+    /// surfaced through [`World::profile_snapshot`] and bench JSONs,
+    /// never a golden table).
     prof: Profiler,
     /// Kind-cell indices, in [`event_kind`] order.
     prof_kinds: [usize; 5],
@@ -616,7 +593,7 @@ pub struct World {
     /// Application milestones, in order.
     pub app_events: Vec<(SimTime, NodeId, AppEvent)>,
     /// Aggregate run counters (associations, forced kicks, WEP failures,
-    /// switch frames) — mergeable across Monte-Carlo replications.
+    /// switch frames).
     pub metrics: Metrics,
 }
 
@@ -1082,50 +1059,6 @@ impl World {
             self.dispatch_event(now, ev);
             self.prof.record_kind(kind, t0);
         }
-        // Mirror the medium's counters into the metrics sink so reports
-        // and tests read them the same way as the `mac.*` family.
-        self.metrics.set("phy.frames_sent", self.medium.frames_sent);
-        self.metrics
-            .set("phy.halfduplex_misses", self.medium.halfduplex_misses);
-        self.metrics.set("phy.sinr_drops", self.medium.sinr_drops);
-        self.metrics
-            .set("phy.audible_rows_reused", self.medium.audible_rows_reused());
-        self.metrics.set(
-            "phy.power_map_entries",
-            self.medium.power_map_entries() as u64,
-        );
-        // Mirror the VPN record-layer counters (summed over every tun
-        // binding) the same way: `vpn.bytes_copied` staying 0 is the
-        // observable proof the zero-copy record path held (DESIGN §12).
-        let (mut sealed, mut opened, mut copied) = (0u64, 0u64, 0u64);
-        for node in &self.nodes {
-            if let Some(tun) = &node.tun {
-                let (s, o, c) = match &tun.role {
-                    TunRole::Client(cl) => cl.record_stats(),
-                    TunRole::Server(sv) => sv.record_stats(),
-                };
-                sealed += s;
-                opened += o;
-                copied += c;
-            }
-        }
-        self.metrics.set("vpn.records_sealed", sealed);
-        self.metrics.set("vpn.records_opened", opened);
-        self.metrics.set("vpn.bytes_copied", copied);
-        // Profiler breakdown: wall-clock, so strictly `sim.*` (never in
-        // a golden table, which must be identical across thread counts
-        // and hosts).
-        let snap = self.profile_snapshot();
-        for (i, &(_, ns, _)) in snap.phases.iter().enumerate() {
-            self.metrics.set(PROF_PHASE_KEYS[i], ns);
-        }
-        for (i, &(_, ns, _)) in snap.kinds.iter().enumerate() {
-            self.metrics.set(PROF_KIND_KEYS[i], ns);
-        }
-        self.metrics.set("sim.prof.overhead_ns", snap.overhead_ns);
-        self.metrics.set("sim.prof.dispatch_ns", snap.dispatch_ns);
-        self.metrics
-            .set("sim.prof.overhead_permille", snap.overhead_permille());
     }
 
     /// Calibrated profiler snapshot: per-phase and per-event-kind time,

@@ -13,6 +13,7 @@
 //! offsets the hand-coded §4 attack does.
 
 use rogue_attack::{clone_ap, DeauthFlooder};
+use rogue_core::wids::WidsDeployment;
 use rogue_core::world::{SwitchId, World};
 use rogue_dot11::frame::MgmtInfo;
 use rogue_dot11::{MacAddr, StaConfig};
@@ -21,7 +22,7 @@ use rogue_services::apps::{DownloadClient, HttpServerApp};
 use rogue_services::site::{download_portal, make_binary, news_site};
 use rogue_services::traffic::{PingApp, UdpCbrSource, UdpSink};
 use rogue_sim::{SimDuration, SimRng, SimTime};
-use rogue_wids::{RadioSensor, WidsConfig, WidsPipeline, WiredSensor};
+use rogue_wids::WidsConfig;
 
 use crate::generate::{expand_all, ClientSpec};
 use crate::mobility::{MobilityModel, MobilityPlan, Walker};
@@ -69,22 +70,6 @@ pub struct RogueHandle {
     pub ap_radio: usize,
     /// Deauth injector radio index, if armed.
     pub injector_radio: Option<usize>,
-}
-
-/// A live WIDS deployment (summary runs step it per tick).
-pub struct WidsDeployment {
-    /// The defender node.
-    pub node: rogue_core::NodeId,
-    /// Monitor radio indices.
-    pub monitors: Vec<usize>,
-    /// The pipeline.
-    pub pipe: WidsPipeline,
-    /// One radio sensor per monitor.
-    pub radio_sensors: Vec<RadioSensor>,
-    /// The span-port sensor.
-    pub wired_sensor: WiredSensor,
-    /// Frames already ingested from the tap.
-    pub wired_cursor: usize,
 }
 
 /// A scenario lowered onto a world, ready to run.
@@ -327,13 +312,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, Error> {
     // --- WIDS ----------------------------------------------------------
     let wids = sc.wids.as_ref().map(|w| {
         let node = world.add_node("wids-defender");
-        let monitors: Vec<usize> = w
-            .channels
-            .iter()
-            .map(|&ch| world.add_monitor(node, w.pos, ch))
-            .collect();
-        world.add_wire_tap(node, lan);
-        let mut pipe = WidsPipeline::new(WidsConfig {
+        let cfg = WidsConfig {
             authorized_aps: sc.aps.iter().map(|ap| (ap.bssid, ap.channel)).collect(),
             trusted_bindings: sc
                 .servers
@@ -342,20 +321,8 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, Error> {
                 .map(|(i, s)| (s.ip, MacAddr::local(0xFE00 + i as u64)))
                 .collect(),
             ..WidsConfig::default()
-        });
-        let radio_sensors = monitors
-            .iter()
-            .map(|_| RadioSensor::new(pipe.new_sensor_id()))
-            .collect();
-        let wired_sensor = WiredSensor::new(pipe.new_sensor_id());
-        WidsDeployment {
-            node,
-            monitors,
-            pipe,
-            radio_sensors,
-            wired_sensor,
-            wired_cursor: 0,
-        }
+        };
+        WidsDeployment::new(&mut world, node, w.pos, &w.channels, Some(lan), cfg)
     });
 
     Ok(Compiled {

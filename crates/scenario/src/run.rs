@@ -77,16 +77,7 @@ pub fn run_tick(c: &mut Compiled, now: SimTime, tick: SimDuration) {
     c.world.run_until(now);
     c.mobility.step(now, tick, &mut c.world.medium);
     if let Some(w) = &mut c.wids {
-        for (sensor, &mon) in w.radio_sensors.iter_mut().zip(&w.monitors) {
-            sensor.drain(c.world.sniffer(w.node, mon), &mut w.pipe.ring);
-        }
-        if let Some(tap) = c.world.wire_tap(w.node) {
-            for (at, bytes) in &tap.frames[w.wired_cursor..] {
-                w.wired_sensor.ingest(*at, bytes, &mut w.pipe.ring);
-            }
-            w.wired_cursor = tap.frames.len();
-        }
-        w.pipe.step(now);
+        w.feed(&c.world, now);
     }
 }
 

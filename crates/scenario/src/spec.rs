@@ -7,7 +7,7 @@
 //! that makes config languages untrustworthy.
 
 use rogue_core::experiments::e10_evasion::{E10EvasionParams, EvasionVariant};
-use rogue_core::experiments::e10_wids::{E10Params, WidsScenario};
+use rogue_core::experiments::e10_wids::{E10Params, WidsRunParams, WidsScenario};
 use rogue_core::experiments::e1_association::E1Params;
 use rogue_core::scenario::{CorpScenarioCfg, RogueCfg};
 use rogue_crypto::wep::WepKey;
@@ -682,43 +682,12 @@ fn read_e1(t: &Table) -> Result<E1Params, Error> {
 fn read_e10(t: &Table) -> Result<E10Params, Error> {
     let mut s = Sect::new(t, "[e10]");
     let mut p = E10Params::default();
-    if let Some(i) = s.take("run_time") {
-        p.run_time = as_time(i)?;
-    }
-    if let Some(i) = s.take("attack_start") {
-        p.attack_start = as_time(i)?;
-    }
+    read_wids_run(&mut s, &mut p.run)?;
     if let Some(i) = s.take("spoof_start") {
         p.spoof_start = as_time(i)?;
     }
-    if let Some(i) = s.take("slice") {
-        p.slice = as_duration(i)?;
-    }
-    if let Some(i) = s.take("monitor_channels") {
-        p.monitor_channels = as_channel_vec(i)?;
-    }
-    if let Some(i) = s.take("monitor_pos") {
-        p.monitor_pos = as_pos(i)?;
-    }
-    if let Some(i) = s.take("match_window") {
-        p.match_window = as_duration(i)?;
-    }
     if let Some(i) = s.take("scenarios") {
-        p.scenarios = as_array(i)?
-            .iter()
-            .map(|item| {
-                let name = as_str(item)?;
-                WidsScenario::from_name(name).ok_or_else(|| {
-                    Error::at(
-                        item.span,
-                        format!(
-                            "unknown WIDS scenario `{name}` (expected clean, \
-                             rogue-ap+deauth or arp-spoof)"
-                        ),
-                    )
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        p.scenarios = as_names(i, "WIDS scenario", &WidsScenario::all(), |v| v.name())?;
     }
     s.finish()?;
     Ok(p)
@@ -727,45 +696,76 @@ fn read_e10(t: &Table) -> Result<E10Params, Error> {
 fn read_e10_evasion(t: &Table) -> Result<E10EvasionParams, Error> {
     let mut s = Sect::new(t, "[e10_evasion]");
     let mut p = E10EvasionParams::default();
-    if let Some(i) = s.take("run_time") {
-        p.run_time = as_time(i)?;
-    }
-    if let Some(i) = s.take("attack_start") {
-        p.attack_start = as_time(i)?;
-    }
-    if let Some(i) = s.take("slice") {
-        p.slice = as_duration(i)?;
-    }
-    if let Some(i) = s.take("monitor_channels") {
-        p.monitor_channels = as_channel_vec(i)?;
-    }
-    if let Some(i) = s.take("monitor_pos") {
-        p.monitor_pos = as_pos(i)?;
-    }
-    if let Some(i) = s.take("match_window") {
-        p.match_window = as_duration(i)?;
-    }
+    read_wids_run(&mut s, &mut p.run)?;
     if let Some(i) = s.take("variants") {
-        p.variants = as_array(i)?
-            .iter()
-            .map(|item| {
-                let name = as_str(item)?;
-                EvasionVariant::from_name(name).ok_or_else(|| {
-                    Error::at(
-                        item.span,
-                        format!(
-                            "unknown evasion variant `{name}` (expected mac-randomizing,                              karma-cloaked, low-power-stealth or pulsed-deauth)"
-                        ),
-                    )
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if p.variants.is_empty() {
-            return Err(Error::at(i.span, "variants must name at least one variant"));
-        }
+        p.variants = as_names(i, "evasion variant", &EvasionVariant::all(), |v| v.name())?;
     }
     s.finish()?;
     Ok(p)
+}
+
+/// The six keys `[e10]` and `[e10_evasion]` share: the scored WIDS
+/// replication both drivers run.
+fn read_wids_run(s: &mut Sect, run: &mut WidsRunParams) -> Result<(), Error> {
+    if let Some(i) = s.take("run_time") {
+        run.run_time = as_time(i)?;
+    }
+    if let Some(i) = s.take("attack_start") {
+        run.attack_start = as_time(i)?;
+    }
+    if let Some(i) = s.take("slice") {
+        run.slice = as_duration(i)?;
+        if run.slice == SimDuration::ZERO {
+            return Err(Error::at(i.span, "slice must be positive"));
+        }
+    }
+    if let Some(i) = s.take("monitor_channels") {
+        run.monitor_channels = as_channel_vec(i)?;
+    }
+    if let Some(i) = s.take("monitor_pos") {
+        run.monitor_pos = as_pos(i)?;
+    }
+    if let Some(i) = s.take("match_window") {
+        run.match_window = as_duration(i)?;
+    }
+    Ok(())
+}
+
+/// A non-empty array of names from `all`; an unknown name's error lists
+/// every valid one.
+fn as_names<T: Copy>(
+    item: &Item,
+    what: &str,
+    all: &[T],
+    name: impl Fn(T) -> &'static str,
+) -> Result<Vec<T>, Error> {
+    let items = as_array(item)?;
+    if items.is_empty() {
+        return Err(Error::at(
+            item.span,
+            format!("expected at least one {what}"),
+        ));
+    }
+    items
+        .iter()
+        .map(|item| {
+            let given = as_str(item)?;
+            all.iter()
+                .copied()
+                .find(|&v| name(v) == given)
+                .ok_or_else(|| {
+                    let names: Vec<&str> = all.iter().map(|&v| name(v)).collect();
+                    let (last, rest) = names.split_last().expect("a non-empty name list");
+                    Error::at(
+                        item.span,
+                        format!(
+                            "unknown {what} `{given}` (expected {} or {last})",
+                            rest.join(", ")
+                        ),
+                    )
+                })
+        })
+        .collect()
 }
 
 fn read_ap(t: &Table) -> Result<ApSpec, Error> {

@@ -10,8 +10,8 @@
 //! * [`rng`] — a from-scratch SplitMix64 / xoshiro256\*\* PRNG family so
 //!   experiments are bit-reproducible from a single master [`rng::Seed`]
 //!   without depending on external RNG crates whose streams may change,
-//! * [`trace`] — a lightweight event trace and counter/histogram recorder
-//!   used by the experiment harness.
+//! * [`trace`] — named run counters ([`trace::Metrics`]): a world's
+//!   MAC-layer tallies and a WIDS pipeline's event and incident counts.
 //!
 //! Design rule (see DESIGN.md §5 and §15): one simulation world
 //! dispatches events serially and deterministically; parallelism happens

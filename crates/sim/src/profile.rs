@@ -19,8 +19,8 @@
 //!   overhead budget is *checked*, not assumed.
 //!
 //! Profiler output is wall-clock and therefore nondeterministic; it is
-//! surfaced only through `sim.prof.*` metrics and bench JSON breakdowns,
-//! which are never rendered into golden report tables.
+//! surfaced only through snapshots and bench JSON breakdowns, which are
+//! never rendered into golden report tables.
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -1,45 +1,18 @@
-//! Run metrics: counters, gauges and fixed-boundary histograms.
+//! Run metrics: named counters.
 //!
-//! The experiment harness (rogue-core) aggregates one [`Metrics`] per world
-//! and merges them across Monte-Carlo replications; merging is associative
-//! so results are independent of rayon's reduction order.
+//! A world keeps one [`Metrics`] sink for its MAC-layer tallies, and each
+//! WIDS pipeline keeps one for its event, alert and incident counts.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::time::SimTime;
-
-/// A single timestamped trace record, used by tests to assert ordering of
-/// protocol milestones (e.g. "victim associated to rogue before download").
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub at: SimTime,
-    /// Stable machine-readable kind, e.g. `"dot11.assoc"`.
-    pub kind: &'static str,
-    /// Free-form detail (entity ids, addresses).
-    pub detail: String,
-}
-
-/// Counters / gauges / histograms, keyed by static strings.
+/// Counters keyed by static strings.
 #[derive(Default, Clone)]
 pub struct Metrics {
     counters: BTreeMap<&'static str, u64>,
-    sums: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    events: Vec<TraceEvent>,
-    record_events: bool,
 }
 
 impl Metrics {
-    /// Metrics sink that also records the full event trace (tests, debug).
-    pub fn with_trace() -> Self {
-        Metrics {
-            record_events: true,
-            ..Metrics::default()
-        }
-    }
-
     /// Increment a counter by 1.
     pub fn incr(&mut self, key: &'static str) {
         self.add(key, 1);
@@ -50,80 +23,14 @@ impl Metrics {
         *self.counters.entry(key).or_insert(0) += n;
     }
 
-    /// Overwrite a counter with an externally maintained total (used to
-    /// mirror substrate statistics like the phy counters into the sink).
+    /// Overwrite a counter with an externally maintained total.
     pub fn set(&mut self, key: &'static str, v: u64) {
         self.counters.insert(key, v);
-    }
-
-    /// Accumulate into a floating-point sum (for means computed at report
-    /// time as `sum / counter`).
-    pub fn accumulate(&mut self, key: &'static str, v: f64) {
-        *self.sums.entry(key).or_insert(0.0) += v;
-    }
-
-    /// Record a sample into the histogram named `key`.
-    pub fn observe(&mut self, key: &'static str, v: f64) {
-        self.histograms.entry(key).or_default().observe(v);
-    }
-
-    /// Append a trace event (no-op unless constructed via `with_trace`).
-    pub fn event(&mut self, at: SimTime, kind: &'static str, detail: impl Into<String>) {
-        if self.record_events {
-            self.events.push(TraceEvent {
-                at,
-                kind,
-                detail: detail.into(),
-            });
-        }
     }
 
     /// Counter value (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Sum value (0.0 if never touched).
-    pub fn sum(&self, key: &str) -> f64 {
-        self.sums.get(key).copied().unwrap_or(0.0)
-    }
-
-    /// Histogram by name, if any samples were observed.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
-    }
-
-    /// Recorded trace events (empty unless tracing was enabled).
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Trace events of one kind, in time order.
-    pub fn events_of<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Merge another metrics object into this one (associative,
-    /// commutative up to event ordering, which is re-sorted by time).
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.sums {
-            *self.sums.entry(k).or_insert(0.0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k).or_default().merge(h);
-        }
-        if self.record_events {
-            self.events.extend(other.events.iter().cloned());
-            self.events.sort_by_key(|e| e.at);
-        }
-    }
-
-    /// All counter keys, sorted (BTreeMap order).
-    pub fn counter_keys(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.counters.keys().copied()
     }
 }
 
@@ -133,84 +40,7 @@ impl fmt::Debug for Metrics {
         for (k, v) in &self.counters {
             writeln!(f, "  {k}: {v}")?;
         }
-        for (k, v) in &self.sums {
-            writeln!(f, "  {k}: {v:.4}")?;
-        }
-        for (k, h) in &self.histograms {
-            writeln!(
-                f,
-                "  {k}: n={} mean={:.3} p50={:.3} p99={:.3}",
-                h.count(),
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.99)
-            )?;
-        }
         write!(f, "}}")
-    }
-}
-
-/// A simple exact-sample histogram. Experiments record at most a few hundred
-/// thousand samples per world, so storing the samples and sorting at
-/// quantile time is both exact and cheap; quantiles use nearest-rank.
-#[derive(Default, Clone, Debug)]
-pub struct Histogram {
-    samples: Vec<f64>,
-}
-
-impl Histogram {
-    /// Record one sample.
-    pub fn observe(&mut self, v: f64) {
-        self.samples.push(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Minimum (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Nearest-rank quantile, `q` in `[0, 1]` (0.0 when empty).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted[idx]
-    }
-
-    /// Merge all samples from `other`.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
     }
 }
 
@@ -219,79 +49,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_sums() {
+    fn counters_add_and_set() {
         let mut m = Metrics::default();
         m.incr("pkts");
         m.add("pkts", 9);
-        m.accumulate("bytes", 1.5);
-        m.accumulate("bytes", 2.5);
         assert_eq!(m.counter("pkts"), 10);
         assert_eq!(m.counter("missing"), 0);
-        assert!((m.sum("bytes") - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::default();
-        for i in 1..=100 {
-            h.observe(i as f64);
-        }
-        assert_eq!(h.count(), 100);
-        assert!((h.mean() - 50.5).abs() < 1e-9);
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(1.0), 100.0);
-        let p50 = h.quantile(0.5);
-        assert!((50.0..=51.0).contains(&p50));
-    }
-
-    #[test]
-    fn histogram_min_max_empty() {
-        let h = Histogram::default();
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
-        let mut h2 = Histogram::default();
-        h2.observe(-3.0);
-        h2.observe(7.0);
-        assert_eq!(h2.min(), -3.0);
-        assert_eq!(h2.max(), 7.0);
-    }
-
-    #[test]
-    fn merge_is_additive() {
-        let mut a = Metrics::default();
-        let mut b = Metrics::default();
-        a.add("x", 3);
-        b.add("x", 4);
-        b.add("y", 1);
-        a.observe("lat", 1.0);
-        b.observe("lat", 3.0);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 7);
-        assert_eq!(a.counter("y"), 1);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn trace_only_when_enabled() {
-        let mut off = Metrics::default();
-        off.event(SimTime::ZERO, "k", "d");
-        assert!(off.events().is_empty());
-
-        let mut on = Metrics::with_trace();
-        on.event(SimTime::from_secs(2), "dot11.assoc", "sta1->rogue");
-        on.event(SimTime::from_secs(1), "dot11.beacon", "ap0");
-        assert_eq!(on.events().len(), 2);
-        assert_eq!(on.events_of("dot11.assoc").count(), 1);
-    }
-
-    #[test]
-    fn merged_traces_sorted_by_time() {
-        let mut a = Metrics::with_trace();
-        let mut b = Metrics::with_trace();
-        a.event(SimTime::from_secs(5), "a", "");
-        b.event(SimTime::from_secs(2), "b", "");
-        a.merge(&b);
-        let times: Vec<u64> = a.events().iter().map(|e| e.at.as_nanos()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        m.set("pkts", 3);
+        m.set("bytes", 7);
+        assert_eq!(m.counter("pkts"), 3);
+        assert_eq!(format!("{m:?}"), "Metrics {\n  bytes: 7\n  pkts: 3\n}");
     }
 }

@@ -273,16 +273,6 @@ impl VpnClient {
         let frame = EthFrame::new(tun_mac, self.cfg.tun_gateway_mac, ET_IPV4, packet);
         host.on_link_rx(now, self.cfg.tun_ifindex, &frame.encode());
     }
-
-    /// Record-layer counters of the established session:
-    /// `(records_sealed, records_opened, bytes_copied)`. Zero before the
-    /// handshake completes.
-    pub fn record_stats(&self) -> (u64, u64, u64) {
-        match &self.state {
-            ClientState::Established(c) => (c.records_sealed, c.records_opened, c.bytes_copied),
-            _ => (0, 0, 0),
-        }
-    }
 }
 
 impl App for VpnClient {

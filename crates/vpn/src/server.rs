@@ -273,19 +273,6 @@ impl VpnServer {
         self.records_out += 1;
         self.send_record(now, host, peer, rec);
     }
-
-    /// Record-layer counters summed over every session (established or
-    /// awaiting auth): `(records_sealed, records_opened, bytes_copied)`.
-    pub fn record_stats(&self) -> (u64, u64, u64) {
-        self.sessions
-            .values()
-            .map(|s| match &s.state {
-                SessionState::Established(c) | SessionState::AwaitAuth { crypto: c, .. } => {
-                    (c.records_sealed, c.records_opened, c.bytes_copied)
-                }
-            })
-            .fold((0, 0, 0), |(a, b, c), (x, y, z)| (a + x, b + y, c + z))
-    }
 }
 
 impl App for VpnServer {

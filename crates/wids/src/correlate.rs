@@ -227,7 +227,6 @@ impl Correlator {
             .expect("the case was just touched");
         let id = self.incidents.len() as u32;
         metrics.incr("wids.incidents_opened");
-        metrics.observe("wids.incident_score", score);
         self.incidents.push(Incident {
             id,
             category: key.0,

@@ -167,7 +167,7 @@ impl WidsPipeline {
         self.incidents().iter().find(|i| i.category == category)
     }
 
-    /// Pipeline metrics (alert/incident counters, score histogram).
+    /// Pipeline metrics (event, alert and incident counters).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }

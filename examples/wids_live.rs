@@ -9,8 +9,9 @@
 //! cargo run --release --example wids_live
 //! ```
 
-use rogue_core::experiments::e10_wids::{run_wids_once, wids_table, WidsScenario};
+use rogue_core::experiments::e10_wids::{report_body, run_wids_once, E10Params, WidsScenario};
 use rogue_core::report::Table;
+use rogue_core::scenario::CorpScenarioCfg;
 use rogue_sim::Seed;
 
 fn main() {
@@ -48,34 +49,13 @@ fn main() {
     }
 
     println!("== E10 score card (3 reps per scenario, Markdown) ==\n");
-    let rows = wids_table(3, Seed(0xE10));
-    let mut t = Table::new(&[
-        "scenario",
-        "reps",
-        "TP",
-        "FP",
-        "FN",
-        "precision",
-        "recall",
-        "median latency s",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.scenario.to_string(),
-            r.reps.to_string(),
-            r.eval.true_positives.to_string(),
-            r.eval.false_positives.to_string(),
-            r.eval.false_negatives.to_string(),
-            format!("{:.2}", r.eval.precision()),
-            format!("{:.2}", r.eval.recall()),
-            if r.eval.latencies_secs.is_empty() {
-                "—".to_string()
-            } else {
-                format!("{:.2}", r.eval.median_latency_secs())
-            },
-        ]);
-    }
-    println!("{}", t.to_markdown());
+    let body = report_body(
+        &CorpScenarioCfg::paper_attack(),
+        &E10Params::default(),
+        3,
+        Seed(0xE10),
+    );
+    println!("{body}");
     println!("\nThe wired tap never fires in the rogue-ap scenario: the client-side");
     println!("rogue leaves no wired footprint (§1) — only the radio sensors see it.");
 }

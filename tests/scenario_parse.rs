@@ -217,6 +217,62 @@ fn overriding_a_nonexistent_path_is_a_spanned_error() {
     assert_eq!(err.span.line, 4, "`duration` lives on line 4: {err}");
 }
 
+/// A shipped scenario file's text.
+fn shipped(file: &str) -> String {
+    let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(path).expect("scenario file")
+}
+
+#[test]
+fn zero_lockstep_slices_are_rejected() {
+    // A slice that parses to zero nanoseconds would never advance the
+    // lockstep loop; both WIDS drivers' sections refuse it, spanned.
+    for (file, key) in [
+        ("e10_wids.toml", "e10.slice"),
+        ("evasion/pulsed_deauth.toml", "e10_evasion.slice"),
+    ] {
+        let src = shipped(file);
+        for zero in ["0s", "0.5ns"] {
+            let err = load_source(&src, &[format!("{key}={zero}")])
+                .expect_err("a zero slice must be rejected");
+            assert!(err.msg.contains("slice must be positive"), "{file}: {err}");
+            assert!(err.span.line > 0, "{file}: error must carry a span: {err}");
+        }
+        load_source(&src, &[format!("{key}=1ns")]).expect("a 1 ns slice is valid");
+    }
+}
+
+#[test]
+fn wids_name_lists_must_be_nonempty_and_known() {
+    let cases = [
+        (
+            "e10_wids.toml",
+            "e10.scenarios",
+            "WIDS scenario",
+            "clean, rogue-ap+deauth or arp-spoof",
+        ),
+        (
+            "evasion/pulsed_deauth.toml",
+            "e10_evasion.variants",
+            "evasion variant",
+            "mac-randomizing, karma-cloaked, low-power-stealth or pulsed-deauth",
+        ),
+    ];
+    for (file, key, what, valid) in cases {
+        let src = shipped(file);
+        // An empty list would score nothing and print a perfect row.
+        let err =
+            load_source(&src, &[format!("{key}=[]")]).expect_err("an empty list must be rejected");
+        assert!(err.msg.contains(&format!("at least one {what}")), "{err}");
+        assert!(err.span.line > 0, "{err}");
+        // An unknown name is named, with every valid one.
+        let err = load_source(&src, &[format!("{key}=[\"nope\"]")])
+            .expect_err("an unknown name must be rejected");
+        let expected = format!("unknown {what} `nope` (expected {valid})");
+        assert_eq!(err.msg, expected);
+    }
+}
+
 // --- Hostile TOML -----------------------------------------------------
 //
 // Whatever a scenario author (or an attacker who controls the file)
