@@ -5,9 +5,11 @@
 //!   valid AP sits on 1. Co-channel and adjacent-channel placements make
 //!   the rogue's own uplink fight its victims for air.
 //! * **Rogue transmit power** — the attack's only analogue knob.
-//! * **Deauth flood period** — how hard the forced roam needs to push.
+//!
+//! ```text
+//! cargo bench -p rogue-bench --bench ablations
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rogue_core::experiments::e2_download::{run_download_mitm, DownloadMitmConfig};
 use rogue_core::report::{pct, Table};
 use rogue_core::scenario::{CorpScenarioCfg, RogueCfg};
@@ -76,7 +78,7 @@ fn power_ablation() -> String {
     t.render()
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     println!(
         "\n== Ablation: rogue channel choice ==\n{}",
         channel_ablation()
@@ -85,31 +87,4 @@ fn bench(c: &mut Criterion) {
         "== Ablation: rogue power (6 dB shadowing) ==\n{}",
         power_ablation()
     );
-
-    // Benchmark the co-channel worst case vs the paper's choice, to pin
-    // the cost of collision churn in the medium.
-    let mut g = c.benchmark_group("ablation_channel");
-    g.sample_size(10);
-    for ch in [1u8, 6] {
-        let mut cfg = CorpScenarioCfg::paper_attack();
-        cfg.rogue = Some(RogueCfg {
-            channel: ch,
-            ..RogueCfg::default()
-        });
-        let dcfg = DownloadMitmConfig {
-            scenario: cfg,
-            ..DownloadMitmConfig::paper()
-        };
-        let mut seed = 0u64;
-        g.bench_function(format!("attack_on_channel_{ch}"), |b| {
-            b.iter(|| {
-                seed += 1;
-                run_download_mitm(&dcfg, Seed(seed))
-            })
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -22,10 +22,10 @@
 //! `-- --test` runs a shortened smoke sweep and writes its JSON to
 //! `target/tmp` instead.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use bytes::Bytes;
-use criterion::black_box;
 use rogue_phy::{Bitrate, Medium, MediumParams, Pos};
 use rogue_sim::{Seed, SimTime};
 

@@ -17,10 +17,10 @@
 //! `-- --test` runs a shortened smoke sweep and writes its JSON to
 //! `target/tmp` instead.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use bytes::Bytes;
-use criterion::black_box;
 use rogue_dot11::frame::{Frame, FrameBody};
 use rogue_dot11::monitor::Sniffer;
 use rogue_dot11::MacAddr;

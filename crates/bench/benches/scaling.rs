@@ -15,22 +15,16 @@
 //! and the speedup column shows it — the table prints the hardware
 //! parallelism so such rows are interpretable.
 
-use rogue_bench::{report_e10, report_e4};
-use rogue_core::report::Table;
+use std::hint::black_box;
 use std::time::Instant;
+
+use rogue_bench::{Report, REPORTS};
+use rogue_core::report::Table;
 
 struct Workload {
     name: &'static str,
-    run: fn(usize),
+    report: &'static Report,
     reps_sweep: &'static [usize],
-}
-
-fn run_e4(reps: usize) {
-    criterion::black_box(report_e4(reps));
-}
-
-fn run_e10(reps: usize) {
-    criterion::black_box(report_e10(reps));
 }
 
 fn main() {
@@ -44,12 +38,12 @@ fn main() {
     let workloads = [
         Workload {
             name: "E4 WEP crack (CPU-bound)",
-            run: run_e4,
+            report: &REPORTS[3],
             reps_sweep: &[4, 8],
         },
         Workload {
             name: "E10 WIDS pipeline",
-            run: run_e10,
+            report: &REPORTS[9],
             reps_sweep: &[5, 10],
         },
     ];
@@ -59,11 +53,12 @@ fn main() {
         for &reps in w.reps_sweep {
             // Warm-up outside the timed region: first use spawns pool
             // workers and faults in code paths.
-            rayon::with_num_threads(2, || (w.run)(reps.min(2)));
+            let run = |reps| black_box((w.report.body)(reps));
+            rayon::with_num_threads(2, || run(reps.min(2)));
             let mut baseline = f64::NAN;
             for threads in [1usize, 2, 4, 8] {
                 let t0 = Instant::now();
-                rayon::with_num_threads(threads, || (w.run)(reps));
+                rayon::with_num_threads(threads, || run(reps));
                 let secs = t0.elapsed().as_secs_f64();
                 if threads == 1 {
                     baseline = secs;

@@ -19,9 +19,9 @@
 //! `-- --test` runs a shortened smoke sweep and writes its JSON to
 //! `target/tmp` instead.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::black_box;
 use rogue_sim::{Seed, SimRng};
 use rogue_vpn::protocol::{gen_keypair, Message, SessionCrypto};
 

@@ -1,359 +1,129 @@
-//! Shared helpers for the benchmark harness and the table generator.
+//! The report list of the reproduction harness, and helpers the layer
+//! benches share.
 //!
-//! Every table and figure-equivalent of the paper's evaluation is
-//! regenerated by [`all_reports`]; the `harness` binary prints them, and
-//! each Criterion bench times its experiment's core run while printing
-//! the corresponding table once at startup (so `cargo bench` output
-//! doubles as the reproduction record).
+//! Every table of the paper's evaluation is rendered by its experiment
+//! driver in `rogue-core` (`report_body`); this crate only names the ten
+//! reports, in order, with the paper artifact each reproduces. The
+//! `harness` binary prints them, and the golden and determinism suites
+//! compare [`render_reports`] and [`render_report`] bytes.
 
 use rogue_core::experiments::{
     e10_evasion, e10_wids, e1_association, e2_download, e3_vpn, e4_wep, e5_tcp_over_tcp,
     e6_detection, e7_matrix, e8_hotspot, e9_containment,
 };
-use rogue_core::report::{pct, yn, Table};
 use rogue_core::scenario::CorpScenarioCfg;
 use rogue_sim::Seed;
-use rogue_vpn::Transport;
 
 /// Deterministic master seed for all reports.
 pub const REPORT_SEED: Seed = Seed(0x2003_1CC9);
 
-/// One rendered report.
+/// One report: its id, the paper artifact it reproduces, and its body
+/// at `reps` replications per cell.
 pub struct Report {
     /// Experiment id ("E1" …).
     pub id: &'static str,
     /// Paper artifact it reproduces.
     pub artifact: &'static str,
-    /// Rendered table.
-    pub body: String,
+    /// The driver's table at [`REPORT_SEED`].
+    pub body: fn(usize) -> String,
 }
 
-/// E1 — Figure 1: association capture. The body is rendered by the
-/// parameterized driver in `rogue-core` (shared with the scenario
-/// compiler) at its paper defaults.
-pub fn report_e1(reps: usize) -> Report {
+/// The ten reports, in the order the harness prints them.
+pub static REPORTS: [Report; 10] = [
     Report {
         id: "E1",
         artifact: "Figure 1 — rogue-AP association capture",
-        body: e1_association::report_body(
-            &CorpScenarioCfg::paper_attack(),
-            &e1_association::E1Params::default(),
-            reps,
-            REPORT_SEED,
-        ),
-    }
-}
-
-/// E2 — Figure 2: the download MITM and the boundary-miss sweep.
-pub fn report_e2(reps: usize) -> Report {
-    let attack =
-        e2_download::run_download_mitm(&e2_download::DownloadMitmConfig::paper(), REPORT_SEED);
-    let mut body = format!(
-        "paper attack (1 run): on_rogue={} trojaned={} md5_passed={} file_from={:?} netsed_hits={}\n\n",
-        attack.victim_on_rogue,
-        attack.victim_got_trojan,
-        attack.md5_check_passed,
-        attack.file_server,
-        attack.netsed_replacements
-    );
-    let points =
-        e2_download::boundary_miss_sweep(&[64, 96, 128, 256, 512, 1400], reps, REPORT_SEED);
-    let mut t = Table::new(&[
-        "server MSS",
-        "reps",
-        "link rewritten",
-        "fully deceived",
-        "any rule missed",
-    ]);
-    for p in &points {
-        t.row(&[
-            p.server_mss.to_string(),
-            p.reps.to_string(),
-            pct(p.link_rewrite_rate),
-            pct(p.full_deception_rate),
-            pct(p.any_miss_rate),
-        ]);
-    }
-    body.push_str(&t.render());
+        body: |reps| {
+            e1_association::report_body(
+                &CorpScenarioCfg::paper_attack(),
+                &e1_association::E1Params::default(),
+                reps,
+                REPORT_SEED,
+            )
+        },
+    },
     Report {
         id: "E2",
         artifact: "Figure 2 / §4.1 — software-download MITM",
-        body,
-    }
-}
-
-/// E3 — Figure 3: the VPN defence comparison.
-pub fn report_e3(reps: usize) -> Report {
-    let rows = e3_vpn::vpn_defense_comparison(reps, REPORT_SEED);
-    let mut t = Table::new(&[
-        "mode",
-        "on rogue",
-        "completed",
-        "trojaned",
-        "genuine+verified",
-        "mean dl s",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.mode.label().to_string(),
-            pct(r.on_rogue_rate),
-            pct(r.completed_rate),
-            pct(r.trojan_rate),
-            pct(r.genuine_verified_rate),
-            format!("{:.2}", r.mean_download_secs),
-        ]);
-    }
-    let mut body = t.render();
-    let (refused, fails) = e3_vpn::rogue_endpoint_refused(REPORT_SEED);
-    body.push_str(&format!(
-        "\nrogue endpoint without PSK: refused={refused}, bad authenticators={fails}\n"
-    ));
+        body: |reps| e2_download::report_body(reps, REPORT_SEED),
+    },
     Report {
         id: "E3",
         artifact: "Figure 3 / §5 — VPN-everything defence",
-        body,
-    }
-}
-
-/// E4 — WEP/FMS crack curves.
-pub fn report_e4(reps: usize) -> Report {
-    let weak = [10usize, 20, 40, 60, 100, 160, 240];
-    let mut t = Table::new(&["key", "weak IVs/pos", "≈ frames", "success"]);
-    for key_len in [5usize, 13] {
-        for p in e4_wep::crack_curve(key_len, &weak, reps, REPORT_SEED) {
-            t.row(&[
-                format!("WEP-{}", key_len * 8),
-                p.weak_ivs_per_position.to_string(),
-                format!("{:.1}M", p.equivalent_frames as f64 / 1e6),
-                pct(p.success_rate),
-            ]);
-        }
-    }
+        body: |reps| e3_vpn::report_body(reps, REPORT_SEED),
+    },
     Report {
         id: "E4",
         artifact: "§4 premise — Airsnort/FMS WEP key recovery",
-        body: t.render(),
-    }
-}
-
-/// E5 — tunnel transport comparison under loss.
-pub fn report_e5(reps: usize) -> Report {
-    let losses = [0.0, 0.02, 0.05, 0.10];
-    let udp = e5_tcp_over_tcp::tunnel_comparison(
-        e5_tcp_over_tcp::InnerFlow::UdpCbr,
-        &losses,
-        reps,
-        REPORT_SEED,
-    );
-    let mut t = Table::new(&["encap", "loss", "delivery", "mean lat ms", "max lat ms"]);
-    for p in &udp {
-        t.row(&[
-            match p.transport {
-                Transport::Udp => "udp".to_string(),
-                Transport::Tcp => "tcp (ppp/ssh)".to_string(),
-            },
-            pct(p.loss),
-            pct(p.udp_delivery),
-            format!("{:.1}", p.udp_mean_latency_ms),
-            format!("{:.1}", p.udp_max_latency_ms),
-        ]);
-    }
-    let mut body = t.render();
-    body.push('\n');
-    let bulk = e5_tcp_over_tcp::tunnel_comparison(
-        e5_tcp_over_tcp::InnerFlow::TcpBulk,
-        &losses,
-        reps,
-        REPORT_SEED,
-    );
-    let mut t = Table::new(&["encap", "loss", "dl completed", "mean completion s"]);
-    for p in &bulk {
-        t.row(&[
-            match p.transport {
-                Transport::Udp => "udp".to_string(),
-                Transport::Tcp => "tcp (ppp/ssh)".to_string(),
-            },
-            pct(p.loss),
-            pct(p.tcp_completion_rate),
-            format!("{:.2}", p.tcp_completion_secs),
-        ]);
-    }
-    body.push_str(&t.render());
+        body: |reps| e4_wep::report_body(reps, REPORT_SEED),
+    },
     Report {
         id: "E5",
         artifact: "§5.3 — TCP-over-TCP encapsulation penalty",
-        body,
-    }
-}
-
-/// E6 — detection.
-pub fn report_e6(reps: usize) -> Report {
-    let rows = e6_detection::detection_vs_dwell(&[100, 250, 500, 1000], reps, REPORT_SEED);
-    let mut t = Table::new(&[
-        "dwell ms",
-        "audit detect",
-        "audit latency s",
-        "seqmon detect",
-        "wired alarm",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.dwell_ms.to_string(),
-            pct(r.audit_detection_rate),
-            format!("{:.2}", r.mean_audit_latency_secs),
-            pct(r.seqmon_detection_rate),
-            pct(r.wired_alarm_rate),
-        ]);
-    }
+        body: |reps| e5_tcp_over_tcp::report_body(reps, REPORT_SEED),
+    },
     Report {
         id: "E6",
         artifact: "§2.3 — rogue-AP detection",
-        body: t.render(),
-    }
-}
-
-/// E7 — the defence matrix.
-pub fn report_e7(reps: usize) -> Report {
-    let rows = e7_matrix::defense_matrix_extended(reps, REPORT_SEED);
-    let mut t = Table::new(&[
-        "defence",
-        "captured",
-        "deceived",
-        "protected",
-        "defeats attack",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.policy.label().to_string(),
-            pct(r.captured_rate),
-            pct(r.deceived_rate),
-            pct(r.protected_rate),
-            yn(r.deceived_rate == 0.0 && r.protected_rate > 0.0),
-        ]);
-    }
+        body: |reps| e6_detection::report_body(reps, REPORT_SEED),
+    },
     Report {
         id: "E7",
         artifact: "§§1–3 — the defence matrix",
-        body: t.render(),
-    }
-}
-
-/// E8 — the hostile hotspot (extension).
-pub fn report_e8(reps: usize) -> Report {
-    let rows = e8_hotspot::hotspot_comparison(reps, REPORT_SEED);
-    let mut t = Table::new(&["scenario", "reps", "pages/run", "tamper rate"]);
-    for r in &rows {
-        t.row(&[
-            r.label.to_string(),
-            r.reps.to_string(),
-            format!("{:.1}", r.mean_pages),
-            pct(r.tamper_rate),
-        ]);
-    }
+        body: |reps| e7_matrix::report_body(reps, REPORT_SEED),
+    },
     Report {
         id: "E8",
         artifact: "extension: §1.2.2 / §5.1 — the hostile hotspot",
-        body: t.render(),
-    }
-}
-
-/// E9 — active containment (extension).
-pub fn report_e9(reps: usize) -> Report {
-    let rows = e9_containment::containment_comparison(reps, REPORT_SEED);
-    let mut t = Table::new(&[
-        "containment",
-        "reps",
-        "detected",
-        "attack success",
-        "mean victim kicks",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.containment.to_string(),
-            r.reps.to_string(),
-            pct(r.detection_rate),
-            pct(r.attack_success_rate),
-            format!("{:.0}", r.mean_victim_kicks),
-        ]);
-    }
+        body: |reps| e8_hotspot::report_body(reps, REPORT_SEED),
+    },
     Report {
         id: "E9",
         artifact: "extension: §6 future work — detect-then-contain",
-        body: t.render(),
-    }
-}
-
-/// E10 — the streaming WIDS score card (extension). Rendered as
-/// Markdown (by the parameterized driver in `rogue-core`, shared with
-/// the scenario compiler) so the table drops straight into
-/// EXPERIMENTS.md.
-pub fn report_e10(reps: usize) -> Report {
+        body: |reps| e9_containment::report_body(reps, REPORT_SEED),
+    },
     Report {
         id: "E10",
         artifact: "extension: streaming WIDS precision / recall",
-        body: e10_wids::report_body(
-            &CorpScenarioCfg::paper_attack(),
-            &e10_wids::E10Params::default(),
-            reps,
-            REPORT_SEED,
-        ),
-    }
-}
+        body: |reps| {
+            e10_wids::report_body(
+                &CorpScenarioCfg::paper_attack(),
+                &e10_wids::E10Params::default(),
+                reps,
+                REPORT_SEED,
+            )
+        },
+    },
+];
 
 /// E10-evasion — the WIDS scored against the adversarial evasion
-/// suite. A deliberate extension *of* an extension, so it rides outside
-/// [`report_builders`]: the ten-report harness contract (and its golden
-/// bytes) stays frozen while the evasion score card gets its own golden
-/// and its own determinism leg.
-pub fn report_e10_evasion(reps: usize) -> Report {
-    Report {
-        id: "E10-evasion",
-        artifact: "extension: WIDS vs. adversarial evasion suite",
-        body: e10_evasion::report_body(
+/// suite. A deliberate extension *of* an extension, so it stays out of
+/// [`REPORTS`]: the ten-report harness output (and its golden bytes)
+/// stays frozen while the evasion score card gets its own golden and
+/// its own determinism leg.
+pub static E10_EVASION: Report = Report {
+    id: "E10-evasion",
+    artifact: "extension: WIDS vs. adversarial evasion suite",
+    body: |reps| {
+        e10_evasion::report_body(
             &CorpScenarioCfg::paper_attack(),
             &e10_evasion::E10EvasionParams::default(),
             reps,
             REPORT_SEED,
-        ),
-    }
-}
-
-/// E4 needs a replication floor for its success rates to be meaningful;
-/// kept here so every caller of the full suite applies the same floor.
-fn report_e4_floored(reps: usize) -> Report {
-    report_e4(reps.max(4))
-}
-
-/// The report builders, in order — one per experiment. Callers that
-/// want per-report timing (the harness binary, the scaling bench, the
-/// determinism suite) iterate these instead of [`all_reports`].
-pub fn report_builders() -> [fn(usize) -> Report; 10] {
-    [
-        report_e1,
-        report_e2,
-        report_e3,
-        report_e4_floored,
-        report_e5,
-        report_e6,
-        report_e7,
-        report_e8,
-        report_e9,
-        report_e10,
-    ]
-}
-
-/// All reports, in order. `reps` trades precision for runtime.
-pub fn all_reports(reps: usize) -> Vec<Report> {
-    report_builders().iter().map(|build| build(reps)).collect()
-}
+        )
+    },
+};
 
 const RULE: &str = "────────────────────────────────────────────────────────────";
 
-/// Render one report exactly as the `harness` binary prints it.
-pub fn render_report(report: &Report) -> String {
+/// Render one report at `reps` replications exactly as the `harness`
+/// binary prints it.
+pub fn render_report(report: &Report, reps: usize) -> String {
     format!(
         "{RULE}\n{}: {}\n{RULE}\n{}\n",
-        report.id, report.artifact, report.body
+        report.id,
+        report.artifact,
+        (report.body)(reps)
     )
 }
 
@@ -364,8 +134,8 @@ pub fn render_reports(reps: usize) -> String {
     let mut out = format!(
         "Countering Rogues in Wireless Networks — reproduction harness\nreplications per cell: {reps}\n\n"
     );
-    for build in report_builders() {
-        out.push_str(&render_report(&build(reps)));
+    for report in &REPORTS {
+        out.push_str(&render_report(report, reps));
     }
     out
 }

@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use rayon::prelude::*;
+use rogue_bench::{render_report, REPORTS};
 
 fn main() {
     let reps: usize = std::env::args()
@@ -30,17 +31,17 @@ fn main() {
     println!("replications per cell: {reps}\n");
     eprintln!("threads: {}", rayon::current_num_threads());
     let t0 = Instant::now();
-    let reports: Vec<_> = rogue_bench::report_builders()
-        .into_par_iter()
-        .map(|build| {
+    let reports: Vec<_> = REPORTS
+        .par_iter()
+        .map(|report| {
             let r0 = Instant::now();
-            let report = build(reps);
-            (report, r0.elapsed().as_secs_f64())
+            let rendered = render_report(report, reps);
+            (report.id, rendered, r0.elapsed().as_secs_f64())
         })
         .collect();
-    for (report, secs) in &reports {
-        print!("{}", rogue_bench::render_report(report));
-        eprintln!("[{}] {:.2} s", report.id, secs);
+    for (id, rendered, secs) in &reports {
+        print!("{rendered}");
+        eprintln!("[{id}] {secs:.2} s");
     }
     eprintln!(
         "total wall time: {:.1} s on {} thread(s)",

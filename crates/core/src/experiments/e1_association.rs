@@ -5,7 +5,7 @@
 //! are quantified:
 //!
 //! 1. **The scan race** — when both APs are on air as the client joins,
-//!    the strongest signal wins ([`capture_vs_power`]): the capture
+//!    the strongest signal wins ([`capture_vs_power_with`]): the capture
 //!    probability rises from 0 to 1 as the rogue's received power
 //!    crosses the valid AP's.
 //! 2. **The forced roam** — when the client is *already associated* it
@@ -18,8 +18,9 @@ use rayon::prelude::*;
 use rogue_dot11::output::MacEvent;
 use rogue_sim::{Seed, SimTime};
 
+use super::{mean_or_nan, rate};
 use crate::report::{pct, Table};
-use crate::scenario::{build_corp, corp_bssid, victim_mac, CorpScenarioCfg, RogueCfg};
+use crate::scenario::{build_corp, victim_mac, CorpScenarioCfg, RogueCfg};
 
 /// Parameters of the E1 drivers. [`E1Params::default`] is exactly the
 /// paper configuration the checked-in report tables were generated
@@ -104,7 +105,6 @@ pub fn run_capture_once(cfg: &CorpScenarioCfg, run_time: SimTime, seed: Seed) ->
             *n == sc.victim && matches!(e, MacEvent::Disassociated { forced: true, .. })
         })
         .count();
-    let _ = corp_bssid();
     CaptureOutcome {
         captured,
         first_assoc,
@@ -128,7 +128,7 @@ pub struct CapturePoint {
 
 /// The scan race: rogue on air from the start, power swept. Shadowing
 /// (6 dB by default) makes the transition a smooth S-curve rather than
-/// a step. Defaults: [`capture_vs_power`].
+/// a step.
 pub fn capture_vs_power_with(
     base: &CorpScenarioCfg,
     params: &E1Params,
@@ -155,33 +155,24 @@ pub fn capture_vs_power_with(
                     )
                 })
                 .collect();
-            let captured: Vec<&CaptureOutcome> = outcomes.iter().filter(|o| o.captured).collect();
             CapturePoint {
                 rogue_power_dbm: p,
                 reps: outcomes.len(),
-                capture_rate: captured.len() as f64 / outcomes.len().max(1) as f64,
-                mean_capture_secs: if captured.is_empty() {
-                    f64::NAN
-                } else {
-                    captured
-                        .iter()
-                        .filter_map(|o| o.capture_time)
-                        .map(|t| t.as_secs_f64())
-                        .sum::<f64>()
-                        / captured.len() as f64
-                },
+                capture_rate: rate(&outcomes, |o| o.captured),
+                mean_capture_secs: mean_or_nan(&capture_secs(&outcomes, SimTime::ZERO)),
             }
         })
         .collect()
 }
 
-/// [`capture_vs_power_with`] on the paper scenario with paper timing.
-pub fn capture_vs_power(powers_dbm: &[f64], reps: usize, seed: Seed) -> Vec<CapturePoint> {
-    let params = E1Params {
-        powers_dbm: powers_dbm.to_vec(),
-        ..E1Params::default()
-    };
-    capture_vs_power_with(&CorpScenarioCfg::paper_attack(), &params, reps, seed)
+/// Seconds from `since` to each captured replication's capture instant.
+fn capture_secs(outcomes: &[CaptureOutcome], since: SimTime) -> Vec<f64> {
+    outcomes
+        .iter()
+        .filter(|o| o.captured)
+        .filter_map(|o| o.capture_time)
+        .map(|t| t.since(since).as_secs_f64())
+        .collect()
 }
 
 /// One row of the deauth comparison.
@@ -229,21 +220,11 @@ pub fn capture_with_deauth_with(
                     )
                 })
                 .collect();
-            let captured: Vec<&CaptureOutcome> = outcomes.iter().filter(|o| o.captured).collect();
             DeauthPoint {
                 deauth,
                 reps: outcomes.len(),
-                capture_rate: captured.len() as f64 / outcomes.len().max(1) as f64,
-                mean_capture_after_start_secs: if captured.is_empty() {
-                    f64::NAN
-                } else {
-                    captured
-                        .iter()
-                        .filter_map(|o| o.capture_time)
-                        .map(|t| t.since(rogue_start).as_secs_f64())
-                        .sum::<f64>()
-                        / captured.len() as f64
-                },
+                capture_rate: rate(&outcomes, |o| o.captured),
+                mean_capture_after_start_secs: mean_or_nan(&capture_secs(&outcomes, rogue_start)),
             }
         })
         .collect()

@@ -17,6 +17,8 @@ use rogue_services::apps::DownloadClient;
 use rogue_services::netsed::Netsed;
 use rogue_sim::{Seed, SimDuration, SimTime};
 
+use super::rate;
+use crate::report::{pct, Table};
 use crate::scenario::{build_corp, CorpScenarioCfg};
 
 /// Experiment configuration.
@@ -187,16 +189,47 @@ pub fn boundary_miss_sweep(mss_values: &[usize], reps: usize, seed: Seed) -> Vec
                     (link, full, miss)
                 })
                 .collect();
-            let n = outcomes.len().max(1);
             BoundaryPoint {
                 server_mss: mss,
                 reps: outcomes.len(),
-                link_rewrite_rate: outcomes.iter().filter(|o| o.0).count() as f64 / n as f64,
-                full_deception_rate: outcomes.iter().filter(|o| o.1).count() as f64 / n as f64,
-                any_miss_rate: outcomes.iter().filter(|o| o.2).count() as f64 / n as f64,
+                link_rewrite_rate: rate(&outcomes, |o| o.0),
+                full_deception_rate: rate(&outcomes, |o| o.1),
+                any_miss_rate: rate(&outcomes, |o| o.2),
             }
         })
         .collect()
+}
+
+/// The E2 report body: one paper-configuration attack, then the
+/// boundary-miss sweep at `reps` replications per segment size.
+pub fn report_body(reps: usize, seed: Seed) -> String {
+    let attack = run_download_mitm(&DownloadMitmConfig::paper(), seed);
+    let mut body = format!(
+        "paper attack (1 run): on_rogue={} trojaned={} md5_passed={} file_from={:?} netsed_hits={}\n\n",
+        attack.victim_on_rogue,
+        attack.victim_got_trojan,
+        attack.md5_check_passed,
+        attack.file_server,
+        attack.netsed_replacements
+    );
+    let mut t = Table::new(&[
+        "server MSS",
+        "reps",
+        "link rewritten",
+        "fully deceived",
+        "any rule missed",
+    ]);
+    for p in &boundary_miss_sweep(&[64, 96, 128, 256, 512, 1400], reps, seed) {
+        t.row(&[
+            p.server_mss.to_string(),
+            p.reps.to_string(),
+            pct(p.link_rewrite_rate),
+            pct(p.full_deception_rate),
+            pct(p.any_miss_rate),
+        ]);
+    }
+    body.push_str(&t.render());
+    body
 }
 
 #[cfg(test)]

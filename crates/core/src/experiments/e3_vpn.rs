@@ -12,7 +12,8 @@ use rogue_sim::Seed;
 use rogue_vpn::Transport;
 
 use super::e2_download::{run_download_mitm, DownloadMitmConfig, DownloadMitmResult};
-use crate::policy::ClientPolicy;
+use super::{mean_or_nan, rate};
+use crate::report::{pct, Table};
 use crate::scenario::{build_corp, CorpScenarioCfg};
 
 /// One mode of the Figure 3 comparison.
@@ -61,20 +62,15 @@ pub struct VpnDefenseRow {
     pub mean_netsed_hits: f64,
 }
 
-/// Configure the E2 experiment for a VPN mode.
-pub fn config_for(mode: VpnMode) -> DownloadMitmConfig {
+/// Run one replication of the E2 experiment with the victim in `mode`.
+pub fn run_vpn_defense(mode: VpnMode, seed: Seed) -> DownloadMitmResult {
     let mut cfg = DownloadMitmConfig::paper();
     cfg.scenario.victim_vpn = match mode {
         VpnMode::None => None,
         VpnMode::Udp => Some(Transport::Udp),
         VpnMode::Tcp => Some(Transport::Tcp),
     };
-    cfg
-}
-
-/// Run one replication in the given mode.
-pub fn run_vpn_defense(mode: VpnMode, seed: Seed) -> DownloadMitmResult {
-    run_download_mitm(&config_for(mode), seed)
+    run_download_mitm(&cfg, seed)
 }
 
 /// The Figure 3 comparison table: `reps` replications per mode.
@@ -86,30 +82,26 @@ pub fn vpn_defense_comparison(reps: usize, seed: Seed) -> Vec<VpnDefenseRow> {
                 .into_par_iter()
                 .map(|rep| run_vpn_defense(mode, seed.fork(mode as u64 * 1000 + rep as u64)))
                 .collect();
-            let n = results.len().max(1) as f64;
-            let completed: Vec<&DownloadMitmResult> =
-                results.iter().filter(|r| r.completed).collect();
+            let download_secs: Vec<f64> = results
+                .iter()
+                .filter(|r| r.completed)
+                .map(|r| r.download_secs)
+                .collect();
             VpnDefenseRow {
                 mode,
                 reps: results.len(),
-                on_rogue_rate: results.iter().filter(|r| r.victim_on_rogue).count() as f64 / n,
-                completed_rate: completed.len() as f64 / n,
-                trojan_rate: results.iter().filter(|r| r.victim_got_trojan).count() as f64 / n,
-                genuine_verified_rate: results
-                    .iter()
-                    .filter(|r| r.victim_got_genuine && r.md5_check_passed)
-                    .count() as f64
-                    / n,
-                mean_download_secs: if completed.is_empty() {
-                    f64::NAN
-                } else {
-                    completed.iter().map(|r| r.download_secs).sum::<f64>() / completed.len() as f64
-                },
+                on_rogue_rate: rate(&results, |r| r.victim_on_rogue),
+                completed_rate: rate(&results, |r| r.completed),
+                trojan_rate: rate(&results, |r| r.victim_got_trojan),
+                genuine_verified_rate: rate(&results, |r| {
+                    r.victim_got_genuine && r.md5_check_passed
+                }),
+                mean_download_secs: mean_or_nan(&download_secs),
                 mean_netsed_hits: results
                     .iter()
                     .map(|r| r.netsed_replacements as f64)
                     .sum::<f64>()
-                    / n,
+                    / results.len().max(1) as f64,
             }
         })
         .collect()
@@ -161,13 +153,33 @@ pub fn rogue_endpoint_refused(seed: Seed) -> (bool, u64) {
     (client.is_failed(), client.auth_failures)
 }
 
-/// Check whether the policy/mode labels agree (used by E7).
-pub fn mode_for_policy(policy: ClientPolicy) -> VpnMode {
-    match policy.uses_vpn() {
-        Some(Transport::Udp) => VpnMode::Udp,
-        Some(Transport::Tcp) => VpnMode::Tcp,
-        None => VpnMode::None,
+/// The E3 report body: the Figure 3 comparison at `reps` replications
+/// per mode, then the §5.2 rogue-endpoint check.
+pub fn report_body(reps: usize, seed: Seed) -> String {
+    let mut t = Table::new(&[
+        "mode",
+        "on rogue",
+        "completed",
+        "trojaned",
+        "genuine+verified",
+        "mean dl s",
+    ]);
+    for r in &vpn_defense_comparison(reps, seed) {
+        t.row(&[
+            r.mode.label().to_string(),
+            pct(r.on_rogue_rate),
+            pct(r.completed_rate),
+            pct(r.trojan_rate),
+            pct(r.genuine_verified_rate),
+            format!("{:.2}", r.mean_download_secs),
+        ]);
     }
+    let mut body = t.render();
+    let (refused, fails) = rogue_endpoint_refused(seed);
+    body.push_str(&format!(
+        "\nrogue endpoint without PSK: refused={refused}, bad authenticators={fails}\n"
+    ));
+    body
 }
 
 #[cfg(test)]

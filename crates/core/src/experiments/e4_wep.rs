@@ -20,6 +20,9 @@ use rogue_crypto::rc4::Rc4;
 use rogue_crypto::wep::WepKey;
 use rogue_sim::{Seed, SimRng};
 
+use super::rate;
+use crate::report::{pct, Table};
+
 /// One row of the crack curve.
 #[derive(Clone, Debug)]
 pub struct CrackPoint {
@@ -75,24 +78,43 @@ pub fn crack_curve(
     weak_counts
         .par_iter()
         .map(|&w| {
-            let successes = (0..reps)
+            let cracked: Vec<bool> = (0..reps)
                 .into_par_iter()
-                .filter(|&rep| {
+                .map(|rep| {
                     let mut rng =
                         SimRng::new(seed.fork((key_len * 1_000_000 + w * 1000 + rep) as u64));
                     let key = random_key(&mut rng, key_len);
                     crack_once(&key, w)
                 })
-                .count();
+                .collect();
             CrackPoint {
                 key_len,
                 weak_ivs_per_position: w,
                 equivalent_frames: w as u64 * 65_536,
                 reps,
-                success_rate: successes as f64 / reps.max(1) as f64,
+                success_rate: rate(&cracked, |&c| c),
             }
         })
         .collect()
+}
+
+/// The E4 report body: both key lengths' crack curves. Success rates
+/// need a replication floor to mean anything, so a cell runs at least
+/// 4 keys whatever `reps` asks for.
+pub fn report_body(reps: usize, seed: Seed) -> String {
+    let weak = [10usize, 20, 40, 60, 100, 160, 240];
+    let mut t = Table::new(&["key", "weak IVs/pos", "≈ frames", "success"]);
+    for key_len in [5usize, 13] {
+        for p in crack_curve(key_len, &weak, reps.max(4), seed) {
+            t.row(&[
+                format!("WEP-{}", key_len * 8),
+                p.weak_ivs_per_position.to_string(),
+                format!("{:.1}M", p.equivalent_frames as f64 / 1e6),
+                pct(p.success_rate),
+            ]);
+        }
+    }
+    t.render()
 }
 
 #[cfg(test)]

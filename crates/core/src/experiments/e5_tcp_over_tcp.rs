@@ -30,6 +30,8 @@ use rogue_vpn::client::VpnClientConfig;
 use rogue_vpn::server::{ClientAccount, VpnServerConfig};
 use rogue_vpn::{Transport, VpnClient, VpnServer, PSK_LEN};
 
+use super::{mean_or_nan, rate};
+use crate::report::{pct, Table};
 use crate::world::World;
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 2);
@@ -248,18 +250,52 @@ pub fn tunnel_comparison(
                         .iter()
                         .map(|r| r.udp_max_ms)
                         .fold(f64::NEG_INFINITY, f64::max),
-                    tcp_completion_secs: if completed.is_empty() {
-                        f64::NAN
-                    } else {
-                        completed.iter().sum::<f64>() / completed.len() as f64
-                    },
-                    tcp_completion_rate: completed.len() as f64 / n,
+                    tcp_completion_secs: mean_or_nan(&completed),
+                    tcp_completion_rate: rate(&runs, |r| r.tcp_secs.is_some()),
                 }
             })
             .collect();
         rows.append(&mut pts);
     }
     rows
+}
+
+/// Table label of an encapsulation.
+fn encap_label(transport: Transport) -> String {
+    match transport {
+        Transport::Udp => "udp".to_string(),
+        Transport::Tcp => "tcp (ppp/ssh)".to_string(),
+    }
+}
+
+/// The E5 report body: the UDP flow's delivery and latency, then the
+/// bulk download's completion, through both encapsulations at each
+/// loss rate.
+pub fn report_body(reps: usize, seed: Seed) -> String {
+    let losses = [0.0, 0.02, 0.05, 0.10];
+    let mut t = Table::new(&["encap", "loss", "delivery", "mean lat ms", "max lat ms"]);
+    for p in &tunnel_comparison(InnerFlow::UdpCbr, &losses, reps, seed) {
+        t.row(&[
+            encap_label(p.transport),
+            pct(p.loss),
+            pct(p.udp_delivery),
+            format!("{:.1}", p.udp_mean_latency_ms),
+            format!("{:.1}", p.udp_max_latency_ms),
+        ]);
+    }
+    let mut body = t.render();
+    body.push('\n');
+    let mut t = Table::new(&["encap", "loss", "dl completed", "mean completion s"]);
+    for p in &tunnel_comparison(InnerFlow::TcpBulk, &losses, reps, seed) {
+        t.row(&[
+            encap_label(p.transport),
+            pct(p.loss),
+            pct(p.tcp_completion_rate),
+            format!("{:.2}", p.tcp_completion_secs),
+        ]);
+    }
+    body.push_str(&t.render());
+    body
 }
 
 #[cfg(test)]

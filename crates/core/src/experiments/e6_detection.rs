@@ -36,6 +36,8 @@ use rogue_wids::{
     SeqControlDetector,
 };
 
+use super::{mean_or_nan, rate};
+use crate::report::{pct, Table};
 use crate::scenario::{build_corp, corp_bssid, CorpScenarioCfg, RogueCfg};
 
 /// What E6's two radio detectors made of one sweep capture.
@@ -180,7 +182,6 @@ pub fn detection_vs_dwell(dwells_ms: &[u64], reps: usize, seed: Seed) -> Vec<Det
                     )
                 })
                 .collect();
-            let n = outcomes.len().max(1) as f64;
             let audit_hits: Vec<f64> = outcomes
                 .iter()
                 .filter_map(|o| o.audit_latency_secs)
@@ -188,21 +189,35 @@ pub fn detection_vs_dwell(dwells_ms: &[u64], reps: usize, seed: Seed) -> Vec<Det
             DetectionPoint {
                 dwell_ms,
                 reps: outcomes.len(),
-                audit_detection_rate: audit_hits.len() as f64 / n,
-                mean_audit_latency_secs: if audit_hits.is_empty() {
-                    f64::NAN
-                } else {
-                    audit_hits.iter().sum::<f64>() / audit_hits.len() as f64
-                },
-                seqmon_detection_rate: outcomes
-                    .iter()
-                    .filter(|o| o.seqmon_latency_secs.is_some())
-                    .count() as f64
-                    / n,
-                wired_alarm_rate: outcomes.iter().filter(|o| o.wired_alarmed).count() as f64 / n,
+                audit_detection_rate: rate(&outcomes, |o| o.audit_latency_secs.is_some()),
+                mean_audit_latency_secs: mean_or_nan(&audit_hits),
+                seqmon_detection_rate: rate(&outcomes, |o| o.seqmon_latency_secs.is_some()),
+                wired_alarm_rate: rate(&outcomes, |o| o.wired_alarmed),
             }
         })
         .collect()
+}
+
+/// The E6 report body: detection by the site audit and the sequence
+/// monitor, and the wired monitor's alarms, per sweep dwell.
+pub fn report_body(reps: usize, seed: Seed) -> String {
+    let mut t = Table::new(&[
+        "dwell ms",
+        "audit detect",
+        "audit latency s",
+        "seqmon detect",
+        "wired alarm",
+    ]);
+    for r in &detection_vs_dwell(&[100, 250, 500, 1000], reps, seed) {
+        t.row(&[
+            r.dwell_ms.to_string(),
+            pct(r.audit_detection_rate),
+            format!("{:.2}", r.mean_audit_latency_secs),
+            pct(r.seqmon_detection_rate),
+            pct(r.wired_alarm_rate),
+        ]);
+    }
+    t.render()
 }
 
 #[cfg(test)]

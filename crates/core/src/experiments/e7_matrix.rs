@@ -12,6 +12,7 @@ use rogue_sim::Seed;
 use rogue_vpn::Transport;
 
 use super::e2_download::{run_download_mitm, DownloadMitmConfig, DownloadMitmResult};
+use super::rate;
 use crate::policy::ClientPolicy;
 use crate::report::{pct, yn, Table};
 use crate::scenario::CorpScenarioCfg;
@@ -52,89 +53,49 @@ pub fn scenario_for(policy: ClientPolicy) -> CorpScenarioCfg {
     cfg
 }
 
-/// Run the matrix: `reps` replications per policy.
-pub fn defense_matrix(reps: usize, seed: Seed) -> Vec<MatrixRow> {
+/// One row: `reps` replications of the Figure 2 attack under `policy`,
+/// replication `rep` at `seed.fork(stream + rep)`.
+fn matrix_row(policy: ClientPolicy, reps: usize, seed: Seed, stream: u64) -> MatrixRow {
+    let cfg = DownloadMitmConfig {
+        scenario: scenario_for(policy),
+        ..DownloadMitmConfig::paper()
+    };
+    let results: Vec<DownloadMitmResult> = (0..reps)
+        .into_par_iter()
+        .map(|rep| run_download_mitm(&cfg, seed.fork(stream + rep as u64)))
+        .collect();
+    MatrixRow {
+        policy,
+        reps: results.len(),
+        captured_rate: rate(&results, |r| r.victim_on_rogue),
+        deceived_rate: rate(&results, |r| r.victim_got_trojan && r.md5_check_passed),
+        protected_rate: rate(&results, |r| r.victim_got_genuine && r.md5_check_passed),
+        completed_rate: rate(&results, |r| r.completed),
+    }
+}
+
+/// Run the matrix, `reps` replications per row: every policy of
+/// [`ClientPolicy::all`], then the TCP-encapsulated VPN as a seventh row.
+pub fn defense_matrix_extended(reps: usize, seed: Seed) -> Vec<MatrixRow> {
     ClientPolicy::all()
         .into_iter()
-        .map(|policy| {
-            let results: Vec<DownloadMitmResult> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    let cfg = DownloadMitmConfig {
-                        scenario: scenario_for(policy),
-                        ..DownloadMitmConfig::paper()
-                    };
-                    run_download_mitm(
-                        &cfg,
-                        seed.fork(policy.label().len() as u64 * 7919 + rep as u64),
-                    )
-                })
-                .collect();
-            let n = results.len().max(1) as f64;
-            MatrixRow {
-                policy,
-                reps: results.len(),
-                captured_rate: results.iter().filter(|r| r.victim_on_rogue).count() as f64 / n,
-                deceived_rate: results
-                    .iter()
-                    .filter(|r| r.victim_got_trojan && r.md5_check_passed)
-                    .count() as f64
-                    / n,
-                protected_rate: results
-                    .iter()
-                    .filter(|r| r.victim_got_genuine && r.md5_check_passed)
-                    .count() as f64
-                    / n,
-                completed_rate: results.iter().filter(|r| r.completed).count() as f64 / n,
-            }
-        })
+        .map(|policy| (policy, policy.label().len() as u64 * 7919))
+        .chain([(ClientPolicy::VpnAll(Transport::Tcp), 0x7C9)])
+        .map(|(policy, stream)| matrix_row(policy, reps, seed, stream))
         .collect()
 }
 
-/// Also include the TCP-encapsulated VPN as a sixth row.
-pub fn defense_matrix_extended(reps: usize, seed: Seed) -> Vec<MatrixRow> {
-    let mut rows = defense_matrix(reps, seed);
-    let policy = ClientPolicy::VpnAll(Transport::Tcp);
-    let results: Vec<DownloadMitmResult> = (0..reps)
-        .into_par_iter()
-        .map(|rep| {
-            let cfg = DownloadMitmConfig {
-                scenario: scenario_for(policy),
-                ..DownloadMitmConfig::paper()
-            };
-            run_download_mitm(&cfg, seed.fork(0x7C9 + rep as u64))
-        })
-        .collect();
-    let n = results.len().max(1) as f64;
-    rows.push(MatrixRow {
-        policy,
-        reps: results.len(),
-        captured_rate: results.iter().filter(|r| r.victim_on_rogue).count() as f64 / n,
-        deceived_rate: results
-            .iter()
-            .filter(|r| r.victim_got_trojan && r.md5_check_passed)
-            .count() as f64
-            / n,
-        protected_rate: results
-            .iter()
-            .filter(|r| r.victim_got_genuine && r.md5_check_passed)
-            .count() as f64
-            / n,
-        completed_rate: results.iter().filter(|r| r.completed).count() as f64 / n,
-    });
-    rows
-}
-
-/// Render the matrix as the table EXPERIMENTS.md records.
-pub fn render(rows: &[MatrixRow]) -> String {
+/// The E7 report body: the defence matrix at `reps` replications per
+/// row, and whether each defence defeats the attack.
+pub fn report_body(reps: usize, seed: Seed) -> String {
     let mut t = Table::new(&[
         "defence",
         "captured",
-        "deceived (trojan+md5 ok)",
-        "protected (genuine+md5 ok)",
-        "attack defeated",
+        "deceived",
+        "protected",
+        "defeats attack",
     ]);
-    for r in rows {
+    for r in &defense_matrix_extended(reps, seed) {
         t.row(&[
             r.policy.label().to_string(),
             pct(r.captured_rate),
@@ -152,8 +113,8 @@ mod tests {
 
     #[test]
     fn link_layer_defences_fail_vpn_survives() {
-        let rows = defense_matrix(1, Seed(71));
-        assert_eq!(rows.len(), 6);
+        let rows = defense_matrix_extended(1, Seed(71));
+        assert_eq!(rows.len(), 7);
         for r in &rows {
             match r.policy {
                 ClientPolicy::VpnAll(_) => {
@@ -167,8 +128,9 @@ mod tests {
                 }
             }
         }
-        let table = render(&rows);
+        let table = report_body(1, Seed(71));
         assert!(table.contains("wep+macfilter"));
         assert!(table.contains("vpn-all (udp)"));
+        assert!(table.contains("vpn-all (tcp)"));
     }
 }

@@ -25,6 +25,7 @@ use rogue_services::apps::BrowserApp;
 use rogue_sim::{Seed, SimDuration, SimTime};
 use rogue_vpn::Transport;
 
+use crate::report::{pct, Table};
 use crate::scenario::{build_hotspot, hotspot_addrs, HotspotScenarioCfg};
 
 /// One replication's outcome.
@@ -159,6 +160,21 @@ pub fn hotspot_comparison(reps: usize, seed: Seed) -> Vec<HotspotRow> {
             }
         })
         .collect()
+}
+
+/// The E8 report body: pages per run and the share of them tampered
+/// with, per hotspot scenario.
+pub fn report_body(reps: usize, seed: Seed) -> String {
+    let mut t = Table::new(&["scenario", "reps", "pages/run", "tamper rate"]);
+    for r in &hotspot_comparison(reps, seed) {
+        t.row(&[
+            r.label.to_string(),
+            r.reps.to_string(),
+            format!("{:.1}", r.mean_pages),
+            pct(r.tamper_rate),
+        ]);
+    }
+    t.render()
 }
 
 #[cfg(test)]

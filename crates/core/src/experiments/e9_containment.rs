@@ -21,6 +21,8 @@ use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimTime};
 use rogue_wids::{IncidentCategory, WidsConfig};
 
+use super::rate;
+use crate::report::{pct, Table};
 use crate::scenario::{addrs, build_corp, corp_bssid, CorpScenarioCfg};
 use crate::wids::WidsDeployment;
 
@@ -182,18 +184,38 @@ pub fn containment_comparison(reps: usize, seed: Seed) -> Vec<ContainmentRow> {
                     )
                 })
                 .collect();
-            let n = outcomes.len().max(1) as f64;
             ContainmentRow {
                 containment,
                 reps: outcomes.len(),
-                detection_rate: outcomes.iter().filter(|o| o.detected_at.is_some()).count() as f64
-                    / n,
-                attack_success_rate: outcomes.iter().filter(|o| o.attack_succeeded).count() as f64
-                    / n,
-                mean_victim_kicks: outcomes.iter().map(|o| o.victim_kicks as f64).sum::<f64>() / n,
+                detection_rate: rate(&outcomes, |o| o.detected_at.is_some()),
+                attack_success_rate: rate(&outcomes, |o| o.attack_succeeded),
+                mean_victim_kicks: outcomes.iter().map(|o| o.victim_kicks as f64).sum::<f64>()
+                    / outcomes.len().max(1) as f64,
             }
         })
         .collect()
+}
+
+/// The E9 report body: detection, attack success and the victim's
+/// forced kicks, with and without containment.
+pub fn report_body(reps: usize, seed: Seed) -> String {
+    let mut t = Table::new(&[
+        "containment",
+        "reps",
+        "detected",
+        "attack success",
+        "mean victim kicks",
+    ]);
+    for r in &containment_comparison(reps, seed) {
+        t.row(&[
+            r.containment.to_string(),
+            r.reps.to_string(),
+            pct(r.detection_rate),
+            pct(r.attack_success_rate),
+            format!("{:.0}", r.mean_victim_kicks),
+        ]);
+    }
+    t.render()
 }
 
 #[cfg(test)]

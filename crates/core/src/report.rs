@@ -1,7 +1,9 @@
-//! Fixed-width table rendering for experiment harness output.
+//! Fixed-width and Markdown table rendering for experiment reports.
 //!
-//! The benches and examples print the same rows EXPERIMENTS.md records;
-//! this module keeps the formatting in one place.
+//! Each experiment driver's `report_body` lays out its one table with
+//! [`Table`] and the cell helpers here; the `rogue-bench` harness, the
+//! examples and the scenario compiler print what it renders, and
+//! EXPERIMENTS.md records the same rows.
 
 /// A simple left-aligned text table.
 #[derive(Clone, Debug, Default)]
@@ -23,12 +25,6 @@ impl Table {
     pub fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.header.len(), "column count mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    /// Append a row from displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
     }
 
     /// Number of data rows.

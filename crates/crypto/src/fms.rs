@@ -113,13 +113,6 @@ impl KeyRecovery {
         self.count += 1;
     }
 
-    /// Absorb many observations.
-    pub fn absorb_all(&mut self, it: impl IntoIterator<Item = Sample>) {
-        for s in it {
-            self.absorb(s);
-        }
-    }
-
     /// Attempt to recover a secret key of `key_len` bytes (5 or 13).
     ///
     /// Returns the most-voted key. The caller should verify the candidate

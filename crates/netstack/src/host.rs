@@ -558,14 +558,6 @@ impl Host {
         }
     }
 
-    /// Total retransmissions on a connection (E5 metric).
-    pub fn tcp_retransmissions(&self, h: SocketHandle) -> u64 {
-        match self.sockets.get(h) {
-            Some(Socket::Tcp(c)) => c.retransmissions,
-            _ => 0,
-        }
-    }
-
     /// Graceful close.
     pub fn tcp_close(&mut self, now: SimTime, h: SocketHandle) {
         if let Some(Socket::Tcp(conn)) = self.sockets.get_mut(h) {
@@ -748,11 +740,6 @@ impl Host {
     /// Take pending events.
     pub fn take_events(&mut self) -> Vec<HostEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Number of live sockets (diagnostics / leak checks).
-    pub fn socket_count(&self) -> usize {
-        self.sockets.len()
     }
 
     /// Queue a raw link-layer frame for transmission on `ifindex`

@@ -101,13 +101,4 @@ impl<'a, T: Send + 'a, R: Send + 'a> ParIter<'a, T, R> {
     pub fn sum<S: std::iter::Sum<R>>(self) -> S {
         self.run().into_iter().sum()
     }
-
-    /// Call `g` on every value (order of side effects is unspecified,
-    /// as in rayon; the values themselves are produced exactly once).
-    pub fn for_each<G>(self, g: G)
-    where
-        G: Fn(R) + Sync + 'a,
-    {
-        self.map(g).run();
-    }
 }

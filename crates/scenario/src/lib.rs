@@ -49,11 +49,13 @@ pub fn run_source(src: &str, overrides: &[String]) -> Result<String, Error> {
 }
 
 /// Parse + patch + validate, without running (tests and tools use this
-/// to inspect the typed scenario).
+/// to inspect the typed scenario). An error on a value an override
+/// wrote names that override.
 pub fn load_source(src: &str, overrides: &[String]) -> Result<Scenario, Error> {
     let mut root = toml::parse(src)?;
-    for o in overrides {
-        run::apply_override(&mut root, o)?;
+    let named = |e| run::name_override(e, overrides);
+    for (nth, o) in overrides.iter().enumerate() {
+        run::apply_nth_override(&mut root, o, nth).map_err(named)?;
     }
-    spec::from_table(&root)
+    spec::from_table(&root).map_err(named)
 }

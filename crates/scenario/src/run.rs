@@ -21,7 +21,7 @@ use rogue_sim::{SimDuration, SimTime};
 
 use crate::compile::{compile, Compiled};
 use crate::spec::{ReportKind, Scenario};
-use crate::toml::{parse_value_or_str, Error, Item, Table as TomlTable, Value};
+use crate::toml::{parse_value_or_str, Error, Item, Span, Table as TomlTable, Value};
 
 /// Totals a finished summary run reports (also handy for tests).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -243,7 +243,21 @@ pub fn run_scenario(sc: &Scenario) -> Result<String, Error> {
 /// `population.0.count=5` would hand the typed pass a shape it can only
 /// misreport. Plain table sections, by contrast, may still be added
 /// whole (`wids.channels=[1, 6]` on a file with no `[wids]`).
+///
+/// The value it writes sits on line 0, which no file position has;
+/// [`crate::load_source`] numbers each override of its list there, so
+/// that a typed-pass error on such a value names its override.
 pub fn apply_override(root: &mut TomlTable, spec: &str) -> Result<(), Error> {
+    apply_nth_override(root, spec, 0)
+}
+
+/// [`apply_override`] for the `nth` override of a list: its value sits on
+/// line 0, which no file position has, in column `nth + 1`.
+pub(crate) fn apply_nth_override(
+    root: &mut TomlTable,
+    spec: &str,
+    nth: usize,
+) -> Result<(), Error> {
     let here = root.span;
     let Some((path, raw)) = spec.split_once('=') else {
         return Err(Error::at(
@@ -258,8 +272,39 @@ pub fn apply_override(root: &mut TomlTable, spec: &str) -> Result<(), Error> {
             format!("override path `{path}` has an empty segment"),
         ));
     }
-    let item = parse_value_or_str(raw);
+    let mut item = parse_value_or_str(raw);
+    let span = Span {
+        line: 0,
+        col: nth as u32 + 1,
+    };
+    place(&mut item, span);
     walk_table(root, &segs, item, path)
+}
+
+/// Position `item` and every array element in it at `span`.
+fn place(item: &mut Item, span: Span) {
+    item.span = span;
+    if let Value::Array(items) = &mut item.value {
+        for i in items {
+            place(i, span);
+        }
+    }
+}
+
+/// An error on a value the `nth` of `overrides` wrote names that
+/// override, at the start of its text, instead of a file position.
+pub(crate) fn name_override(err: Error, overrides: &[String]) -> Error {
+    if err.span.line == 0 {
+        let nth = (err.span.col as usize).checked_sub(1);
+        if let Some(spec) = nth.and_then(|n| overrides.get(n)) {
+            return Error {
+                span: Span { line: 1, col: 1 },
+                override_spec: Some(spec.clone()),
+                ..err
+            };
+        }
+    }
+    err
 }
 
 /// Walk `segs` through a table: the last segment sets (or adds) a leaf;

@@ -32,13 +32,18 @@ impl fmt::Display for Span {
     }
 }
 
-/// A parse or validation error, positioned in the source file.
+/// A parse or validation error, positioned in the source file — or in
+/// the `--override` that wrote the offending value.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Error {
-    /// Where it happened.
+    /// Where it happened: in the file, or, when `override_spec` is set,
+    /// in that override's text.
     pub span: Span,
     /// What went wrong.
     pub msg: String,
+    /// The `key.path=value` override whose value is at fault, when the
+    /// file does not hold that value.
+    pub override_spec: Option<String>,
 }
 
 impl Error {
@@ -47,13 +52,17 @@ impl Error {
         Error {
             span,
             msg: msg.into(),
+            override_spec: None,
         }
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.span, self.msg)
+        match &self.override_spec {
+            Some(spec) => write!(f, "--override {spec}: {}", self.msg),
+            None => write!(f, "{}: {}", self.span, self.msg),
+        }
     }
 }
 

@@ -84,11 +84,6 @@ impl HttpServerApp {
             requests_served: 0,
         }
     }
-
-    /// Replace the served content (scenario reconfiguration).
-    pub fn set_site(&mut self, site: SiteContent) {
-        self.site = site;
-    }
 }
 
 impl App for HttpServerApp {
@@ -201,11 +196,6 @@ impl DownloadClient {
             partial: DownloadOutcome::default(),
             outcome: None,
         }
-    }
-
-    /// True once the workflow ended (see [`DownloadClient::outcome`]).
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, DlState::Done)
     }
 
     fn finish(&mut self, now: SimTime, error: Option<String>, out: &mut Vec<AppEvent>) {

@@ -114,15 +114,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform in the inclusive range `[lo, hi]`. Panics if `lo > hi`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -184,15 +175,6 @@ impl SimRng {
         for i in (1..xs.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             xs.swap(i, j);
-        }
-    }
-
-    /// Pick a uniformly random element (None on an empty slice).
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.below(xs.len() as u64) as usize])
         }
     }
 }

@@ -23,11 +23,6 @@ impl Metrics {
         *self.counters.entry(key).or_insert(0) += n;
     }
 
-    /// Overwrite a counter with an externally maintained total.
-    pub fn set(&mut self, key: &'static str, v: u64) {
-        self.counters.insert(key, v);
-    }
-
     /// Counter value (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
@@ -55,9 +50,7 @@ mod tests {
         m.add("pkts", 9);
         assert_eq!(m.counter("pkts"), 10);
         assert_eq!(m.counter("missing"), 0);
-        m.set("pkts", 3);
-        m.set("bytes", 7);
-        assert_eq!(m.counter("pkts"), 3);
-        assert_eq!(format!("{m:?}"), "Metrics {\n  bytes: 7\n  pkts: 3\n}");
+        m.add("bytes", 7);
+        assert_eq!(format!("{m:?}"), "Metrics {\n  bytes: 7\n  pkts: 10\n}");
     }
 }

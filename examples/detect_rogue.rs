@@ -5,9 +5,9 @@
 //! cargo run --release --example detect_rogue
 //! ```
 
-use rogue_core::experiments::e1_association::capture_with_deauth;
-use rogue_core::experiments::e6_detection::{detection_vs_dwell, run_detection_once};
-use rogue_core::report::{pct, Table};
+use rogue_core::experiments::e1_association::{self, E1Params};
+use rogue_core::experiments::e6_detection::{self, run_detection_once};
+use rogue_core::scenario::CorpScenarioCfg;
 use rogue_sim::{Seed, SimDuration, SimTime};
 
 fn main() {
@@ -36,36 +36,16 @@ fn main() {
     );
 
     println!("== Detection vs sweep dwell ==\n");
-    let rows = detection_vs_dwell(&[100, 250, 500, 1000], 3, Seed(9));
-    let mut t = Table::new(&[
-        "dwell ms",
-        "audit detect",
-        "audit latency s",
-        "seqmon detect",
-        "wired alarm",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.dwell_ms.to_string(),
-            pct(r.audit_detection_rate),
-            format!("{:.2}", r.mean_audit_latency_secs),
-            pct(r.seqmon_detection_rate),
-            pct(r.wired_alarm_rate),
-        ]);
-    }
-    println!("{}", t.render());
-
-    println!("\n== And the attack the detectors are racing: forced deauth roaming ==\n");
-    let rows = capture_with_deauth(3, Seed(10));
-    let mut t = Table::new(&["forged deauth", "capture rate", "mean time to capture s"]);
-    for r in &rows {
-        t.row(&[
-            r.deauth.to_string(),
-            pct(r.capture_rate),
-            format!("{:.2}", r.mean_capture_after_start_secs),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("A late-arriving rogue captures nobody until it forges deauthentication —");
-    println!("then the sticky association breaks and the stronger signal wins in seconds.");
+    println!("{}", e6_detection::report_body(3, Seed(9)));
+    println!("\n== And the attack the detectors are racing: the scan race, then forced deauth roaming ==\n");
+    let body = e1_association::report_body(
+        &CorpScenarioCfg::paper_attack(),
+        &E1Params::default(),
+        3,
+        Seed(10),
+    );
+    println!("{body}");
+    println!("The louder AP wins the scan race. A late-arriving rogue captures nobody until it");
+    println!("forges deauthentication — then the sticky association breaks and the stronger");
+    println!("signal wins in seconds.");
 }

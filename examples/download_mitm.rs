@@ -5,10 +5,8 @@
 //! cargo run --release --example download_mitm
 //! ```
 
-use rogue_core::experiments::e2_download::{
-    boundary_miss_sweep, run_download_mitm, DownloadMitmConfig,
-};
-use rogue_core::report::{pct, Table};
+use rogue_core::experiments::e2_download::{self, run_download_mitm, DownloadMitmConfig};
+use rogue_core::report::Table;
 use rogue_sim::Seed;
 
 fn main() {
@@ -61,24 +59,7 @@ fn main() {
 
     // §4.2: "netsed will not match strings that cross packet boundaries."
     println!("\n== §4.2 limitation: rewrite success vs server segment size ==\n");
-    let points = boundary_miss_sweep(&[64, 96, 128, 256, 512, 1400], 12, Seed(7));
-    let mut t = Table::new(&[
-        "server MSS",
-        "reps",
-        "link rewritten",
-        "fully deceived",
-        "any rule missed",
-    ]);
-    for p in &points {
-        t.row(&[
-            p.server_mss.to_string(),
-            p.reps.to_string(),
-            pct(p.link_rewrite_rate),
-            pct(p.full_deception_rate),
-            pct(p.any_miss_rate),
-        ]);
-    }
-    println!("{}", t.render());
+    println!("{}", e2_download::report_body(12, Seed(7)));
     println!("Small segments split the target strings across TCP boundaries, and the");
     println!("per-chunk editor misses them — the paper's own caveat, quantified.");
 }

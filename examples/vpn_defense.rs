@@ -4,65 +4,18 @@
 //! cargo run --release --example vpn_defense
 //! ```
 
-use rogue_core::experiments::e3_vpn::{rogue_endpoint_refused, vpn_defense_comparison};
-use rogue_core::experiments::e5_tcp_over_tcp::{tunnel_comparison, InnerFlow};
-use rogue_core::report::{pct, Table};
+use rogue_core::experiments::{e3_vpn, e5_tcp_over_tcp};
 use rogue_sim::Seed;
-use rogue_vpn::Transport;
 
 fn main() {
     println!("== Figure 3: VPN proxy configuration in a compromised wireless network ==\n");
-    let rows = vpn_defense_comparison(3, Seed(5));
-    let mut t = Table::new(&[
-        "mode",
-        "on rogue AP",
-        "completed",
-        "trojaned",
-        "genuine+verified",
-        "mean download s",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.mode.label().to_string(),
-            pct(r.on_rogue_rate),
-            pct(r.completed_rate),
-            pct(r.trojan_rate),
-            pct(r.genuine_verified_rate),
-            format!("{:.2}", r.mean_download_secs),
-        ]);
-    }
-    println!("{}", t.render());
+    println!("{}", e3_vpn::report_body(3, Seed(5)));
     println!("The tunnel does not keep the victim off the rogue AP — it makes the rogue");
-    println!("irrelevant: no cleartext ever crosses the compromised segment.\n");
+    println!("irrelevant: no cleartext ever crosses the compromised segment. And §5.2's");
+    println!("pre-established authentication holds: an endpoint without the PSK is refused.\n");
 
-    println!("== §5.2 requirement 2: pre-established authentication ==\n");
-    let (refused, auth_failures) = rogue_endpoint_refused(Seed(6));
-    println!(
-        "rogue endpoint without the PSK: client refused = {refused}, bad authenticators seen = {auth_failures}\n"
-    );
-
-    println!("== §5.3: the PPP-over-SSH (TCP-over-TCP) penalty, UDP flow under loss ==\n");
-    let points = tunnel_comparison(InnerFlow::UdpCbr, &[0.0, 0.02, 0.05, 0.10], 3, Seed(9));
-    let mut t = Table::new(&[
-        "encap",
-        "loss",
-        "delivery",
-        "mean latency ms",
-        "max latency ms",
-    ]);
-    for p in &points {
-        t.row(&[
-            match p.transport {
-                Transport::Udp => "udp".into(),
-                Transport::Tcp => "tcp (ppp/ssh)".into(),
-            },
-            pct(p.loss),
-            pct(p.udp_delivery),
-            format!("{:.1}", p.udp_mean_latency_ms),
-            format!("{:.1}", p.udp_max_latency_ms),
-        ]);
-    }
-    println!("{}", t.render());
+    println!("== §5.3: the PPP-over-SSH (TCP-over-TCP) penalty under loss ==\n");
+    println!("{}", e5_tcp_over_tcp::report_body(3, Seed(9)));
     println!("TCP encapsulation \"helpfully\" retransmits lost UDP — delivery rises but");
     println!("latency blows up: the unnecessary-retransmission drawback the paper notes.");
 }

@@ -10,8 +10,7 @@
 //! success-probability curve vs. captured traffic.
 
 use rogue_attack::airsnort::{Airsnort, CrackOutcome};
-use rogue_core::experiments::e4_wep::crack_curve;
-use rogue_core::report::{pct, Table};
+use rogue_core::experiments::e4_wep;
 use rogue_crypto::fms::targeted_weak_ivs;
 use rogue_crypto::wep::{seal, WepKey};
 use rogue_dot11::frame::{encode_llc, Frame, FrameBody};
@@ -59,24 +58,7 @@ fn main() {
     }
 
     println!("== Success probability vs captured traffic ==\n");
-    let weak_counts = [10usize, 20, 40, 60, 100, 160, 240];
-    let mut t = Table::new(&[
-        "key",
-        "weak IVs/pos",
-        "≈ frames (sequential card)",
-        "success",
-    ]);
-    for &key_len in &[5usize, 13] {
-        for p in crack_curve(key_len, &weak_counts, 10, Seed(4)) {
-            t.row(&[
-                format!("WEP-{}", key_len * 8),
-                p.weak_ivs_per_position.to_string(),
-                format!("{:.1}M", p.equivalent_frames as f64 / 1e6),
-                pct(p.success_rate),
-            ]);
-        }
-    }
-    println!("{}", t.render());
+    println!("{}", e4_wep::report_body(10, Seed(4)));
     println!("The millions-of-frames scale matches period Airsnort reports; WEP-104 needs");
     println!("no more weak IVs per byte — just 13 bytes' worth of them (§2.1's \"legendary\"");
     println!("weakness is in the key schedule, not the key length).");

@@ -45,7 +45,7 @@ fn evasion_table_matches_golden() {
     // The E10-evasion score card has its own golden: it sits outside the
     // frozen ten-report harness output but its numbers are pinned the
     // same way — a pure function of (seed, reps).
-    let rendered = rogue_bench::render_report(&rogue_bench::report_e10_evasion(GOLDEN_REPS));
+    let rendered = rogue_bench::render_report(&rogue_bench::E10_EVASION, GOLDEN_REPS);
     let path = evasion_golden_path();
     if std::env::var("BLESS").as_deref() == Ok("1") {
         std::fs::write(&path, &rendered).expect("write blessed golden file");

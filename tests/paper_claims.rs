@@ -8,7 +8,7 @@ use rogue_core::experiments::e3_vpn::{run_vpn_defense, VpnMode};
 use rogue_core::experiments::e4_wep::{crack_once, random_key};
 use rogue_core::experiments::e5_tcp_over_tcp::{tunnel_comparison, InnerFlow};
 use rogue_core::experiments::e6_detection::run_detection_once;
-use rogue_core::experiments::e7_matrix::{defense_matrix, scenario_for};
+use rogue_core::experiments::e7_matrix::{defense_matrix_extended, scenario_for};
 use rogue_core::policy::ClientPolicy;
 use rogue_core::scenario::{addrs, build_corp};
 use rogue_dot11::MacAddr;
@@ -157,10 +157,11 @@ fn wired_census_under_download(mac_filter: bool) -> (u64, Vec<(SimTime, MacAddr)
     (monitor.inspected, monitor.strangers.clone())
 }
 
-/// The thesis, in one table: only the VPN row defeats the attack.
+/// The thesis, in one table: only the VPN rows defeat the attack,
+/// over either encapsulation.
 #[test]
 fn claim_defense_matrix_shape() {
-    for row in defense_matrix(1, Seed(9)) {
+    for row in defense_matrix_extended(1, Seed(9)) {
         let is_vpn = matches!(row.policy, ClientPolicy::VpnAll(_));
         assert_eq!(
             row.deceived_rate == 0.0,

@@ -5,25 +5,21 @@
 //! plus index-ordered result collection make the thread count
 //! unobservable in every table.
 
-use rogue_bench::{render_report, report_builders, report_e10_evasion};
+use rogue_bench::{render_report, E10_EVASION, REPORTS};
 
 #[test]
 fn every_report_is_byte_identical_across_thread_counts() {
     let reps = 2;
-    let serial: Vec<String> = rayon::with_num_threads(1, || {
-        report_builders()
+    let render_all = || -> Vec<String> {
+        REPORTS
             .iter()
-            .map(|build| render_report(&build(reps)))
+            .map(|report| render_report(report, reps))
             .collect()
-    });
+    };
+    let serial = rayon::with_num_threads(1, render_all);
     assert_eq!(serial.len(), 10, "one rendered table per experiment");
     for threads in [2, 4] {
-        let parallel: Vec<String> = rayon::with_num_threads(threads, || {
-            report_builders()
-                .iter()
-                .map(|build| render_report(&build(reps)))
-                .collect()
-        });
+        let parallel = rayon::with_num_threads(threads, render_all);
         for (serial_report, parallel_report) in serial.iter().zip(&parallel) {
             assert_eq!(
                 serial_report, parallel_report,
@@ -35,15 +31,14 @@ fn every_report_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn evasion_report_is_byte_identical_across_thread_counts() {
-    // E10-evasion lives outside `report_builders` (the ten-report
-    // harness contract is frozen) but is held to the same standard: its
+    // E10-evasion lives outside `REPORTS` (the ten-report harness
+    // contract is frozen) but is held to the same standard: its
     // replication fan-out must render identical bytes whatever the pool
     // size.
     let reps = 2;
-    let serial = rayon::with_num_threads(1, || render_report(&report_e10_evasion(reps)));
+    let serial = rayon::with_num_threads(1, || render_report(&E10_EVASION, reps));
     for threads in [2, 4] {
-        let parallel =
-            rayon::with_num_threads(threads, || render_report(&report_e10_evasion(reps)));
+        let parallel = rayon::with_num_threads(threads, || render_report(&E10_EVASION, reps));
         assert_eq!(
             serial, parallel,
             "evasion report diverged between 1 and {threads} threads"

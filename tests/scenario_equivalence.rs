@@ -6,6 +6,9 @@
 //! longer matches the paper value, a seed plumbed differently) breaks
 //! these assertions.
 
+use rogue_bench::REPORT_SEED;
+use rogue_core::experiments::{e10_wids, e1_association};
+use rogue_core::scenario::CorpScenarioCfg;
 use rogue_scenario::{load_source, run_scenario, ReportKind};
 
 fn scenario_path(file: &str) -> String {
@@ -24,7 +27,12 @@ fn e1_toml_matches_the_hand_coded_report() {
     let (sc, body) = run_file("e1_association.toml", &[]);
     assert_eq!(sc.report.kind, ReportKind::E1);
     assert_eq!(sc.seed.0, 0x2003_1CC9, "file must pin the report seed");
-    let hand_coded = rogue_bench::report_e1(sc.report.reps).body;
+    let hand_coded = e1_association::report_body(
+        &CorpScenarioCfg::paper_attack(),
+        &e1_association::E1Params::default(),
+        sc.report.reps,
+        REPORT_SEED,
+    );
     assert_eq!(body, hand_coded, "E1 .toml must be byte-identical");
 }
 
@@ -33,7 +41,12 @@ fn e10_toml_matches_the_hand_coded_report() {
     let (sc, body) = run_file("e10_wids.toml", &[]);
     assert_eq!(sc.report.kind, ReportKind::E10);
     assert_eq!(sc.seed.0, 0x2003_1CC9);
-    let hand_coded = rogue_bench::report_e10(sc.report.reps).body;
+    let hand_coded = e10_wids::report_body(
+        &CorpScenarioCfg::paper_attack(),
+        &e10_wids::E10Params::default(),
+        sc.report.reps,
+        REPORT_SEED,
+    );
     assert_eq!(body, hand_coded, "E10 .toml must be byte-identical");
 }
 

@@ -243,6 +243,32 @@ fn zero_lockstep_slices_are_rejected() {
 }
 
 #[test]
+fn errors_on_overridden_values_name_the_override() {
+    // Written in the file, a bad value points at its own line and column.
+    let src = shipped("e10_wids.toml");
+    let in_file = src.replacen("slice = \"100ms\"", "slice = \"0s\"", 1);
+    let err = load_source(&in_file, &[]).expect_err("a zero slice in the file");
+    assert_eq!(err.to_string(), "line 25, col 9: slice must be positive");
+    assert_eq!(err.override_spec, None);
+
+    // Given by an override, it names that override (the second of two
+    // here), not a position in a file that holds no such value.
+    let overrides = ["report.reps=1".to_string(), "e10.slice=0s".to_string()];
+    let err = load_source(&src, &overrides).expect_err("a zero slice by override");
+    assert_eq!(
+        err.to_string(),
+        "--override e10.slice=0s: slice must be positive"
+    );
+    assert_eq!(err.override_spec.as_deref(), Some("e10.slice=0s"));
+
+    // So does an error on one element of an overridden array.
+    let spec = r#"e10.scenarios=["clean", "nope"]"#;
+    let err = load_source(&src, &[spec.to_string()]).expect_err("an unknown scenario");
+    assert_eq!(err.override_spec.as_deref(), Some(spec));
+    assert!(err.msg.starts_with("unknown WIDS scenario `nope`"), "{err}");
+}
+
+#[test]
 fn wids_name_lists_must_be_nonempty_and_known() {
     let cases = [
         (

@@ -2,10 +2,13 @@
 //! the WIDS against one adversarial variant, and every rendered row must
 //! clear its pinned precision/recall floor (the `pass` column). The
 //! single-variant files are also held byte-identical to the matching row
-//! of the hand-coded `report_e10_evasion` table — per-variant scoring is
+//! of the hand-coded E10-evasion table — per-variant scoring is
 //! independent (each variant forks the same per-replication seeds), so
 //! splitting the suite across files must not move any number.
 
+use rogue_bench::REPORT_SEED;
+use rogue_core::experiments::e10_evasion;
+use rogue_core::scenario::CorpScenarioCfg;
 use rogue_scenario::{load_source, run_scenario, ReportKind};
 
 const VARIANT_FILES: [(&str, &str); 4] = [
@@ -50,13 +53,18 @@ fn every_evasion_scenario_clears_its_floor() {
 
 #[test]
 fn evasion_scenarios_match_the_hand_coded_rows() {
-    let hand_coded = rogue_bench::report_e10_evasion(2).body;
+    let hand_coded = e10_evasion::report_body(
+        &CorpScenarioCfg::paper_attack(),
+        &e10_evasion::E10EvasionParams::default(),
+        2,
+        REPORT_SEED,
+    );
     for (file, variant) in VARIANT_FILES {
         let (_, body) = run_file(file);
         assert_eq!(
             row_for(&body, variant),
             row_for(&hand_coded, variant),
-            "{file} drifted from the report_e10_evasion row"
+            "{file} drifted from the hand-coded E10-evasion row"
         );
     }
 }
