@@ -12,10 +12,10 @@
 //! Protocol: build and run the same world [`REPEATS`] times and **assert
 //! that every repeat's MAC trace and medium counters equal the first's
 //! before reporting any number**. A repeat that differs by one bit is a
-//! determinism bug, not a data point. Then print the median and
-//! quartiles of wall time, CPU time (this process's threads, from
-//! `/proc/self/task/*/schedstat`) and events/s, each repeat's sampled
-//! `queue_schedule` phase, and the median repeat's profiler breakdown.
+//! determinism bug, not a data point. Then print each repeat's wall time,
+//! CPU time (`rogue_bench::Stopwatch`) and events/s with its sampled
+//! `queue_schedule` phase, the median and quartiles of events/s, and the
+//! last repeat's profiler breakdown.
 //!
 //! A full run writes `BENCH_city_scale.json` at the workspace root, the
 //! committed recording. `-- --test` runs a downscaled smoke sweep (same
@@ -23,9 +23,8 @@
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
-use rogue_bench::quartiles;
+use rogue_bench::{record, sample, spread, Row, Stopwatch};
 use rogue_core::world::World;
 use rogue_dot11::{ApConfig, MacAddr, StaConfig};
 use rogue_phy::{MediumParams, Pos};
@@ -42,12 +41,9 @@ const AP_STRIDE: usize = 5;
 /// about a minute on a 2-vCPU host.
 const REPEATS: usize = 3;
 
-/// One measured run.
+/// What one repeat leaves behind.
 struct Repeat {
     events: u64,
-    elapsed_s: f64,
-    cpu_s: f64,
-    events_per_sec: f64,
     fingerprint: (u64, usize, u64, u64, u64),
     profile: Snapshot,
 }
@@ -57,19 +53,6 @@ impl Repeat {
     fn queue_schedule_ns(&self) -> u64 {
         self.profile.phases[Phase::QueueSchedule as usize].1
     }
-}
-
-/// CPU time of every live thread of this process, in ns: the sum of the
-/// first field of `/proc/self/task/*/schedstat` (0 where that is absent).
-fn cpu_ns() -> u64 {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-        return 0;
-    };
-    tasks
-        .flatten()
-        .filter_map(|t| std::fs::read_to_string(t.path().join("schedstat")).ok())
-        .filter_map(|s| s.split_whitespace().next()?.parse::<u64>().ok())
-        .sum()
 }
 
 /// Build the city: `side * side` radios, APs on the lattice, stations
@@ -127,26 +110,19 @@ fn build(side: usize, seed: Seed) -> World {
     w
 }
 
-/// Build the world, run it to `horizon` and fingerprint everything
-/// observable: the full MAC event trace plus the medium's counters.
-fn run(side: usize, horizon: SimTime, seed: Seed) -> Repeat {
+/// Build the world, run it to `horizon` timed on `clock`, and
+/// fingerprint everything observable: the full MAC event trace plus the
+/// medium's counters.
+fn run(side: usize, horizon: SimTime, seed: Seed, clock: &mut Stopwatch) -> Repeat {
     let mut w = build(side, seed);
-    let cpu0 = cpu_ns();
-    let start = Instant::now();
-    w.run_until(horizon);
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let cpu_s = cpu_ns().saturating_sub(cpu0) as f64 / 1e9;
+    clock.time(|| w.run_until(horizon));
 
     let mut h = DefaultHasher::new();
     for (t, n, e) in &w.mac_events {
         (t.as_nanos(), n.0, format!("{e:?}")).hash(&mut h);
     }
-    let events = w.events_dispatched();
     Repeat {
-        events,
-        elapsed_s,
-        cpu_s,
-        events_per_sec: events as f64 / elapsed_s,
+        events: w.events_dispatched(),
         fingerprint: (
             h.finish(),
             w.mac_events.len(),
@@ -158,96 +134,23 @@ fn run(side: usize, horizon: SimTime, seed: Seed) -> Repeat {
     }
 }
 
-/// Render a profiler snapshot as a JSON object: per-phase and per-kind
+/// A profiler snapshot as a JSON object: per-phase and per-kind
 /// `{ns, count}` rows plus the measured probe overhead (the acceptance
 /// budget is overhead_permille ≤ 20, i.e. ≤ 2 % of dispatch time).
 /// A world dispatches on one thread, so `exec_wall` reads 0.
-fn profile_json(p: &Snapshot) -> String {
-    let row_set = |rows: &[(&'static str, u64, u64)]| -> String {
+fn profile_row(p: &Snapshot) -> Row {
+    let rows = |rows: &[(&'static str, u64, u64)]| {
         rows.iter()
-            .map(|(label, ns, count)| format!("\"{label}\": {{\"ns\": {ns}, \"count\": {count}}}"))
-            .collect::<Vec<_>>()
-            .join(", ")
+            .fold(Row::default(), |row, &(label, ns, count)| {
+                row.obj(label, Row::default().int("ns", ns).int("count", count))
+            })
     };
-    format!(
-        concat!(
-            "{{\"phases\": {{{}}}, \"kinds\": {{{}}}, ",
-            "\"overhead_ns\": {}, \"dispatch_ns\": {}, \"overhead_permille\": {}}}"
-        ),
-        row_set(&p.phases),
-        row_set(&p.kinds),
-        p.overhead_ns,
-        p.dispatch_ns,
-        p.overhead_permille(),
-    )
-}
-
-/// Median, first and third quartile of `f` over every repeat.
-fn spread(runs: &[Repeat], f: fn(&Repeat) -> f64) -> (f64, f64, f64) {
-    quartiles(&runs.iter().map(f).collect::<Vec<_>>())
-}
-
-/// `"<key>": median, "<key>_q1": …, "<key>_q3": …` over every repeat.
-fn spread_json(key: &str, runs: &[Repeat], f: fn(&Repeat) -> f64, digits: usize) -> String {
-    let (median, q1, q3) = spread(runs, f);
-    format!(
-        "\"{key}\": {median:.digits$}, \"{key}_q1\": {q1:.digits$}, \"{key}_q3\": {q3:.digits$}"
-    )
-}
-
-/// The median repeat by wall time: the one whose profile is reported.
-fn median_repeat(runs: &[Repeat]) -> &Repeat {
-    let mut order: Vec<&Repeat> = runs.iter().collect();
-    order.sort_by(|a, b| a.elapsed_s.total_cmp(&b.elapsed_s));
-    order[order.len() / 2]
-}
-
-fn write_json(path: &std::path::Path, radios: usize, horizon_ms: u64, runs: &[Repeat]) {
-    let per_run: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"elapsed_s\": {:.3}, \"cpu_s\": {:.3}, ",
-                    "\"events_per_sec\": {:.0}, \"queue_schedule_ns\": {}}}"
-                ),
-                r.elapsed_s,
-                r.cpu_s,
-                r.events_per_sec,
-                r.queue_schedule_ns(),
-            )
-        })
-        .collect();
-    let result = format!(
-        concat!(
-            "    {{\"mode\": \"serial\", \"events\": {}, {}, {}, {}, ",
-            "\"repeats_identical\": true,\n",
-            "     \"runs\": [{}],\n",
-            "     \"profile\": {}}}"
-        ),
-        runs[0].events,
-        spread_json("elapsed_s", runs, |r| r.elapsed_s, 3),
-        spread_json("cpu_s", runs, |r| r.cpu_s, 3),
-        spread_json("events_per_sec", runs, |r| r.events_per_sec, 0),
-        per_run.join(", "),
-        profile_json(&median_repeat(runs).profile),
-    );
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"city_scale\",\n",
-            "  \"radios\": {},\n  \"pitch_m\": {},\n",
-            "  \"sim_horizon_ms\": {},\n  \"host_cpus\": {},\n",
-            "  \"repeats\": {},\n",
-            "  \"results\": [\n{}\n  ]\n}}\n"
-        ),
-        radios,
-        PITCH_M,
-        horizon_ms,
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        runs.len(),
-        result,
-    );
-    std::fs::write(path, json).expect("write BENCH_city_scale.json");
+    Row::default()
+        .obj("phases", rows(&p.phases))
+        .obj("kinds", rows(&p.kinds))
+        .int("overhead_ns", p.overhead_ns)
+        .int("dispatch_ns", p.dispatch_ns)
+        .int("overhead_permille", p.overhead_permille())
 }
 
 fn main() {
@@ -257,15 +160,6 @@ fn main() {
     // world model produces. The smoke sweep keeps the same shape at
     // 45^2 = 2,025 radios.
     let (side, horizon_ms) = if smoke { (45, 600) } else { (317, 500) };
-    // Calibration overrides for sizing runs on slow hosts.
-    let side = std::env::var("CITY_SIDE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(side);
-    let horizon_ms = std::env::var("CITY_HORIZON_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(horizon_ms);
     let horizon = SimTime::from_millis(horizon_ms);
     let radios = side * side;
     let seed = Seed(0xC17);
@@ -273,37 +167,37 @@ fn main() {
     println!(
         "city_scale ({radios} radios, {PITCH_M} m pitch, {horizon_ms} ms simulated, {REPEATS} repeats)"
     );
-    let mut runs: Vec<Repeat> = Vec::with_capacity(REPEATS);
-    for k in 0..REPEATS {
-        let r = run(side, horizon, seed);
-        if let Some(first) = runs.first() {
-            // The gate: no number is reported unless every repeat is
-            // byte-for-byte the first.
-            assert_eq!(
-                r.fingerprint, first.fingerprint,
-                "repeat {k} diverged from repeat 0: the run must be deterministic"
-            );
-            assert_eq!(r.events, first.events, "event counts diverged");
-        }
+    let runs = sample(REPEATS, |clock| run(side, horizon, seed, clock));
+    let first = &runs[0].out;
+    for (k, r) in runs.iter().enumerate().skip(1) {
+        // The gate: no number is reported unless every repeat is
+        // byte-for-byte the first.
+        assert_eq!(
+            r.out.fingerprint, first.fingerprint,
+            "repeat {k} diverged from repeat 0: the run must be deterministic"
+        );
+        assert_eq!(r.out.events, first.events, "event counts diverged");
+    }
+    let events_per_sec = |r: &rogue_bench::Rep<Repeat>| r.out.events as f64 / r.wall_s;
+    for (k, r) in runs.iter().enumerate() {
         println!(
             "  repeat {k}: {:>9} events in {:>6.2}s wall, {:>6.2}s CPU   {:>10.0} events/s   queue_schedule {:>8.3} ms",
-            r.events,
-            r.elapsed_s,
+            r.out.events,
+            r.wall_s,
             r.cpu_s,
-            r.events_per_sec,
-            r.queue_schedule_ns() as f64 / 1e6,
+            events_per_sec(r),
+            r.out.queue_schedule_ns() as f64 / 1e6,
         );
-        runs.push(r);
     }
-    println!("    fingerprint: {:?}", runs[0].fingerprint);
-    let (wall, wall_q1, wall_q3) = spread(&runs, |r| r.elapsed_s);
-    let (cpu, cpu_q1, cpu_q3) = spread(&runs, |r| r.cpu_s);
-    let (eps, eps_q1, eps_q3) = spread(&runs, |r| r.events_per_sec);
-    println!("  median wall {wall:.3}s [{wall_q1:.3}, {wall_q3:.3}]   CPU {cpu:.3}s [{cpu_q1:.3}, {cpu_q3:.3}]");
-    println!("  median {eps:.0} events/s [{eps_q1:.0}, {eps_q3:.0}]");
-    let mid = median_repeat(&runs);
-    println!("  median repeat's profile:");
-    for &(label, ns, count) in mid.profile.phases.iter().chain(&mid.profile.kinds) {
+    println!("    fingerprint: {:?}", first.fingerprint);
+    let eps = spread(&runs, events_per_sec);
+    println!(
+        "  median {:.0} events/s [{:.0}, {:.0}]",
+        eps.0, eps.1, eps.2
+    );
+    let last = &runs[REPEATS - 1].out.profile;
+    println!("  last repeat's profile:");
+    for &(label, ns, count) in last.phases.iter().chain(&last.kinds) {
         if count > 0 {
             println!(
                 "    {label:<22} {:>9.3} ms  ({count} spans)",
@@ -313,10 +207,29 @@ fn main() {
     }
     println!(
         "    profiler overhead: {} ‰ of dispatch time (budget ≤ 20 ‰)",
-        mid.profile.overhead_permille()
+        last.overhead_permille()
     );
 
+    let per_run: Vec<Row> = runs
+        .iter()
+        .map(|r| {
+            Row::default()
+                .num("wall_s", r.wall_s, 3)
+                .num("cpu_s", r.cpu_s, 3)
+                .num("events_per_sec", events_per_sec(r), 0)
+                .int("queue_schedule_ns", r.out.queue_schedule_ns())
+        })
+        .collect();
+    let result = Row::default()
+        .int("events", first.events)
+        .rate("events_per_sec", eps, 0)
+        .timing(&runs)
+        .list("runs", &per_run)
+        .obj("profile", profile_row(last));
+    let head = Row::default()
+        .int("radios", radios as u64)
+        .num("pitch_m", PITCH_M, 0)
+        .int("sim_horizon_ms", horizon_ms);
     let path = rogue_bench::bench_json_path!("city_scale", smoke);
-    write_json(&path, radios, horizon_ms, &runs);
-    println!("wrote {}", path.display());
+    record(&path, "city_scale", REPEATS, head, &[result]);
 }

@@ -8,24 +8,26 @@
 //! registered radios, of which only the ones within decode range of a
 //! given transmitter can possibly hear a frame.
 //!
-//! Figures per sweep point:
+//! Figures per sweep point, each the median of the reps with its
+//! quartiles:
 //!
-//! * **frames/sec** and **ns/frame** — wall-clock cost of one
-//!   `begin_tx` → `channel_busy` → `complete_tx` cycle. Sub-linear
-//!   ns/frame growth vs. radio count is the point of the spatial cull.
+//! * **frames/sec** — wall-clock cost of one `begin_tx` →
+//!   `channel_busy` → `complete_tx` cycle, and **ns/frame** at the median
+//!   rate. Sub-linear ns/frame growth vs. radio count is the point of the
+//!   spatial cull.
 //! * **power-map entries/tx** — `(radio, dBm)` pairs retained per
 //!   transmission: O(R) for the dense pre-change medium, O(audible)
 //!   after the sparse cull.
 //!
-//! A full run writes the results (plus the committed pre-change
-//! baseline) to `BENCH_medium_scale.json` at the workspace root.
+//! A full run records the results, beside the committed pre-change
+//! baseline, in `BENCH_medium_scale.json` at the workspace root.
 //! `-- --test` runs a shortened smoke sweep and writes its JSON to
 //! `target/tmp` instead.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use bytes::Bytes;
+use rogue_bench::{record, sample, spread, Row, Stopwatch};
 use rogue_phy::{Bitrate, Medium, MediumParams, Pos};
 use rogue_sim::{Seed, SimTime};
 
@@ -40,11 +42,9 @@ const SPACING_M: f64 = 30.0;
 /// Transmitters streaming concurrently, spread evenly over the floor.
 const SOURCES: usize = 16;
 
-/// Radio counts swept.
-const RADIOS: [usize; 4] = [50, 200, 1000, 5000];
-
-/// Pre-change baseline, measured on this machine at the commit that
-/// introduced this bench (dense O(R) power maps, linear tx lookup):
+/// The radio counts swept, with the pre-change baseline, the best of 4
+/// reps measured on this machine at the commit that introduced this
+/// bench (dense O(R) power maps, linear tx lookup):
 /// (radios, frames_per_sec, power_map_entries_per_tx).
 const BASELINE: [(usize, f64, f64); 4] = [
     (50, 1093102.0, 50.0),
@@ -52,14 +52,6 @@ const BASELINE: [(usize, f64, f64); 4] = [
     (1000, 58784.0, 1000.0),
     (5000, 11740.0, 5000.0),
 ];
-
-struct Sweep {
-    radios: usize,
-    frames_per_sec: f64,
-    ns_per_frame: f64,
-    deliveries: u64,
-    power_map_entries_per_tx: f64,
-}
 
 /// Build the campus grid: `radios` radios at `SPACING_M` pitch, channels
 /// round-robin over {1, 6, 11}.
@@ -76,10 +68,10 @@ fn build(radios: usize) -> (Medium, Vec<rogue_phy::RadioId>) {
     (m, ids)
 }
 
-/// One timed run: `frames` back-to-back data frames from `SOURCES`
-/// rotating transmitters. Returns (elapsed seconds, deliveries,
-/// power-map entries per tx).
-fn run(radios: usize, frames: usize) -> (f64, u64, f64) {
+/// One rep: `frames` back-to-back data frames from `SOURCES` rotating
+/// transmitters, timed on `clock`. Returns (deliveries, power-map entries
+/// per tx).
+fn run(radios: usize, frames: usize, clock: &mut Stopwatch) -> (u64, f64) {
     let (mut m, ids) = build(radios);
     let sources: Vec<_> = (0..SOURCES.min(radios))
         .map(|s| ids[s * radios / SOURCES.min(radios)])
@@ -88,116 +80,66 @@ fn run(radios: usize, frames: usize) -> (f64, u64, f64) {
 
     let mut entries = 0u64;
     let mut entry_samples = 0u64;
-    let start = Instant::now();
-    let mut t = SimTime::ZERO;
     let mut deliveries = 0u64;
-    for i in 0..frames {
-        let src = sources[i % sources.len()];
-        let busy = m.channel_busy(t, src);
-        black_box(busy);
-        let (h, end) = m.begin_tx(t, src, payload.clone(), Bitrate::B11);
-        if m.tx_backlog() > 0 {
-            entries += m.power_map_entries() as u64 / m.tx_backlog() as u64;
-            entry_samples += 1;
+    clock.time(|| {
+        let mut t = SimTime::ZERO;
+        for i in 0..frames {
+            let src = sources[i % sources.len()];
+            let busy = m.channel_busy(t, src);
+            black_box(busy);
+            let (h, end) = m.begin_tx(t, src, payload.clone(), Bitrate::B11);
+            if m.tx_backlog() > 0 {
+                entries += m.power_map_entries() as u64 / m.tx_backlog() as u64;
+                entry_samples += 1;
+            }
+            deliveries += m.complete_tx(end, h).len() as u64;
+            t = end;
         }
-        deliveries += m.complete_tx(end, h).len() as u64;
-        t = end;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    });
     black_box(&m);
-    (
-        elapsed,
-        deliveries,
-        entries as f64 / entry_samples.max(1) as f64,
-    )
-}
-
-fn sweep(frames: usize, reps: usize) -> Vec<Sweep> {
-    RADIOS
-        .iter()
-        .map(|&radios| {
-            let mut best = f64::INFINITY;
-            let mut deliveries = 0;
-            let mut entries = 0.0;
-            for _ in 0..reps {
-                let (elapsed, d, e) = run(radios, frames);
-                best = best.min(elapsed);
-                deliveries = d;
-                entries = e;
-            }
-            Sweep {
-                radios,
-                frames_per_sec: frames as f64 / best,
-                ns_per_frame: best * 1e9 / frames as f64,
-                deliveries,
-                power_map_entries_per_tx: entries,
-            }
-        })
-        .collect()
-}
-
-fn write_json(path: &std::path::Path, frames: usize, results: &[Sweep]) {
-    let mut rows = Vec::new();
-    for s in results {
-        let (_, base_fps, base_entries) = BASELINE
-            .iter()
-            .find(|(r, _, _)| *r == s.radios)
-            .copied()
-            .unwrap_or((s.radios, 0.0, 0.0));
-        let speedup = if base_fps > 0.0 {
-            s.frames_per_sec / base_fps
-        } else {
-            0.0
-        };
-        rows.push(format!(
-            concat!(
-                "    {{\"radios\": {}, \"frames_per_sec\": {:.0}, ",
-                "\"ns_per_frame\": {:.0}, \"deliveries\": {}, ",
-                "\"power_map_entries_per_tx\": {:.1}, ",
-                "\"baseline_frames_per_sec\": {:.0}, ",
-                "\"baseline_power_map_entries_per_tx\": {:.1}, ",
-                "\"speedup\": {:.2}}}"
-            ),
-            s.radios,
-            s.frames_per_sec,
-            s.ns_per_frame,
-            s.deliveries,
-            s.power_map_entries_per_tx,
-            base_fps,
-            base_entries,
-            speedup,
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"medium_scale\",\n",
-            "  \"payload_len\": {},\n  \"spacing_m\": {},\n",
-            "  \"sources\": {},\n  \"frames_per_run\": {},\n",
-            "  \"results\": [\n{}\n  ]\n}}\n"
-        ),
-        PAYLOAD_LEN,
-        SPACING_M,
-        SOURCES,
-        frames,
-        rows.join(",\n")
-    );
-    std::fs::write(path, json).expect("write BENCH_medium_scale.json");
+    (deliveries, entries as f64 / entry_samples.max(1) as f64)
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     let (frames, reps) = if smoke { (500, 2) } else { (4000, 4) };
 
-    let results = sweep(frames, reps);
-    println!("medium_scale ({PAYLOAD_LEN}-byte payloads, {frames} frames/run, {SOURCES} sources)");
-    for s in &results {
+    println!("medium_scale ({PAYLOAD_LEN}-byte payloads, {frames} frames/run, {SOURCES} sources, median of {reps} reps [q1, q3])");
+    let mut results = Vec::new();
+    for (radios, base_fps, base_entries) in BASELINE {
+        let runs = sample(reps, |clock| run(radios, frames, clock));
+        let (deliveries, entries) = runs[0].out;
+        let fps = spread(&runs, |r| frames as f64 / r.wall_s);
         println!(
-            "  radios={:<5} {:>10.0} frames/s   {:>9.0} ns/frame   {:>8.1} power-map entries/tx   {} deliveries",
-            s.radios, s.frames_per_sec, s.ns_per_frame, s.power_map_entries_per_tx, s.deliveries
+            "  radios={radios:<5} {:>10.0} frames/s [{:.0}, {:.0}]   {:>6.0} ns/frame   {entries:>8.1} power-map entries/tx   {deliveries} deliveries",
+            fps.0,
+            fps.1,
+            fps.2,
+            1e9 / fps.0,
+        );
+        results.push(
+            Row::default()
+                .int("radios", radios as u64)
+                .rate("frames_per_sec", fps, 0)
+                .num("ns_per_frame", 1e9 / fps.0, 0)
+                .timing(&runs)
+                .int("deliveries", deliveries)
+                .num("power_map_entries_per_tx", entries, 1)
+                .num("baseline_frames_per_sec", base_fps, 0)
+                .num("baseline_power_map_entries_per_tx", base_entries, 1)
+                .num("speedup", fps.0 / base_fps, 2),
         );
     }
 
+    let head = Row::default()
+        .int("payload_len", PAYLOAD_LEN as u64)
+        .num("spacing_m", SPACING_M, 0)
+        .int("sources", SOURCES as u64)
+        .int("frames_per_run", frames as u64)
+        .text(
+            "baseline",
+            "best of 4 reps at the commit that introduced this bench: dense O(R) power maps, linear tx lookup",
+        );
     let path = rogue_bench::bench_json_path!("medium_scale", smoke);
-    write_json(&path, frames, &results);
-    println!("wrote {}", path.display());
+    record(&path, "medium_scale", reps, head, &results);
 }

@@ -14,17 +14,18 @@
 //! raw-alert count must equal [`EXPECTED`]. Those values were recorded
 //! while this bench also ran the seed engine (the pre-rewrite per-frame
 //! engine: boxed detectors, SipHash map state) and asserted that both
-//! engines opened the same incidents. The seed engine's events/s from
-//! its last full run is kept as [`BASELINE`].
+//! engines opened the same incidents. The seed engine's events/s, the
+//! best of 3 reps from its last full run, is kept as [`BASELINE`].
 //!
 //! Each sensor count runs `reps` times over the same staged slices;
-//! `engine_eps` and `incidents_per_s` are the median rep's, with their
-//! quartiles beside them in the JSON (`*_q1`, `*_q3`).
+//! `engine_eps` and `incidents_per_s` are the median of the reps' rates,
+//! with their quartiles beside them in the JSON (`*_q1`, `*_q3`).
 //!
-//! Two memory columns ride along: `build_us`, the median wall time of
-//! `WidsPipeline::new` plus drop at the sensor count's configuration,
-//! and `resident_bytes`, the detector state allocated after the run,
-//! next to its bound (`bound_bytes`, `WidsPipeline::detector_state_bytes`).
+//! Two memory columns ride along: `build_us`, the wall time of
+//! `WidsPipeline::new` plus drop at the sensor count's configuration
+//! (median and quartiles of `build_reps`), and `resident_bytes`, the
+//! detector state allocated after the run, next to its bound
+//! (`bound_bytes`, `WidsPipeline::detector_state_bytes`).
 //!
 //! Run modes:
 //!   cargo bench -p rogue-bench --bench wids_throughput            # full
@@ -35,11 +36,8 @@
 
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::io::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
-use rogue_bench::quartiles;
+use rogue_bench::{record, sample, spread, Row, Stopwatch};
 use rogue_dot11::MacAddr;
 use rogue_netstack::Ipv4Addr;
 use rogue_sim::rng::{Seed, SplitMix64};
@@ -49,8 +47,9 @@ use rogue_wids::{
     Dot11Event, Dot11Kind, IncidentCategory, SensorEvent, SensorId, WidsConfig, WidsPipeline,
 };
 
-/// Events/s of the retired seed engine, from the full run recorded on a
-/// shared 2-vCPU VM: (sensors, events/s).
+/// The sensor counts swept, with the events/s of the retired seed engine,
+/// the best of 3 reps from the full run recorded on a shared 2-vCPU VM:
+/// (sensors, events/s).
 const BASELINE: [(usize, f64); 4] = [
     (1, 2_088_840.0),
     (2, 1_222_319.0),
@@ -305,9 +304,8 @@ fn rows(incidents: &[rogue_wids::Incident]) -> Vec<IncidentRow> {
         .collect()
 }
 
-/// What one timed run of the pipeline leaves behind.
+/// What one rep of the pipeline leaves behind.
 struct Run {
-    secs: f64,
     incidents: Vec<IncidentRow>,
     raw_alerts: u64,
     evictions: u64,
@@ -315,47 +313,33 @@ struct Run {
     bound_bytes: usize,
 }
 
-/// One timed run of the pipeline over pre-staged slices. Each slice fits
-/// the ring, and the step's stable time sort keeps the slice's order.
-fn run_engine(sensors: usize, slices: Vec<Vec<SensorEvent>>) -> Run {
+/// One rep of the pipeline over pre-staged slices, timed on `clock`. Each
+/// slice fits the ring, and the step's stable time sort keeps the slice's
+/// order.
+fn run_engine(sensors: usize, slices: Vec<Vec<SensorEvent>>, clock: &mut Stopwatch) -> Run {
     let mut pipe = WidsPipeline::new(wids_config(sensors));
-    let t0 = Instant::now();
-    for slice in slices {
-        let mut last = SimTime::ZERO;
-        for ev in slice {
-            last = ev.at();
-            pipe.ring.push(ev);
+    clock.time(|| {
+        for slice in slices {
+            let mut last = SimTime::ZERO;
+            for ev in slice {
+                last = ev.at();
+                pipe.ring.push(ev);
+            }
+            pipe.step(last);
         }
-        pipe.step(last);
-    }
-    let dt = t0.elapsed().as_secs_f64();
+    });
     assert_eq!(
         pipe.metrics().counter("wids.ring_dropped"),
         0,
         "slices must fit the ring"
     );
     Run {
-        secs: dt,
         incidents: rows(pipe.incidents()),
         raw_alerts: pipe.metrics().counter("wids.alerts_raw"),
         evictions: pipe.state_evictions(),
         resident_bytes: pipe.detector_resident_bytes(),
         bound_bytes: pipe.detector_state_bytes(),
     }
-}
-
-/// Median wall time of `WidsPipeline::new` plus drop, in microseconds.
-fn build_us(sensors: usize, reps: usize) -> f64 {
-    let cfg = wids_config(sensors);
-    let us: Vec<f64> = (0..reps)
-        .map(|_| {
-            let cfg = cfg.clone();
-            let t0 = Instant::now();
-            drop(black_box(WidsPipeline::new(cfg)));
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    quartiles(&us).0
 }
 
 /// FNV-1a over every incident row's fields, the score as its bits.
@@ -377,30 +361,21 @@ fn incident_digest(rows: &[IncidentRow]) -> u64 {
     h
 }
 
-struct Sweep {
+/// One sensor count: run and check the pipeline `reps` times, time
+/// `build_reps` builds, print the table row and return the JSON row.
+fn measure(
     sensors: usize,
-    events: usize,
-    /// Median, first and third quartile over the reps.
-    engine_eps: (f64, f64, f64),
     baseline_eps: f64,
-    incidents: usize,
-    /// Median, first and third quartile over the reps.
-    incidents_per_s: (f64, f64, f64),
-    raw_alerts: u64,
-    build_us: f64,
-    resident_bytes: usize,
-    bound_bytes: usize,
-}
-
-fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -> Sweep {
+    events_per_sensor: usize,
+    reps: usize,
+    build_reps: usize,
+    smoke: bool,
+) -> Row {
     let slices = workload(sensors, events_per_sensor, Seed(0x3D1_BEEF));
     let events: usize = slices.iter().map(Vec::len).sum();
 
-    let mut secs = Vec::with_capacity(reps);
-    let mut out = None;
-    for _ in 0..reps {
-        let run = run_engine(sensors, slices.clone());
-        secs.push(run.secs);
+    let runs = sample(reps, |clock| run_engine(sensors, slices.clone(), clock));
+    for run in runs.iter().map(|r| &r.out) {
         // The randomizer must actually pressure the bounded tables.
         // (Smoke streams are too short to overflow a 4-way group.)
         assert!(
@@ -413,7 +388,6 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
             run.resident_bytes,
             run.bound_bytes
         );
-        out = Some(run);
     }
     let Run {
         incidents,
@@ -421,7 +395,7 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
         resident_bytes,
         bound_bytes,
         ..
-    } = out.expect("at least one rep");
+    } = &runs.last().expect("at least one rep").out;
     let &(_, smoke_digest, smoke_raw, full_digest, full_raw) = EXPECTED
         .iter()
         .find(|e| e.0 == sensors)
@@ -432,82 +406,49 @@ fn measure(sensors: usize, events_per_sensor: usize, reps: usize, smoke: bool) -
         (full_digest, full_raw)
     };
     assert_eq!(
-        (incident_digest(&incidents), raw_alerts),
+        (incident_digest(incidents), *raw_alerts),
         expected,
         "{sensors} sensors: incidents or raw alerts differ from the committed digest"
     );
 
-    let baseline_eps = BASELINE
-        .iter()
-        .find(|b| b.0 == sensors)
-        .map_or(f64::NAN, |b| b.1);
-    let per_sec = |count: usize| {
-        let rates: Vec<f64> = secs.iter().map(|dt| count as f64 / dt).collect();
-        quartiles(&rates)
-    };
-    Sweep {
-        sensors,
-        events,
-        engine_eps: per_sec(events),
-        baseline_eps,
-        incidents: incidents.len(),
-        incidents_per_s: per_sec(incidents.len()),
-        raw_alerts,
-        build_us: build_us(sensors, if smoke { 11 } else { 101 }),
-        resident_bytes,
-        bound_bytes,
-    }
-}
-
-fn write_json(path: &Path, sweeps: &[Sweep], mode: &str) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"bench\": \"wids_throughput\",")?;
-    writeln!(f, "  \"mode\": \"{mode}\",")?;
-    writeln!(
-        f,
-        "  \"baseline\": \"seed per-frame engine (committed figures): boxed trait-object dispatch, SipHash map state\","
-    )?;
-    writeln!(f, "  \"sweep\": [")?;
-    for (i, s) in sweeps.iter().enumerate() {
-        let comma = if i + 1 < sweeps.len() { "," } else { "" };
-        let (eps, eps_q1, eps_q3) = s.engine_eps;
-        let (ips, ips_q1, ips_q3) = s.incidents_per_s;
-        writeln!(
-            f,
-            "    {{\"sensors\": {}, \"events\": {}, \"baseline_eps\": {:.0}, \
-             \"engine_eps\": {eps:.0}, \"engine_eps_q1\": {eps_q1:.0}, \
-             \"engine_eps_q3\": {eps_q3:.0}, \"speedup\": {:.2}, \"incidents\": {}, \
-             \"incidents_per_s\": {ips:.1}, \"incidents_per_s_q1\": {ips_q1:.1}, \
-             \"incidents_per_s_q3\": {ips_q3:.1}, \"raw_alerts\": {}, \"build_us\": {:.1}, \
-             \"resident_bytes\": {}, \"bound_bytes\": {}}}{comma}",
-            s.sensors,
-            s.events,
-            s.baseline_eps,
-            eps / s.baseline_eps,
-            s.incidents,
-            s.raw_alerts,
-            s.build_us,
-            s.resident_bytes,
-            s.bound_bytes
-        )?;
-    }
-    writeln!(f, "  ],")?;
-    let at8 = sweeps
-        .iter()
-        .find(|s| s.sensors == 8)
-        .map_or(0.0, |s| s.engine_eps.0 / s.baseline_eps);
-    writeln!(f, "  \"speedup_at_8_sensors\": {at8:.2}")?;
-    writeln!(f, "}}")?;
-    Ok(())
+    let eps = spread(&runs, |r| events as f64 / r.wall_s);
+    let ips = spread(&runs, |r| incidents.len() as f64 / r.wall_s);
+    let cfg = wids_config(sensors);
+    let builds = sample(build_reps, |clock| {
+        let cfg = cfg.clone();
+        clock.time(|| drop(black_box(WidsPipeline::new(cfg))));
+    });
+    let build_us = spread(&builds, |r| r.wall_s * 1e6);
+    println!(
+        "| {sensors} | {events} | {baseline_eps:.0} | {:.0} | [{:.0}, {:.0}] | {:.2}x | {} | {:.1} | {resident_bytes} | {bound_bytes} |",
+        eps.0,
+        eps.1,
+        eps.2,
+        eps.0 / baseline_eps,
+        incidents.len(),
+        build_us.0,
+    );
+    Row::default()
+        .int("sensors", sensors as u64)
+        .int("events", events as u64)
+        .num("baseline_eps", baseline_eps, 0)
+        .rate("engine_eps", eps, 0)
+        .timing(&runs)
+        .num("speedup", eps.0 / baseline_eps, 2)
+        .int("incidents", incidents.len() as u64)
+        .rate("incidents_per_s", ips, 1)
+        .int("raw_alerts", *raw_alerts)
+        .rate("build_us", build_us, 1)
+        .int("resident_bytes", *resident_bytes as u64)
+        .int("bound_bytes", *bound_bytes as u64)
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let (events_per_sensor, reps, mode) = if smoke {
-        (4_000, 1, "smoke")
+    let (events_per_sensor, reps, build_reps, mode) = if smoke {
+        (4_000, 1, 11, "smoke")
     } else {
-        (500_000, REPS, "full")
+        (500_000, REPS, 101, "full")
     };
 
     println!("WIDS throughput: pipeline vs the committed seed-engine baseline ({mode})");
@@ -517,25 +458,27 @@ fn main() {
     println!(
         "|---------|--------|---------------|------------------------|----------|---------|-----------|----------|------------|---------|"
     );
-    let mut sweeps = Vec::new();
-    for sensors in [1, 2, 4, 8] {
-        let s = measure(sensors, events_per_sensor, reps, smoke);
-        let (eps, eps_q1, eps_q3) = s.engine_eps;
-        println!(
-            "| {} | {} | {:.0} | {eps:.0} | [{eps_q1:.0}, {eps_q3:.0}] | {:.2}x | {} | {:.1} | {} | {} |",
-            s.sensors,
-            s.events,
-            s.baseline_eps,
-            eps / s.baseline_eps,
-            s.incidents,
-            s.build_us,
-            s.resident_bytes,
-            s.bound_bytes
-        );
-        sweeps.push(s);
-    }
+    let results: Vec<Row> = BASELINE
+        .iter()
+        .map(|&(sensors, baseline_eps)| {
+            measure(
+                sensors,
+                baseline_eps,
+                events_per_sensor,
+                reps,
+                build_reps,
+                smoke,
+            )
+        })
+        .collect();
 
+    let head = Row::default()
+        .text("mode", mode)
+        .int("build_reps", build_reps as u64)
+        .text(
+            "baseline",
+            "best of 3 reps of the seed per-frame engine (boxed trait-object dispatch, SipHash map state) in the last full run that carried it",
+        );
     let path = rogue_bench::bench_json_path!("wids_throughput", smoke);
-    write_json(&path, &sweeps, mode).expect("write bench json");
-    println!("wrote {}", path.display());
+    record(&path, "wids_throughput", reps, head, &results);
 }

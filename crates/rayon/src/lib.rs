@@ -3,13 +3,12 @@
 //!
 //! The sandbox has no registry access, so this crate reimplements the
 //! slice of rayon the experiment drivers use — `par_iter()`,
-//! `into_par_iter()`, and the `map` / `filter` / `filter_map` /
-//! `collect` / `count` / `sum` / `with_min_len` adapters — on top of a
+//! `into_par_iter()`, `map` and `collect` — on top of a
 //! lazily-initialized global `std::thread` pool ([`pool`]).
 //!
 //! **Determinism contract.** Results are collected in *input order*
-//! regardless of which worker finishes when, and reductions run
-//! sequentially over that ordered buffer. Combined with the drivers'
+//! regardless of which worker finishes when, so a reduction over the
+//! collected values runs sequentially in that order. Combined with the drivers'
 //! per-replication `Seed::fork` streams, every experiment table is
 //! byte-identical whether it runs on 1 thread or N — the determinism
 //! suite (`tests/report_determinism.rs`) proves it.
@@ -78,19 +77,22 @@ mod tests {
         let doubled: Vec<usize> = (0..5usize).into_par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, vec![0, 2, 4, 6, 8]);
         let v = vec![10, 20, 30];
-        let sum: i32 = v.par_iter().sum();
-        assert_eq!(sum, 60);
+        let seen: Vec<&i32> = v.par_iter().collect();
+        assert_eq!(seen, [&10, &20, &30]);
     }
 
     #[test]
     fn adapter_chain_matches_sequential() {
         let par: Vec<u64> = (0..1000u64)
             .into_par_iter()
-            .filter(|&x| x % 3 == 0)
-            .filter_map(|x| (x % 2 == 0).then_some(x * 7))
+            .map(|x| x * 3)
+            .map(|x| (x % 2 == 0).then_some(x * 7))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
             .collect();
         let seq: Vec<u64> = (0..1000u64)
-            .filter(|&x| x % 3 == 0)
+            .map(|x| x * 3)
             .filter_map(|x| (x % 2 == 0).then_some(x * 7))
             .collect();
         assert_eq!(par, seq);

@@ -11,9 +11,9 @@
 //!   slots. Workers claim contiguous chunks from an atomic cursor and
 //!   write each result into the slot of its *input* index, so the
 //!   collected output is in input order regardless of which thread
-//!   finished when. Reductions (`sum`, `collect`) then run sequentially
-//!   over that ordered buffer — which is what makes floating-point
-//!   results bit-identical to a serial run.
+//!   finished when. The caller then reduces that ordered buffer
+//!   sequentially — which is what makes floating-point results
+//!   bit-identical to a serial run.
 //! * **Caller participation.** The submitting thread works through the
 //!   same chunk cursor as the pool workers. Nested `par_iter` calls can
 //!   therefore never deadlock: every level makes progress on its own
@@ -227,26 +227,24 @@ fn record_panic(
 }
 
 /// Apply `op` to every item, in parallel, returning the per-item results
-/// **in input order**. `None` results (filtered items) keep their slot so
-/// relative order survives the flatten. Panics from `op` are re-thrown
-/// here after all workers drain.
-pub(crate) fn run_ordered<T, R, F>(items: Vec<T>, min_len: usize, op: F) -> Vec<Option<R>>
+/// **in input order**. Panics from `op` are re-thrown here after all
+/// workers drain.
+pub(crate) fn run_ordered<T, R, F>(items: Vec<T>, op: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(T) -> Option<R> + Sync,
+    F: Fn(T) -> R + Sync,
 {
     let len = items.len();
     let threads = current_num_threads();
-    let min_len = min_len.max(1);
-    if threads <= 1 || len <= min_len {
+    if threads <= 1 || len <= 1 {
         return items.into_iter().map(op).collect();
     }
 
     // Chunks of ~1/4 of a fair share balance stragglers without
-    // oversplitting; `with_min_len` floors them for cheap items. The
-    // chunk geometry affects only scheduling, never results.
-    let chunk = len.div_ceil(threads * 4).max(min_len);
+    // oversplitting. The chunk geometry affects only scheduling, never
+    // results.
+    let chunk = len.div_ceil(threads * 4);
     let n_chunks = len.div_ceil(chunk);
     let helpers = threads.min(n_chunks) - 1;
 
@@ -268,7 +266,9 @@ where
             for i in start..(start + chunk).min(len) {
                 let item = unsafe { (*input_ptr.slot(i)).take().expect("index claimed twice") };
                 let result = op(item);
-                unsafe { *output_ptr.slot(i) = result };
+                // SAFETY: the cursor hands index `i` to this worker alone,
+                // and `output` outlives every job (the latch below).
+                unsafe { *output_ptr.slot(i) = Some(result) };
             }
         }
     };
@@ -302,4 +302,7 @@ where
         panic::resume_unwind(payload);
     }
     output
+        .into_iter()
+        .map(|slot| slot.expect("every index is claimed once"))
+        .collect()
 }

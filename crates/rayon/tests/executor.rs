@@ -21,8 +21,8 @@ fn empty_input_yields_empty_output() {
             Vec::<u32>::new().into_par_iter().map(|x| x + 1).collect()
         });
         assert!(out.is_empty());
-        let n = with_num_threads(threads, || (0..0u32).into_par_iter().count());
-        assert_eq!(n, 0);
+        let out: Vec<u32> = with_num_threads(threads, || (0..0u32).into_par_iter().collect());
+        assert!(out.is_empty());
     }
 }
 
@@ -107,39 +107,8 @@ fn panicking_closure_propagates_and_pool_survives() {
 
     // The pool must not deadlock or lose workers: the next computation
     // over the same pool completes normally.
-    let sum: u64 = with_num_threads(4, || (0..1000u64).into_par_iter().sum());
-    assert_eq!(sum, 999 * 1000 / 2);
-}
-
-#[test]
-fn with_min_len_changes_scheduling_not_results() {
-    let seq: Vec<u32> = (0..100u32).map(|x| x * 3).collect();
-    for min_len in [1, 5, 50, 1000] {
-        let par: Vec<u32> = with_num_threads(4, || {
-            (0..100u32)
-                .into_par_iter()
-                .with_min_len(min_len)
-                .map(|x| x * 3)
-                .collect()
-        });
-        assert_eq!(par, seq, "min_len={min_len}");
-    }
-}
-
-#[test]
-fn filter_and_filter_map_preserve_relative_order() {
-    let seq: Vec<u32> = (0..500u32)
-        .filter(|x| x % 7 != 0)
-        .filter_map(|x| (x % 2 == 0).then_some(x / 2))
-        .collect();
-    let par: Vec<u32> = with_num_threads(3, || {
-        (0..500u32)
-            .into_par_iter()
-            .filter(|x| x % 7 != 0)
-            .filter_map(|x| (x % 2 == 0).then_some(x / 2))
-            .collect()
-    });
-    assert_eq!(par, seq);
+    let out: Vec<u64> = with_num_threads(4, || (0..1000u64).into_par_iter().collect());
+    assert_eq!(out, (0..1000u64).collect::<Vec<_>>());
 }
 
 #[test]
@@ -147,10 +116,15 @@ fn float_sums_are_bit_identical_across_thread_counts() {
     // Float addition is not associative, so this only holds because the
     // reduction runs sequentially over the index-ordered buffer.
     let value = |i: u64| ((i as f64) * 0.1).sin() / ((i + 1) as f64);
-    let serial: f64 = with_num_threads(1, || (0..10_000u64).into_par_iter().map(value).sum());
+    let sum = |threads| -> f64 {
+        let values: Vec<f64> = with_num_threads(threads, || {
+            (0..10_000u64).into_par_iter().map(value).collect()
+        });
+        values.iter().sum()
+    };
+    let serial = sum(1);
     for threads in [2, 4, 8] {
-        let par: f64 =
-            with_num_threads(threads, || (0..10_000u64).into_par_iter().map(value).sum());
+        let par = sum(threads);
         assert_eq!(
             serial.to_bits(),
             par.to_bits(),
@@ -167,10 +141,11 @@ fn nested_parallelism_does_not_deadlock() {
         (0..8u64)
             .into_par_iter()
             .map(|outer| {
-                (0..100u64)
+                let inner: Vec<u64> = (0..100u64)
                     .into_par_iter()
                     .map(|inner| outer * 1000 + inner)
-                    .sum()
+                    .collect();
+                inner.iter().sum()
             })
             .collect()
     });
@@ -185,8 +160,10 @@ fn borrowed_captures_and_slice_par_iter() {
     // Closures borrowing stack data must work (the executor blocks until
     // every job drains before the borrow ends).
     let table: Vec<u64> = (0..64).map(|i| i * i).collect();
-    let sum: u64 = with_num_threads(4, || (0..64usize).into_par_iter().map(|i| table[i]).sum());
-    assert_eq!(sum, table.iter().sum::<u64>());
+    let looked_up: Vec<u64> = with_num_threads(4, || {
+        (0..64usize).into_par_iter().map(|i| table[i]).collect()
+    });
+    assert_eq!(looked_up, table);
     let doubled: Vec<u64> = with_num_threads(4, || table.par_iter().map(|&x| x * 2).collect());
     assert_eq!(doubled, table.iter().map(|&x| x * 2).collect::<Vec<_>>());
 }

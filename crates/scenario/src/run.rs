@@ -235,48 +235,50 @@ pub fn run_scenario(sc: &Scenario) -> Result<String, Error> {
 /// typed `spec` pass. Path segments are `.`-separated; a numeric segment
 /// indexes an array (of tables), e.g. `population.0.count=20`.
 ///
-/// Failures carry real spans — the source position of the value the
-/// walk died at, or of the table that lacked a requested array — so an
-/// override error points into the scenario file like any other parse
-/// error. Indexing an array that does not exist is an error, never a
+/// A spec that is not `key.path=value` with non-empty segments fails
+/// on the override's own span (below). The walk's failures carry real
+/// spans — the source position of the value the walk died at, or of the
+/// table that lacked a requested array — so such an error points into
+/// the scenario file like any other parse error. Indexing an array that does not exist is an error, never a
 /// materialization: inventing `population` as an empty table to satisfy
 /// `population.0.count=5` would hand the typed pass a shape it can only
 /// misreport. Plain table sections, by contrast, may still be added
 /// whole (`wids.channels=[1, 6]` on a file with no `[wids]`).
 ///
-/// The value it writes sits on line 0, which no file position has;
-/// [`crate::load_source`] numbers each override of its list there, so
-/// that a typed-pass error on such a value names its override.
+/// The value it writes sits on line 0, which no file position has, in
+/// column 1; [`crate::load_source`] numbers each override of its list
+/// there, so that a shape error, or a typed-pass error on such a value,
+/// names its override.
 pub fn apply_override(root: &mut TomlTable, spec: &str) -> Result<(), Error> {
     apply_nth_override(root, spec, 0)
 }
 
 /// [`apply_override`] for the `nth` override of a list: its value sits on
-/// line 0, which no file position has, in column `nth + 1`.
+/// line 0, which no file position has, in column `nth + 1`, and so does
+/// an error on the override's own shape.
 pub(crate) fn apply_nth_override(
     root: &mut TomlTable,
     spec: &str,
     nth: usize,
 ) -> Result<(), Error> {
-    let here = root.span;
+    let span = Span {
+        line: 0,
+        col: nth as u32 + 1,
+    };
     let Some((path, raw)) = spec.split_once('=') else {
         return Err(Error::at(
-            here,
+            span,
             format!("override `{spec}` must look like `key.path=value`"),
         ));
     };
     let segs: Vec<&str> = path.split('.').collect();
     if segs.iter().any(|s| s.is_empty()) {
         return Err(Error::at(
-            here,
+            span,
             format!("override path `{path}` has an empty segment"),
         ));
     }
     let mut item = parse_value_or_str(raw);
-    let span = Span {
-        line: 0,
-        col: nth as u32 + 1,
-    };
     place(&mut item, span);
     walk_table(root, &segs, item, path)
 }

@@ -266,6 +266,20 @@ fn errors_on_overridden_values_name_the_override() {
     let err = load_source(&src, &[spec.to_string()]).expect_err("an unknown scenario");
     assert_eq!(err.override_spec.as_deref(), Some(spec));
     assert!(err.msg.starts_with("unknown WIDS scenario `nope`"), "{err}");
+
+    // And so does an override that is not `key.path=value` at all.
+    for (spec, msg) in [
+        ("foo", "override `foo` must look like `key.path=value`"),
+        (
+            "e10..slice=1s",
+            "override path `e10..slice` has an empty segment",
+        ),
+    ] {
+        let overrides = ["report.reps=1".to_string(), spec.to_string()];
+        let err = load_source(&src, &overrides).expect_err("a malformed override");
+        assert_eq!(err.to_string(), format!("--override {spec}: {msg}"));
+        assert_eq!(err.override_spec.as_deref(), Some(spec));
+    }
 }
 
 #[test]
@@ -485,6 +499,23 @@ fn check_span<T>(
     Ok(())
 }
 
+/// [`check_span`] for one `apply_override` call: an error on the
+/// override itself sits on line 0, column 1 (the first of a list of
+/// one), where `load_source` names the override instead.
+fn check_override_span(
+    what: &str,
+    src: &str,
+    result: Result<(), rogue_scenario::Error>,
+) -> Result<(), TestCaseError> {
+    match result {
+        Err(err) if err.span.line == 0 => {
+            prop_assert_eq!(err.span.col, 1, "{}: {}", what, err);
+            Ok(())
+        }
+        result => check_span(what, src, result),
+    }
+}
+
 /// Key paths that exist in `src` (`section.key` and `array.N.key`),
 /// plus a few that do not.
 fn key_paths(src: &str) -> Vec<String> {
@@ -545,7 +576,7 @@ proptest! {
                         .collect(),
                 };
                 let mut root = parse(&text).expect("shipped scenario parses");
-                check_span(&name, &text, apply_override(&mut root, &spec))?;
+                check_override_span(&name, &text, apply_override(&mut root, &spec))?;
                 check_span(&name, &text, load_source(&text, &[spec]))?;
             }
         }
