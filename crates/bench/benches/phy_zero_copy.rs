@@ -13,6 +13,9 @@
 //!   detected by pointer containment of each capture's payload within
 //!   the transmitted `Bytes` allocation.
 //!
+//! Every rep must copy 0 payload bytes and deliver each frame to every
+//! monitor; the bench fails before recording anything otherwise.
+//!
 //! A full run records the results, beside the committed pre-refactor
 //! baseline, in `BENCH_phy_zero_copy.json` at the workspace root.
 //! `-- --test` runs a shortened smoke sweep and writes its JSON to
@@ -106,6 +109,13 @@ fn main() {
     let mut results = Vec::new();
     for (monitors, base_fps, base_copied) in BASELINE {
         let runs = sample(reps, |clock| run(monitors, frames, clock));
+        for (k, r) in runs.iter().enumerate() {
+            assert_eq!(
+                r.out,
+                ((frames * monitors) as u64, 0),
+                "monitors={monitors} rep {k}: (deliveries, payload bytes copied)"
+            );
+        }
         let (deliveries, copied) = runs[0].out;
         let copied_per_frame = copied as f64 / frames as f64;
         let fps = spread(&runs, |r| frames as f64 / r.wall_s);

@@ -33,7 +33,7 @@ use rogue_netstack::ethernet::EthFrame;
 use rogue_netstack::{Host, IfIndex, Ipv4Addr};
 use rogue_phy::{Bitrate, Medium, MediumParams, Pos, RadioId, TxHandle};
 use rogue_services::apps::{App, AppEvent};
-use rogue_sim::profile::{self, Phase, Profiler};
+use rogue_sim::profile::{Phase, Profiler};
 use rogue_sim::queue::EventId;
 use rogue_sim::trace::Metrics;
 use rogue_sim::{EventQueue, Seed, SimDuration, SimRng, SimTime};
@@ -581,9 +581,6 @@ pub struct World {
     prof: Profiler,
     /// Kind-cell indices, in [`event_kind`] order.
     prof_kinds: [usize; 5],
-    /// Total `schedule_event` calls; the 1-in-64-sampled QueueSchedule
-    /// phase extrapolates from this at snapshot time.
-    sched_count: u64,
     // Pooled scratch buffers, reused across every event dispatch.
     ops_scratch: Vec<Op>,
     node_scratch: NodeScratch,
@@ -619,7 +616,6 @@ impl World {
             rng,
             prof,
             prof_kinds,
-            sched_count: 0,
             ops_scratch: Vec::new(),
             node_scratch: NodeScratch::default(),
             touched_scratch: Vec::new(),
@@ -1029,71 +1025,54 @@ impl World {
         self.queue.len()
     }
 
-    /// Schedule `ev` at `at`, sampling the queue-schedule phase.
+    /// Schedule `ev` at `at`, counting it under the queue-schedule phase.
+    /// No clock read: its time stays in the phase that scheduled it.
     fn schedule_event(&mut self, at: SimTime, ev: Event) -> EventId {
-        // Probing every insert would dominate the cost being measured;
-        // sample 1-in-64 and extrapolate at snapshot time.
-        self.sched_count += 1;
-        if self.sched_count & 0x3F == 0 {
-            let t0 = profile::now();
-            let id = self.queue.schedule(at, ev);
-            self.prof.record(Phase::QueueSchedule, t0);
-            id
-        } else {
-            self.queue.schedule(at, ev)
-        }
+        self.prof.count(Phase::QueueSchedule);
+        self.queue.schedule(at, ev)
     }
 
     /// Run until simulated time `deadline`: pop events in `(time, seq)`
     /// order and dispatch each one (DESIGN §15).
+    ///
+    /// The profiler's boundaries chain from the first `queue_pop` to the
+    /// closing `stop`, so the phases partition the call's time, and an
+    /// event's kind is charged from the boundary that opens its first
+    /// phase to the `queue_pop` boundary that closes its last (DESIGN
+    /// §16.4).
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            let t0 = profile::now();
-            let popped = self.queue.pop_until(deadline);
-            self.prof.record(Phase::QueuePop, t0);
-            let Some((now, ev)) = popped else {
-                break;
-            };
+        self.prof.enter(Phase::QueuePop);
+        while let Some((now, ev)) = self.queue.pop_until(deadline) {
             let kind = self.prof_kinds[event_kind(&ev)];
-            let t0 = profile::now();
-            self.dispatch_event(now, ev);
-            self.prof.record_kind(kind, t0);
+            let start = self.dispatch_event(now, ev);
+            let end = self.prof.enter(Phase::QueuePop);
+            self.prof.charge_kind(kind, start, end);
         }
+        self.prof.stop();
     }
 
     /// Calibrated profiler snapshot: per-phase and per-event-kind time,
-    /// plus the measured probe overhead. The sampled QueueSchedule phase
-    /// is extrapolated to the full schedule count here.
+    /// plus the measured clock-read overhead.
     pub fn profile_snapshot(&self) -> rogue_sim::profile::Snapshot {
-        let mut snap = self.prof.snapshot();
-        let row = &mut snap.phases[Phase::QueueSchedule as usize];
-        if let Some(scaled) = (row.1 * self.sched_count).checked_div(row.2) {
-            row.1 = scaled;
-            row.2 = self.sched_count;
-        }
-        snap
+        self.prof.snapshot()
     }
 
     /// Dispatch one event: its node work, then its ops in emission
-    /// order.
-    fn dispatch_event(&mut self, now: SimTime, ev: Event) {
+    /// order. Each arm opens its first profiler phase as it starts;
+    /// returns that boundary's read, where the event's kind span begins.
+    fn dispatch_event(&mut self, now: SimTime, ev: Event) -> u64 {
         let mut ops = std::mem::take(&mut self.ops_scratch);
         let mut scratch = std::mem::take(&mut self.node_scratch);
         debug_assert!(ops.is_empty());
+        let start;
         match ev {
             Event::TxComplete { tx } => {
-                // complete_tx == plan_complete + commit_complete; split
-                // here so each phase is attributed.
-                let t0 = profile::now();
-                let plan = self.medium.plan_complete(now, tx);
-                self.prof.record(Phase::MediumPlan, t0);
-                let t0 = profile::now();
-                let deliveries = self.medium.commit_complete(plan);
-                self.prof.record(Phase::MediumCommit, t0);
+                start = self.prof.enter(Phase::MediumPlan);
+                let deliveries = self.medium.complete_tx(now, tx);
                 // The owner table and the poll clocks decide who hears
                 // the frame and who is polled; a node is visited only to
                 // receive or to poll (DESIGN §17.7).
-                let t0 = profile::now();
+                self.prof.enter(Phase::Deliver);
                 let mut touched = std::mem::take(&mut self.touched_scratch);
                 debug_assert!(touched.is_empty());
                 for d in deliveries {
@@ -1118,8 +1097,7 @@ impl World {
                     }
                     touch(&mut touched, node, heard);
                 }
-                self.prof.record(Phase::Deliver, t0);
-                let t0 = profile::now();
+                self.prof.enter(Phase::Poll);
                 for &(node, heard) in &touched {
                     // Poll only with new input or a poll due now: any
                     // other poll would run before the node's next wake
@@ -1139,11 +1117,11 @@ impl World {
                         audit_skipped_poll(now, node, pending, &mut self.nodes[node], &mut scratch);
                     }
                 }
-                self.prof.record(Phase::Poll, t0);
                 touched.clear();
                 self.touched_scratch = touched;
             }
             Event::NodePoll { node } => {
+                start = self.prof.enter(Phase::Poll);
                 let node = node as usize;
                 // With the cancel discipline there is exactly one
                 // pending entry and it fires at the poll clock. The
@@ -1151,7 +1129,6 @@ impl World {
                 // `SchedulePoll` gate sees the serial-order state at
                 // commit time — see `Op::PollFired`.
                 ops.push(Op::PollFired { node: node as u32 });
-                let t0 = profile::now();
                 NodeCtx {
                     now,
                     idx: node,
@@ -1160,11 +1137,10 @@ impl World {
                     scratch: &mut scratch,
                 }
                 .poll_node();
-                self.prof.record(Phase::Poll, t0);
             }
             Event::WireDeliver(f) => {
+                start = self.prof.enter(Phase::Poll);
                 let node = f.node as usize;
-                let t0 = profile::now();
                 let mut cx = NodeCtx {
                     now,
                     idx: node,
@@ -1174,11 +1150,10 @@ impl World {
                 };
                 cx.node.host.on_link_rx(now, f.iface, &f.bytes);
                 cx.poll_node();
-                self.prof.record(Phase::Poll, t0);
             }
             Event::BridgeDeliver(f) => {
+                start = self.prof.enter(Phase::Poll);
                 let node = f.node as usize;
-                let t0 = profile::now();
                 let mut cx = NodeCtx {
                     now,
                     idx: node,
@@ -1188,9 +1163,9 @@ impl World {
                 };
                 cx.bridge_wired_rx(f.radio as usize, &f.bytes);
                 cx.poll_node();
-                self.prof.record(Phase::Poll, t0);
             }
             Event::TapDeliver(f) => {
+                start = self.prof.enter(Phase::Deliver);
                 if let Some(mon) = &mut self.nodes[f.node as usize].wired_monitor {
                     mon.inspect(now, &f.bytes);
                 }
@@ -1202,21 +1177,22 @@ impl World {
         // Commit: replay the deferred shared-state effects in emission
         // order, which equals the old inline mutation order.
         if !ops.is_empty() {
-            let t0 = profile::now();
-            let n = ops.len() as u64;
+            self.prof.enter(Phase::OpCommit);
             for op in ops.drain(..) {
                 self.commit_op(now, op);
             }
-            self.prof.record_many(Phase::OpCommit, t0, n);
         }
         self.ops_scratch = ops;
         self.node_scratch = scratch;
+        start
     }
 
     /// Apply one deferred op. Called in emission order at an event's
     /// commit point; the sequence of medium mutations, queue inserts,
     /// world-RNG draws and log appends this produces is exactly what the
-    /// inline code would do.
+    /// inline code would do. A frame's `begin_tx`, with the schedule of
+    /// its completion, runs under the `medium_begin` profiler phase, and
+    /// the commit then re-opens `op_commit`.
     fn commit_op(&mut self, now: SimTime, op: Op) {
         match op {
             Op::BeginTx {
@@ -1224,8 +1200,10 @@ impl World {
                 bytes,
                 bitrate,
             } => {
+                self.prof.enter(Phase::MediumBegin);
                 let (tx, end) = self.medium.begin_tx(now, radio, bytes, bitrate);
                 self.schedule_event(end, Event::TxComplete { tx });
+                self.prof.enter(Phase::OpCommit);
             }
             Op::SetChannel { radio, channel } => self.medium.set_channel(radio, channel),
             Op::SwitchTx { sw, in_port, bytes } => {
@@ -1590,5 +1568,56 @@ mod tests {
             )),
         );
         let _ = w.app::<UdpSink>(n, idx);
+    }
+
+    #[test]
+    fn profile_phases_partition_dispatch() {
+        // The paper's download over the corp LAN with its wired monitor
+        // dispatches all five event kinds: completions, polls, host and
+        // bridge deliveries off the switches, and tap copies.
+        use crate::experiments::e2_download::DownloadMitmConfig;
+        use crate::scenario::{addrs, build_corp};
+        use rogue_services::apps::DownloadClient;
+        let cfg = DownloadMitmConfig::paper();
+        let mut scenario = cfg.scenario.clone();
+        scenario.wired_monitor = true;
+        let mut sc = build_corp(&scenario, Seed(8));
+        sc.world.add_app(
+            sc.victim,
+            Box::new(DownloadClient::new(
+                addrs::TARGET,
+                "/download.html",
+                cfg.download_start,
+                cfg.download_timeout,
+            )),
+        );
+        // Several calls, as a tick loop makes them: each opens and closes
+        // its own chain of boundaries.
+        for secs in [1, 5, 30] {
+            sc.world.run_until(SimTime::from_secs(secs));
+        }
+        let w = &sc.world;
+        let p = w.profile_snapshot();
+        let row = |ph: Phase| p.phases[ph as usize];
+        for (label, _, count) in &p.kinds {
+            assert!(*count > 0, "no {label} event dispatched");
+        }
+        let kinds: u64 = p.kinds.iter().map(|k| k.2).sum();
+        assert_eq!(kinds, w.events_dispatched());
+        // Every phase but queue_pop lies inside some event's kind span,
+        // and every kind span is covered by phases.
+        assert!(
+            p.phases_partition_dispatch(),
+            "phases {:?} vs dispatch {} ns",
+            p.phases,
+            p.dispatch_ns
+        );
+        let schedule = row(Phase::QueueSchedule);
+        assert!(schedule.1 == 0 && schedule.2 > 0, "{schedule:?}");
+        for ph in [Phase::MediumCommit, Phase::ExecWall] {
+            assert_eq!(row(ph).1, 0, "{ph:?}");
+        }
+        assert_eq!(row(Phase::MediumBegin).2, w.medium.frames_sent);
+        assert_eq!(row(Phase::MediumPlan).2, p.kinds[0].2, "one per completion");
     }
 }

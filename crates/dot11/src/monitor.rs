@@ -103,16 +103,6 @@ impl Sniffer {
         out
     }
 
-    /// The (time, sequence-number, channel, rssi) stream for frames whose
-    /// transmitter address is `ta` — the §2.3 detector's input.
-    pub fn seq_stream(&self, ta: MacAddr) -> Vec<(SimTime, u16, u8, f64)> {
-        self.captures
-            .iter()
-            .filter(|c| c.frame.addr2 == ta && c.frame.body != FrameBody::Ack)
-            .map(|c| (c.at, c.frame.seq, c.channel, c.rssi_dbm))
-            .collect()
-    }
-
     /// Beacon observations: (time, bssid, ssid, claimed channel, heard-on
     /// channel, rssi).
     pub fn beacons(&self) -> Vec<(SimTime, MacAddr, String, u8, u8, f64)> {
@@ -196,32 +186,6 @@ mod tests {
         let macs = s.client_macs(bssid);
         assert_eq!(macs, vec![MacAddr::local(10), MacAddr::local(11)]);
         assert!(s.client_macs(MacAddr::local(42)).is_empty());
-    }
-
-    #[test]
-    fn seq_stream_orders_by_capture() {
-        let ta = MacAddr::local(2);
-        let mut s = Sniffer::new();
-        for (t, seq) in [(1u64, 5u16), (2, 6), (3, 7)] {
-            let mut f = Frame::new(
-                MacAddr::BROADCAST,
-                ta,
-                ta,
-                FrameBody::Beacon(MgmtInfo {
-                    timestamp: 0,
-                    beacon_interval_tu: 100,
-                    capability: CAP_ESS,
-                    ssid: "X".into(),
-                    channel: 1,
-                }),
-            );
-            f.seq = seq;
-            s.on_receive(SimTime::from_millis(t), &f.encode(), -40.0, 1);
-        }
-        let stream = s.seq_stream(ta);
-        assert_eq!(stream.len(), 3);
-        assert_eq!(stream[0].1, 5);
-        assert_eq!(stream[2].1, 7);
     }
 
     #[test]

@@ -23,5 +23,5 @@ mod grid;
 pub mod medium;
 pub mod propagation;
 
-pub use medium::{Delivery, Medium, MediumParams, RadioId, TxHandle, TxPlan};
+pub use medium::{Delivery, Medium, MediumParams, RadioId, TxHandle};
 pub use propagation::{Bitrate, Pos, CHANNEL_SPACING_NONOVERLAP};

@@ -45,7 +45,7 @@
 //! sample.
 //! The cutoff is also what makes city-scale interference tractable: a
 //! completion's interferer set is culled to transmitters whose audible
-//! disc can reach the candidate set at all (`plan_complete`), instead
+//! disc can reach the candidate set at all (`complete_tx`), instead
 //! of recomputing provably sub-floor far-field power per pair.
 //!
 //! # Shadowing: a lazy dense map
@@ -59,7 +59,7 @@
 //! dBm is computed when a completion or carrier-sense probe first reads
 //! it and is memoized per (tx, radio), as is its same-channel
 //! interference power in mW; most samples are never read. The memo cells
-//! are plain `Cell`s: a world plans and commits on one thread, so
+//! are plain `Cell`s: a world runs its medium on one thread, so
 //! `Medium` is `Send` but not `Sync`, and the compiler holds it there.
 
 use std::cell::Cell;
@@ -178,7 +178,7 @@ struct Transmission {
     end: SimTime,
     bytes: Bytes,
     /// Transmitter geometry frozen at begin time: the anchor of the
-    /// far-field interferer cull in [`Medium::plan_complete`].
+    /// far-field interferer cull in [`Medium::complete_tx`].
     src_pos: Pos,
     tx_power_dbm: f64,
     /// [`max_range_m`] down to the audible floor: the radius of the
@@ -200,29 +200,6 @@ struct Transmission {
 struct TxSlot {
     gen: u32,
     tx: Option<Transmission>,
-}
-
-/// The precomputed outcome of completing one transmission: the pure,
-/// read-only half of [`Medium::complete_tx`], produced by
-/// [`Medium::plan_complete`] and applied by [`Medium::commit_complete`].
-/// A plan is only valid against the medium state it was computed from:
-/// any mutation in between (a new overlapping transmission, a retune, a
-/// power toggle) can change the outcome, so the dispatcher commits each
-/// plan right after making it.
-#[derive(Debug)]
-pub struct TxPlan {
-    handle: TxHandle,
-    end: SimTime,
-    deliveries: Vec<Delivery>,
-    halfduplex_misses: u64,
-    sinr_drops: u64,
-}
-
-impl TxPlan {
-    /// The deliveries this plan will produce when committed.
-    pub fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
-    }
 }
 
 /// A successfully decoded frame at one radio.
@@ -292,6 +269,8 @@ pub struct Medium {
     cand_scratch: Vec<u32>,
     /// Scratch for the freed-source list in [`Self::prune`] (reused).
     prune_src_scratch: Vec<u32>,
+    /// Scratch for [`Self::complete_tx`] (reused).
+    complete_scratch: CompleteScratch,
     /// Bumped whenever the radio set or any position changes.
     geom_epoch: u64,
     row_reuses: u64,
@@ -327,6 +306,7 @@ impl Medium {
             begin_positions: None,
             cand_scratch: Vec::new(),
             prune_src_scratch: Vec::new(),
+            complete_scratch: CompleteScratch::default(),
             geom_epoch: 0,
             row_reuses: 0,
             force_dense: false,
@@ -336,11 +316,6 @@ impl Medium {
             halfduplex_misses: 0,
             sinr_drops: 0,
         }
-    }
-
-    /// Total destroyed receptions, either cause (the pre-split counter).
-    pub fn collisions(&self) -> u64 {
-        self.halfduplex_misses + self.sinr_drops
     }
 
     /// Register a radio. Radios are half-duplex and initially enabled.
@@ -574,70 +549,52 @@ impl Medium {
     /// Complete a transmission, returning all successful deliveries. Must
     /// be called exactly once, at the end time returned by `begin_tx`.
     ///
-    /// Equivalent to [`Self::plan_complete`] followed immediately by
-    /// [`Self::commit_complete`], which is how the world's dispatcher
-    /// runs it, timing the two halves separately.
-    pub fn complete_tx(&mut self, now: SimTime, handle: TxHandle) -> Vec<Delivery> {
-        let plan = self.plan_complete(now, handle);
-        self.commit_complete(plan)
-    }
-
-    /// The pure half of [`Self::complete_tx`]: compute every delivery
-    /// and counter delta for the transmission ending at `now`, without
-    /// mutating anything the plan depends on (it only fills lazy memo
-    /// cells).
-    ///
     /// Interferer-major: the candidates are narrowed first, then each
     /// overlapping interferer is visited once and adds its power at
     /// every candidate, and only then is each candidate's SINR decided.
     /// Every candidate's sum takes its terms in ascending interferer id
     /// order, so it equals, bit for bit, what a per-candidate loop over
     /// the same interferers computes.
-    pub fn plan_complete(&self, now: SimTime, handle: TxHandle) -> TxPlan {
+    pub fn complete_tx(&mut self, now: SimTime, handle: TxHandle) -> Vec<Delivery> {
+        let mut s = std::mem::take(&mut self.complete_scratch);
         let tx = self.tx_ref(handle);
         assert!(!tx.completed, "complete_tx called twice");
         assert_eq!(tx.end, now, "complete_tx at wrong time");
-        // The lists live in a per-thread scratch: plan_complete takes
-        // `&self`, so the scratch cannot be plain medium state, and one
-        // scratch serves every world a pool thread runs.
-        PLAN_SCRATCH.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            self.collect_interferers(tx, handle.slot, &mut s.interferers);
-            let halfduplex_misses = self.narrow_candidates(tx, handle.slot, &mut s.candidates);
-            s.interf_mw.clear();
-            s.interf_mw.resize(s.candidates.len(), 0.0);
-            if !s.candidates.is_empty() {
-                for &oslot in &s.interferers {
-                    let o = self.retained(oslot);
-                    self.add_interference(o, tx.channel, &s.candidates, &mut s.interf_mw);
-                }
+        self.collect_interferers(tx, handle.slot, &mut s.interferers);
+        let halfduplex_misses = self.narrow_candidates(tx, handle.slot, &mut s.candidates);
+        s.interf_mw.clear();
+        s.interf_mw.resize(s.candidates.len(), 0.0);
+        if !s.candidates.is_empty() {
+            for &oslot in &s.interferers {
+                let o = self.retained(oslot);
+                self.add_interference(o, tx.channel, &s.candidates, &mut s.interf_mw);
             }
+        }
 
-            let noise_mw = dbm_to_mw(self.params.noise_floor_dbm);
-            let mut deliveries = Vec::new();
-            let mut sinr_drops = 0;
-            for (&(ri, signal_dbm), &interf_mw) in s.candidates.iter().zip(&s.interf_mw) {
-                let sinr_db = signal_dbm - 10.0 * (noise_mw + interf_mw).log10();
-                if sinr_db < tx.bitrate.sinr_threshold_db() {
-                    sinr_drops += 1;
-                    continue;
-                }
-                deliveries.push(Delivery {
-                    to: RadioId(ri),
-                    bytes: tx.bytes.clone(),
-                    rssi_dbm: signal_dbm,
-                    channel: tx.channel,
-                    bitrate: tx.bitrate,
-                });
+        let noise_mw = dbm_to_mw(self.params.noise_floor_dbm);
+        let mut deliveries = Vec::new();
+        let mut sinr_drops = 0;
+        for (&(ri, signal_dbm), &interf_mw) in s.candidates.iter().zip(&s.interf_mw) {
+            let sinr_db = signal_dbm - 10.0 * (noise_mw + interf_mw).log10();
+            if sinr_db < tx.bitrate.sinr_threshold_db() {
+                sinr_drops += 1;
+                continue;
             }
-            TxPlan {
-                handle,
-                end: now,
-                deliveries,
-                halfduplex_misses,
-                sinr_drops,
-            }
-        })
+            deliveries.push(Delivery {
+                to: RadioId(ri),
+                bytes: tx.bytes.clone(),
+                rssi_dbm: signal_dbm,
+                channel: tx.channel,
+                bitrate: tx.bitrate,
+            });
+        }
+        self.complete_scratch = s;
+        let t = self.txs[handle.slot as usize].tx.as_mut();
+        t.expect("unknown or pruned transmission").completed = true;
+        self.completed_ends.push(Reverse((now, handle.slot)));
+        self.halfduplex_misses += halfduplex_misses;
+        self.sinr_drops += sinr_drops;
+        deliveries
     }
 
     /// Collect into `out` the slots of the transmissions that overlap
@@ -878,23 +835,6 @@ impl Medium {
         mw
     }
 
-    /// The mutating half of [`Self::complete_tx`]: mark the transmission
-    /// completed, fold the counter deltas in, and hand back the
-    /// deliveries. Trusts the plan: the caller must not mutate the
-    /// medium between [`Self::plan_complete`] and this call.
-    pub fn commit_complete(&mut self, plan: TxPlan) -> Vec<Delivery> {
-        let s = &mut self.txs[plan.handle.slot as usize];
-        assert_eq!(s.gen, plan.handle.gen, "unknown or pruned transmission");
-        let t = s.tx.as_mut().expect("unknown or pruned transmission");
-        assert!(!t.completed, "complete_tx called twice");
-        assert_eq!(t.end, plan.end, "commit at wrong time");
-        t.completed = true;
-        self.completed_ends.push(Reverse((t.end, plan.handle.slot)));
-        self.halfduplex_misses += plan.halfduplex_misses;
-        self.sinr_drops += plan.sinr_drops;
-        plan.deliveries
-    }
-
     /// Carrier sense: is any in-flight transmission audible at `radio`
     /// above the CCA threshold (including adjacent-channel energy)?
     /// Walks only the channel buckets within the interaction span; a
@@ -1032,21 +972,15 @@ impl Medium {
     }
 }
 
-/// Per-thread scratch lists of [`Medium::plan_complete`], which takes
-/// `&self`; one set serves every world its thread runs.
+/// The scratch lists of [`Medium::complete_tx`], reused across calls.
 #[derive(Default)]
-struct PlanScratch {
+struct CompleteScratch {
     /// Overlapping interferer slots, ascending by tx id.
     interferers: Vec<u32>,
     /// Narrowed candidates: `(radio index, signal dBm)`, ascending.
     candidates: Vec<(u32, f64)>,
     /// Per candidate, its interference sum in mW.
     interf_mw: Vec<f64>,
-}
-
-thread_local! {
-    static PLAN_SCRATCH: std::cell::RefCell<PlanScratch> =
-        std::cell::RefCell::new(PlanScratch::default());
 }
 
 #[cfg(test)]
@@ -1130,7 +1064,6 @@ mod tests {
         // because they were transmitting — distinct counters.
         assert_eq!(m.sinr_drops, 2, "victim loses both frames to SINR");
         assert_eq!(m.halfduplex_misses, 2, "each tx radio deaf to the other");
-        assert_eq!(m.collisions(), 4, "total preserves the pre-split sum");
     }
 
     #[test]
@@ -1468,55 +1401,5 @@ mod tests {
         let ds = m.complete_tx(end, h);
         assert!(!ds.iter().any(|d| d.to == late));
         assert_eq!((m.halfduplex_misses, m.sinr_drops), (0, 0));
-    }
-
-    #[test]
-    fn plan_commit_matches_complete_and_staleness_is_detected() {
-        // A plan made before a conflicting begin_tx differs from one
-        // made after it; planning + committing at completion time must
-        // reproduce exactly what a pure serial complete_tx computes in
-        // an identical world.
-        let run_serial = || {
-            let mut m = medium();
-            let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
-            let b = m.add_radio(Pos::new(20.0, 0.0), 1, 15.0);
-            let _victim = m.add_radio(Pos::new(10.0, 0.0), 1, 15.0);
-            let (h1, e1) = m.begin_tx(SimTime::ZERO, a, bytes(200), Bitrate::B11);
-            let (h2, e2) = m.begin_tx(SimTime::ZERO, b, bytes(200), Bitrate::B11);
-            let d1 = m.complete_tx(e1, h1);
-            let d2 = m.complete_tx(e2, h2);
-            let sig: Vec<(u32, u64)> = d1
-                .iter()
-                .chain(d2.iter())
-                .map(|d| (d.to.0, d.rssi_dbm.to_bits()))
-                .collect();
-            (sig, m.halfduplex_misses, m.sinr_drops)
-        };
-        let run_planned = || {
-            let mut m = medium();
-            let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
-            let b = m.add_radio(Pos::new(20.0, 0.0), 1, 15.0);
-            let _victim = m.add_radio(Pos::new(10.0, 0.0), 1, 15.0);
-            let (h1, e1) = m.begin_tx(SimTime::ZERO, a, bytes(200), Bitrate::B11);
-            let early = m.plan_complete(e1, h1);
-            // b's overlapping same-channel tx deafens b and drowns the
-            // victim: the early plan (which saw no interferer) is stale.
-            let (h2, e2) = m.begin_tx(SimTime::ZERO, b, bytes(200), Bitrate::B11);
-            let current = m.plan_complete(e1, h1);
-            assert_eq!(early.deliveries().len(), 2, "b and the victim");
-            assert!(
-                current.deliveries().is_empty(),
-                "a conflicting begin_tx must change the outcome"
-            );
-            let d1 = m.commit_complete(current);
-            let d2 = m.commit_complete(m.plan_complete(e2, h2));
-            let sig: Vec<(u32, u64)> = d1
-                .iter()
-                .chain(d2.iter())
-                .map(|d| (d.to.0, d.rssi_dbm.to_bits()))
-                .collect();
-            (sig, m.halfduplex_misses, m.sinr_drops)
-        };
-        assert_eq!(run_serial(), run_planned());
     }
 }

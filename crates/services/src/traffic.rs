@@ -183,14 +183,6 @@ impl UdpSink {
         }
         self.latency_sum_ns as f64 / self.received as f64 / 1e6
     }
-
-    /// Loss fraction given the number sent.
-    pub fn loss_rate(&self, sent: u64) -> f64 {
-        if sent == 0 {
-            return 0.0;
-        }
-        1.0 - (self.received.min(sent) as f64 / sent as f64)
-    }
 }
 
 impl App for UdpSink {
@@ -295,7 +287,6 @@ mod tests {
         wire_run(&mut src, &mut sink, SimTime::from_secs(1));
         assert!(src.sent >= 45, "sent {}", src.sent);
         assert_eq!(sink.received, src.sent, "perfect wire loses nothing");
-        assert_eq!(sink.loss_rate(src.sent), 0.0);
         assert!(sink.mean_latency_ms() < 10.0);
     }
 

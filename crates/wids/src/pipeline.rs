@@ -19,7 +19,7 @@ use rogue_netstack::Ipv4Addr;
 use rogue_sim::trace::Metrics;
 use rogue_sim::SimTime;
 
-use crate::correlate::{Correlator, CorrelatorConfig, Incident, IncidentCategory};
+use crate::correlate::{Correlator, CorrelatorConfig, Incident};
 use crate::detector::{Detector, RawAlert};
 use crate::detectors::arp::{ArpSpoofConfig, ArpSpoofDetector};
 use crate::detectors::beacon::{BeaconConfig, BeaconDetector};
@@ -162,11 +162,6 @@ impl WidsPipeline {
         self.correlator.incidents()
     }
 
-    /// Earliest incident of a category, if any.
-    pub fn first_incident(&self, category: IncidentCategory) -> Option<&Incident> {
-        self.incidents().iter().find(|i| i.category == category)
-    }
-
     /// Pipeline metrics (event, alert and incident counters).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -233,6 +228,7 @@ impl WidsPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correlate::IncidentCategory;
     use crate::event::{Dot11Event, Dot11Kind, SensorEvent};
 
     fn beacon(ms: u64, bssid: MacAddr, ssid: &str, channel: u8, sensor: u16) -> SensorEvent {
@@ -266,7 +262,9 @@ mod tests {
         p.ring.push(beacon(100, corp, "CORP", 6, 1));
         assert_eq!(p.step(SimTime::from_millis(200)), 2);
         let inc = p
-            .first_incident(IncidentCategory::RogueAp)
+            .incidents()
+            .iter()
+            .find(|i| i.category == IncidentCategory::RogueAp)
             .expect("incident");
         assert_eq!(inc.subject, corp);
         assert_eq!(p.metrics().counter("wids.incidents_opened"), 1);
@@ -284,7 +282,11 @@ mod tests {
         p.ring.push(beacon(300, corp, "CORP", 6, 1));
         p.ring.push(beacon(250, corp, "CORP", 6, 0));
         p.step(SimTime::from_millis(400));
-        let inc = p.first_incident(IncidentCategory::RogueAp).unwrap();
+        let inc = p
+            .incidents()
+            .iter()
+            .find(|i| i.category == IncidentCategory::RogueAp)
+            .unwrap();
         assert_eq!(inc.opened_at, SimTime::from_millis(250));
     }
 
