@@ -13,13 +13,12 @@
 //! captures a byte-stable record. Parallelism is controlled by
 //! `RAYON_NUM_THREADS`.
 //!
-//! The ten reports build concurrently on the rayon pool — each is a pure
-//! function of `reps`, and the pool collects results in input order — then
-//! print serially, so stdout is byte-identical to a one-at-a-time run.
+//! The reports render one after another, as `rogue_bench::render_reports`
+//! renders them; each spreads its whole table of replications over the
+//! pool as one batch.
 
 use std::time::Instant;
 
-use rayon::prelude::*;
 use rogue_bench::{render_report, REPORTS};
 
 fn main() {
@@ -31,17 +30,10 @@ fn main() {
     println!("replications per cell: {reps}\n");
     eprintln!("threads: {}", rayon::current_num_threads());
     let t0 = Instant::now();
-    let reports: Vec<_> = REPORTS
-        .par_iter()
-        .map(|report| {
-            let r0 = Instant::now();
-            let rendered = render_report(report, reps);
-            (report.id, rendered, r0.elapsed().as_secs_f64())
-        })
-        .collect();
-    for (id, rendered, secs) in &reports {
-        print!("{rendered}");
-        eprintln!("[{id}] {secs:.2} s");
+    for report in &REPORTS {
+        let r0 = Instant::now();
+        print!("{}", render_report(report, reps));
+        eprintln!("[{}] {:.2} s", report.id, r0.elapsed().as_secs_f64());
     }
     eprintln!(
         "total wall time: {:.1} s on {} thread(s)",

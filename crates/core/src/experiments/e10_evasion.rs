@@ -29,6 +29,7 @@ use rogue_sim::{Seed, SimDuration, SimTime};
 use rogue_wids::{EvalOutcome, IncidentCategory, TruthLabel};
 
 use super::e10_wids::{run_scored, score_cell, WidsRow, WidsRunOutcome, WidsRunParams};
+use super::replicate;
 use crate::report::Table;
 use crate::scenario::{corp_bssid, victim_mac, CorpScenario, CorpScenarioCfg};
 
@@ -269,18 +270,20 @@ pub fn evasion_table_with(
     reps: usize,
     seed: Seed,
 ) -> Vec<EvasionRow> {
+    let outcomes = replicate(&params.variants, reps, |&variant, rep| {
+        run_evasion_once_with(base, params, variant, seed.fork(0xE7A * 100 + rep as u64))
+    });
     params
         .variants
         .iter()
-        .map(|&variant| {
+        .zip(&outcomes)
+        .map(|(&variant, outcomes)| {
             let WidsRow {
                 reps,
                 eval,
                 mean_incidents,
                 ..
-            } = score_cell(variant.name(), reps, seed, 0xE7A, |s| {
-                run_evasion_once_with(base, params, variant, s)
-            });
+            } = score_cell(variant.name(), outcomes);
             EvasionRow {
                 variant,
                 reps,

@@ -22,7 +22,6 @@
 //! * **arp-spoof** — a purely wired attacker gratuitously claiming the
 //!   gateway's IP from t = 3 s.
 
-use rayon::prelude::*;
 use rogue_attack::ArpSpoofer;
 use rogue_dot11::MacAddr;
 use rogue_netstack::Ipv4Addr;
@@ -31,6 +30,7 @@ use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimTime};
 use rogue_wids::{evaluate, EvalOutcome, IncidentCategory, TruthLabel, WidsConfig};
 
+use super::replicate;
 use crate::report::Table;
 use crate::scenario::{addrs, build_corp, corp_bssid, victim_mac};
 use crate::scenario::{CorpScenario, CorpScenarioCfg, RogueCfg};
@@ -310,23 +310,12 @@ pub struct WidsRow {
     pub ring_dropped: u64,
 }
 
-/// Score one table cell over `reps` replications fanned out over the
-/// pool: replication `rep` runs `once` at `seed.fork(stream * 100 +
-/// rep)`, and the outcomes merge in replication order. E10 and
-/// E10-evasion both fan out through here.
-pub(crate) fn score_cell(
-    label: &'static str,
-    reps: usize,
-    seed: Seed,
-    stream: u64,
-    once: impl Fn(Seed) -> WidsRunOutcome + Sync,
-) -> WidsRow {
-    let outcomes: Vec<WidsRunOutcome> = (0..reps)
-        .into_par_iter()
-        .map(|rep| once(seed.fork(stream * 100 + rep as u64)))
-        .collect();
+/// Score one table cell: merge its replications' outcomes, in
+/// replication order, into its row. E10 and E10-evasion both score
+/// through here.
+pub(crate) fn score_cell(label: &'static str, outcomes: &[WidsRunOutcome]) -> WidsRow {
     let mut eval = EvalOutcome::default();
-    for o in &outcomes {
+    for o in outcomes {
         eval.merge(&o.eval);
     }
     WidsRow {
@@ -348,14 +337,14 @@ pub fn wids_table_with(
     reps: usize,
     seed: Seed,
 ) -> Vec<WidsRow> {
+    let outcomes = replicate(&params.scenarios, reps, |&scenario, rep| {
+        run_wids_once_with(base, params, scenario, seed.fork(0xE10 * 100 + rep as u64))
+    });
     let mut rows: Vec<WidsRow> = params
         .scenarios
         .iter()
-        .map(|&scenario| {
-            score_cell(scenario.name(), reps, seed, 0xE10, |s| {
-                run_wids_once_with(base, params, scenario, s)
-            })
-        })
+        .zip(&outcomes)
+        .map(|(scenario, outcomes)| score_cell(scenario.name(), outcomes))
         .collect();
     let mut overall = EvalOutcome::default();
     for r in &rows {

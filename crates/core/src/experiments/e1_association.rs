@@ -14,11 +14,10 @@
 //!    disassociation from the legitimate AP until the client associates
 //!    with the Rogue AP", §4) — [`capture_with_deauth`].
 
-use rayon::prelude::*;
 use rogue_dot11::output::MacEvent;
 use rogue_sim::{Seed, SimTime};
 
-use super::{mean_or_nan, rate};
+use super::{mean_or_nan, rate, replicate};
 use crate::report::{pct, Table};
 use crate::scenario::{build_corp, victim_mac, CorpScenarioCfg, RogueCfg};
 
@@ -135,32 +134,28 @@ pub fn capture_vs_power_with(
     reps: usize,
     seed: Seed,
 ) -> Vec<CapturePoint> {
+    let outcomes = replicate(&params.powers_dbm, reps, |&p, rep| {
+        let mut cfg = base.clone();
+        cfg.shadowing_sigma_db = params.sweep_shadowing_db;
+        cfg.rogue = Some(RogueCfg {
+            tx_power_dbm: p,
+            ..base.rogue.clone().unwrap_or_default()
+        });
+        run_capture_once(
+            &cfg,
+            params.sweep_run,
+            seed.fork((p * 10.0) as i64 as u64 ^ (rep as u64) << 17),
+        )
+    });
     params
         .powers_dbm
-        .par_iter()
-        .map(|&p| {
-            let outcomes: Vec<CaptureOutcome> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    let mut cfg = base.clone();
-                    cfg.shadowing_sigma_db = params.sweep_shadowing_db;
-                    cfg.rogue = Some(RogueCfg {
-                        tx_power_dbm: p,
-                        ..base.rogue.clone().unwrap_or_default()
-                    });
-                    run_capture_once(
-                        &cfg,
-                        params.sweep_run,
-                        seed.fork((p * 10.0) as i64 as u64 ^ (rep as u64) << 17),
-                    )
-                })
-                .collect();
-            CapturePoint {
-                rogue_power_dbm: p,
-                reps: outcomes.len(),
-                capture_rate: rate(&outcomes, |o| o.captured),
-                mean_capture_secs: mean_or_nan(&capture_secs(&outcomes, SimTime::ZERO)),
-            }
+        .iter()
+        .zip(outcomes)
+        .map(|(&p, outcomes)| CapturePoint {
+            rogue_power_dbm: p,
+            reps: outcomes.len(),
+            capture_rate: rate(&outcomes, |o| o.captured),
+            mean_capture_secs: mean_or_nan(&capture_secs(&outcomes, SimTime::ZERO)),
         })
         .collect()
 }
@@ -200,32 +195,29 @@ pub fn capture_with_deauth_with(
     reps: usize,
     seed: Seed,
 ) -> Vec<DeauthPoint> {
-    [false, true]
+    let rogue_start = params.deauth_rogue_start;
+    let cells = [false, true];
+    let outcomes = replicate(&cells, reps, |&deauth, rep| {
+        let mut cfg = base.clone();
+        cfg.rogue = Some(RogueCfg {
+            deauth_victim: deauth,
+            start_at: rogue_start,
+            ..base.rogue.clone().unwrap_or_default()
+        });
+        run_capture_once(
+            &cfg,
+            params.deauth_run,
+            seed.fork(rep as u64 * 2 + deauth as u64),
+        )
+    });
+    cells
         .into_iter()
-        .map(|deauth| {
-            let rogue_start = params.deauth_rogue_start;
-            let outcomes: Vec<CaptureOutcome> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    let mut cfg = base.clone();
-                    cfg.rogue = Some(RogueCfg {
-                        deauth_victim: deauth,
-                        start_at: rogue_start,
-                        ..base.rogue.clone().unwrap_or_default()
-                    });
-                    run_capture_once(
-                        &cfg,
-                        params.deauth_run,
-                        seed.fork(rep as u64 * 2 + deauth as u64),
-                    )
-                })
-                .collect();
-            DeauthPoint {
-                deauth,
-                reps: outcomes.len(),
-                capture_rate: rate(&outcomes, |o| o.captured),
-                mean_capture_after_start_secs: mean_or_nan(&capture_secs(&outcomes, rogue_start)),
-            }
+        .zip(outcomes)
+        .map(|(deauth, outcomes)| DeauthPoint {
+            deauth,
+            reps: outcomes.len(),
+            capture_rate: rate(&outcomes, |o| o.captured),
+            mean_capture_after_start_secs: mean_or_nan(&capture_secs(&outcomes, rogue_start)),
         })
         .collect()
 }

@@ -10,14 +10,13 @@
 //! match strings that cross packet boundaries" — as a rewrite success
 //! rate vs. the server's TCP segment size ([`boundary_miss_sweep`]).
 
-use rayon::prelude::*;
 use rogue_dot11::sta::StaState;
 use rogue_netstack::Ipv4Addr;
 use rogue_services::apps::DownloadClient;
 use rogue_services::netsed::Netsed;
 use rogue_sim::{Seed, SimDuration, SimTime};
 
-use super::rate;
+use super::{rate, replicate};
 use crate::report::{pct, Table};
 use crate::scenario::{build_corp, CorpScenarioCfg};
 
@@ -170,32 +169,27 @@ pub struct BoundaryPoint {
 /// strings straddle TCP boundaries more often; each replication also
 /// randomizes the page padding so the split point moves.
 pub fn boundary_miss_sweep(mss_values: &[usize], reps: usize, seed: Seed) -> Vec<BoundaryPoint> {
+    let outcomes = replicate(mss_values, reps, |&mss, rep| {
+        let rep_seed = seed.fork(mss as u64 * 10_000 + rep as u64);
+        let mut cfg = DownloadMitmConfig::paper();
+        cfg.scenario.server_mss = mss;
+        // Shift segment boundaries per replication.
+        cfg.scenario.page_pad = rogue_sim::SimRng::new(rep_seed).below(mss as u64) as usize;
+        let r = run_download_mitm(&cfg, rep_seed);
+        let link = r.victim_got_trojan;
+        let full = r.victim_got_trojan && r.md5_check_passed;
+        let miss = r.completed && r.netsed_replacements < 2;
+        (link, full, miss)
+    });
     mss_values
-        .par_iter()
-        .map(|&mss| {
-            let outcomes: Vec<(bool, bool, bool)> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    let rep_seed = seed.fork(mss as u64 * 10_000 + rep as u64);
-                    let mut cfg = DownloadMitmConfig::paper();
-                    cfg.scenario.server_mss = mss;
-                    // Shift segment boundaries per replication.
-                    cfg.scenario.page_pad =
-                        rogue_sim::SimRng::new(rep_seed).below(mss as u64) as usize;
-                    let r = run_download_mitm(&cfg, rep_seed);
-                    let link = r.victim_got_trojan;
-                    let full = r.victim_got_trojan && r.md5_check_passed;
-                    let miss = r.completed && r.netsed_replacements < 2;
-                    (link, full, miss)
-                })
-                .collect();
-            BoundaryPoint {
-                server_mss: mss,
-                reps: outcomes.len(),
-                link_rewrite_rate: rate(&outcomes, |o| o.0),
-                full_deception_rate: rate(&outcomes, |o| o.1),
-                any_miss_rate: rate(&outcomes, |o| o.2),
-            }
+        .iter()
+        .zip(outcomes)
+        .map(|(&mss, outcomes)| BoundaryPoint {
+            server_mss: mss,
+            reps: outcomes.len(),
+            link_rewrite_rate: rate(&outcomes, |o| o.0),
+            full_deception_rate: rate(&outcomes, |o| o.1),
+            any_miss_rate: rate(&outcomes, |o| o.2),
         })
         .collect()
 }

@@ -7,12 +7,11 @@
 //! TCP-to-port-80), netsed never sees a cleartext byte, and the download
 //! verifies against the *genuine* MD5.
 
-use rayon::prelude::*;
 use rogue_sim::Seed;
 use rogue_vpn::Transport;
 
 use super::e2_download::{run_download_mitm, DownloadMitmConfig, DownloadMitmResult};
-use super::{mean_or_nan, rate};
+use super::{mean_or_nan, rate, replicate};
 use crate::report::{pct, Table};
 use crate::scenario::{build_corp, CorpScenarioCfg};
 
@@ -75,13 +74,14 @@ pub fn run_vpn_defense(mode: VpnMode, seed: Seed) -> DownloadMitmResult {
 
 /// The Figure 3 comparison table: `reps` replications per mode.
 pub fn vpn_defense_comparison(reps: usize, seed: Seed) -> Vec<VpnDefenseRow> {
-    [VpnMode::None, VpnMode::Udp, VpnMode::Tcp]
+    let modes = [VpnMode::None, VpnMode::Udp, VpnMode::Tcp];
+    let results = replicate(&modes, reps, |&mode, rep| {
+        run_vpn_defense(mode, seed.fork(mode as u64 * 1000 + rep as u64))
+    });
+    modes
         .into_iter()
-        .map(|mode| {
-            let results: Vec<DownloadMitmResult> = (0..reps)
-                .into_par_iter()
-                .map(|rep| run_vpn_defense(mode, seed.fork(mode as u64 * 1000 + rep as u64)))
-                .collect();
+        .zip(results)
+        .map(|(mode, results)| {
             let download_secs: Vec<f64> = results
                 .iter()
                 .filter(|r| r.completed)

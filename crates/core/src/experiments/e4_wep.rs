@@ -13,14 +13,13 @@
 //! `W × 65 536` captured frames — the millions-of-packets figure
 //! contemporary reports quote for Airsnort.
 
-use rayon::prelude::*;
 use rogue_attack::airsnort::{Airsnort, CrackOutcome};
 use rogue_crypto::fms::{targeted_weak_ivs, Sample};
 use rogue_crypto::rc4::Rc4;
 use rogue_crypto::wep::WepKey;
 use rogue_sim::{Seed, SimRng};
 
-use super::rate;
+use super::{rate, replicate};
 use crate::report::{pct, Table};
 
 /// One row of the crack curve.
@@ -75,25 +74,20 @@ pub fn crack_curve(
     reps: usize,
     seed: Seed,
 ) -> Vec<CrackPoint> {
+    let cracked = replicate(weak_counts, reps, |&w, rep| {
+        let mut rng = SimRng::new(seed.fork((key_len * 1_000_000 + w * 1000 + rep) as u64));
+        let key = random_key(&mut rng, key_len);
+        crack_once(&key, w)
+    });
     weak_counts
-        .par_iter()
-        .map(|&w| {
-            let cracked: Vec<bool> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    let mut rng =
-                        SimRng::new(seed.fork((key_len * 1_000_000 + w * 1000 + rep) as u64));
-                    let key = random_key(&mut rng, key_len);
-                    crack_once(&key, w)
-                })
-                .collect();
-            CrackPoint {
-                key_len,
-                weak_ivs_per_position: w,
-                equivalent_frames: w as u64 * 65_536,
-                reps,
-                success_rate: rate(&cracked, |&c| c),
-            }
+        .iter()
+        .zip(cracked)
+        .map(|(&w, cracked)| CrackPoint {
+            key_len,
+            weak_ivs_per_position: w,
+            equivalent_frames: w as u64 * 65_536,
+            reps,
+            success_rate: rate(&cracked, |&c| c),
         })
         .collect()
 }

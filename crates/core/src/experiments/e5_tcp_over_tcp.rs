@@ -16,7 +16,6 @@
 //!   never asked for, paid in head-of-line-blocking latency; and for
 //!   inner TCP flows, two stacked retransmission loops.
 
-use rayon::prelude::*;
 use rogue_dot11::MacAddr;
 use rogue_netstack::netfilter::SnatRule;
 use rogue_netstack::Ipv4Addr;
@@ -30,7 +29,7 @@ use rogue_vpn::client::VpnClientConfig;
 use rogue_vpn::server::{ClientAccount, VpnServerConfig};
 use rogue_vpn::{Transport, VpnClient, VpnServer, PSK_LEN};
 
-use super::{mean_or_nan, rate};
+use super::{mean_or_nan, rate, replicate};
 use crate::report::{pct, Table};
 use crate::world::World;
 
@@ -217,47 +216,44 @@ pub fn tunnel_comparison(
     reps: usize,
     seed: Seed,
 ) -> Vec<TunnelPoint> {
-    let mut rows = Vec::new();
-    for transport in [Transport::Udp, Transport::Tcp] {
-        let mut pts: Vec<TunnelPoint> = losses
-            .par_iter()
-            .map(|&loss| {
-                let runs: Vec<RunMetrics> = (0..reps)
-                    .into_par_iter()
-                    .map(|rep| {
-                        run_once(
-                            transport,
-                            flow,
-                            loss,
-                            seed.fork(
-                                (loss * 1e4) as u64 * 100
-                                    + rep as u64
-                                    + matches!(transport, Transport::Tcp) as u64 * 7_777,
-                            ),
-                        )
-                    })
-                    .collect();
-                let n = runs.len().max(1) as f64;
-                let completed: Vec<f64> = runs.iter().filter_map(|r| r.tcp_secs).collect();
-                TunnelPoint {
-                    transport,
-                    flow,
-                    loss,
-                    reps: runs.len(),
-                    udp_delivery: runs.iter().map(|r| r.udp_delivery).sum::<f64>() / n,
-                    udp_mean_latency_ms: runs.iter().map(|r| r.udp_mean_ms).sum::<f64>() / n,
-                    udp_max_latency_ms: runs
-                        .iter()
-                        .map(|r| r.udp_max_ms)
-                        .fold(f64::NEG_INFINITY, f64::max),
-                    tcp_completion_secs: mean_or_nan(&completed),
-                    tcp_completion_rate: rate(&runs, |r| r.tcp_secs.is_some()),
-                }
-            })
-            .collect();
-        rows.append(&mut pts);
-    }
-    rows
+    let cells: Vec<(Transport, f64)> = [Transport::Udp, Transport::Tcp]
+        .into_iter()
+        .flat_map(|transport| losses.iter().map(move |&loss| (transport, loss)))
+        .collect();
+    let runs = replicate(&cells, reps, |&(transport, loss), rep| {
+        run_once(
+            transport,
+            flow,
+            loss,
+            seed.fork(
+                (loss * 1e4) as u64 * 100
+                    + rep as u64
+                    + matches!(transport, Transport::Tcp) as u64 * 7_777,
+            ),
+        )
+    });
+    cells
+        .into_iter()
+        .zip(runs)
+        .map(|((transport, loss), runs)| {
+            let n = runs.len().max(1) as f64;
+            let completed: Vec<f64> = runs.iter().filter_map(|r| r.tcp_secs).collect();
+            TunnelPoint {
+                transport,
+                flow,
+                loss,
+                reps: runs.len(),
+                udp_delivery: runs.iter().map(|r| r.udp_delivery).sum::<f64>() / n,
+                udp_mean_latency_ms: runs.iter().map(|r| r.udp_mean_ms).sum::<f64>() / n,
+                udp_max_latency_ms: runs
+                    .iter()
+                    .map(|r| r.udp_max_ms)
+                    .fold(f64::NEG_INFINITY, f64::max),
+                tcp_completion_secs: mean_or_nan(&completed),
+                tcp_completion_rate: rate(&runs, |r| r.tcp_secs.is_some()),
+            }
+        })
+        .collect()
 }
 
 /// Table label of an encapsulation.

@@ -26,7 +26,6 @@
 //! network, it is not a threat" is exactly the logic this attack
 //! defeats.
 
-use rayon::prelude::*;
 use rogue_dot11::monitor::Sniffer;
 use rogue_phy::Pos;
 use rogue_sim::{Seed, SimDuration, SimTime};
@@ -36,7 +35,7 @@ use rogue_wids::{
     SeqControlDetector,
 };
 
-use super::{mean_or_nan, rate};
+use super::{mean_or_nan, rate, replicate};
 use crate::report::{pct, Table};
 use crate::scenario::{build_corp, corp_bssid, CorpScenarioCfg, RogueCfg};
 
@@ -169,19 +168,17 @@ pub struct DetectionPoint {
 
 /// Sweep the auditor's per-channel dwell.
 pub fn detection_vs_dwell(dwells_ms: &[u64], reps: usize, seed: Seed) -> Vec<DetectionPoint> {
+    let outcomes = replicate(dwells_ms, reps, |&dwell_ms, rep| {
+        run_detection_once(
+            SimDuration::from_millis(dwell_ms),
+            SimTime::from_secs(15),
+            seed.fork(dwell_ms * 31 + rep as u64),
+        )
+    });
     dwells_ms
-        .par_iter()
-        .map(|&dwell_ms| {
-            let outcomes: Vec<DetectionOutcome> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    run_detection_once(
-                        SimDuration::from_millis(dwell_ms),
-                        SimTime::from_secs(15),
-                        seed.fork(dwell_ms * 31 + rep as u64),
-                    )
-                })
-                .collect();
+        .iter()
+        .zip(outcomes)
+        .map(|(&dwell_ms, outcomes)| {
             let audit_hits: Vec<f64> = outcomes
                 .iter()
                 .filter_map(|o| o.audit_latency_secs)

@@ -6,13 +6,12 @@
 //! 802.1x-style auth) leaves the client trojaned-with-a-passing-checksum;
 //! only tunnelling everything to a trusted endpoint survives.
 
-use rayon::prelude::*;
 use rogue_crypto::wep::WepKey;
 use rogue_sim::Seed;
 use rogue_vpn::Transport;
 
-use super::e2_download::{run_download_mitm, DownloadMitmConfig, DownloadMitmResult};
-use super::rate;
+use super::e2_download::{run_download_mitm, DownloadMitmConfig};
+use super::{rate, replicate};
 use crate::policy::ClientPolicy;
 use crate::report::{pct, yn, Table};
 use crate::scenario::CorpScenarioCfg;
@@ -53,35 +52,36 @@ pub fn scenario_for(policy: ClientPolicy) -> CorpScenarioCfg {
     cfg
 }
 
-/// One row: `reps` replications of the Figure 2 attack under `policy`,
-/// replication `rep` at `seed.fork(stream + rep)`.
-fn matrix_row(policy: ClientPolicy, reps: usize, seed: Seed, stream: u64) -> MatrixRow {
-    let cfg = DownloadMitmConfig {
-        scenario: scenario_for(policy),
-        ..DownloadMitmConfig::paper()
-    };
-    let results: Vec<DownloadMitmResult> = (0..reps)
-        .into_par_iter()
-        .map(|rep| run_download_mitm(&cfg, seed.fork(stream + rep as u64)))
-        .collect();
-    MatrixRow {
-        policy,
-        reps: results.len(),
-        captured_rate: rate(&results, |r| r.victim_on_rogue),
-        deceived_rate: rate(&results, |r| r.victim_got_trojan && r.md5_check_passed),
-        protected_rate: rate(&results, |r| r.victim_got_genuine && r.md5_check_passed),
-        completed_rate: rate(&results, |r| r.completed),
-    }
-}
-
-/// Run the matrix, `reps` replications per row: every policy of
-/// [`ClientPolicy::all`], then the TCP-encapsulated VPN as a seventh row.
+/// Run the matrix, `reps` replications of the Figure 2 attack per row:
+/// every policy of [`ClientPolicy::all`], then the TCP-encapsulated VPN
+/// as a seventh row. A row's replication `rep` runs at
+/// `seed.fork(stream + rep)`.
 pub fn defense_matrix_extended(reps: usize, seed: Seed) -> Vec<MatrixRow> {
-    ClientPolicy::all()
+    let rows: Vec<(ClientPolicy, u64, DownloadMitmConfig)> = ClientPolicy::all()
         .into_iter()
         .map(|policy| (policy, policy.label().len() as u64 * 7919))
         .chain([(ClientPolicy::VpnAll(Transport::Tcp), 0x7C9)])
-        .map(|(policy, stream)| matrix_row(policy, reps, seed, stream))
+        .map(|(policy, stream)| {
+            let cfg = DownloadMitmConfig {
+                scenario: scenario_for(policy),
+                ..DownloadMitmConfig::paper()
+            };
+            (policy, stream, cfg)
+        })
+        .collect();
+    let results = replicate(&rows, reps, |(_, stream, cfg), rep| {
+        run_download_mitm(cfg, seed.fork(stream + rep as u64))
+    });
+    rows.into_iter()
+        .zip(results)
+        .map(|((policy, ..), results)| MatrixRow {
+            policy,
+            reps: results.len(),
+            captured_rate: rate(&results, |r| r.victim_on_rogue),
+            deceived_rate: rate(&results, |r| r.victim_got_trojan && r.md5_check_passed),
+            protected_rate: rate(&results, |r| r.victim_got_genuine && r.md5_check_passed),
+            completed_rate: rate(&results, |r| r.completed),
+        })
         .collect()
 }
 

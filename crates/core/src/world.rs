@@ -969,14 +969,6 @@ impl World {
             .expect("app type mismatch")
     }
 
-    /// Downcast-borrow an application mutably.
-    pub fn app_mut<T: App>(&mut self, n: NodeId, idx: usize) -> &mut T {
-        self.nodes[n.0].apps[idx]
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("app type mismatch")
-    }
-
     /// Borrow a station MAC.
     pub fn sta(&self, n: NodeId, radio_idx: usize) -> &StaMac {
         match &self.nodes[n.0].radios[radio_idx].role {
@@ -1549,8 +1541,6 @@ mod tests {
             )),
         );
         assert_eq!(w.app::<PingApp>(n, idx).sent, 0);
-        w.app_mut::<PingApp>(n, idx).sent = 5;
-        assert_eq!(w.app::<PingApp>(n, idx).sent, 5);
     }
 
     #[test]

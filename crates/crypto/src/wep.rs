@@ -155,11 +155,6 @@ pub fn is_weak_iv(iv: [u8; 3], key_byte_index: usize) -> bool {
     iv[0] as usize == key_byte_index + 3 && iv[1] == 0xFF
 }
 
-/// True if the IV is FMS-weak for *any* byte of a key of length `key_len`.
-pub fn is_weak_iv_any(iv: [u8; 3], key_len: usize) -> bool {
-    (0..key_len).any(|a| is_weak_iv(iv, a))
-}
-
 /// IV generation policies for simulated stations.
 #[derive(Clone, Debug)]
 pub enum IvPolicy {
@@ -320,8 +315,6 @@ mod tests {
         assert!(is_weak_iv([7, 255, 200], 4));
         assert!(!is_weak_iv([3, 254, 7], 0));
         assert!(!is_weak_iv([4, 255, 7], 0));
-        assert!(is_weak_iv_any([8, 255, 0], 13));
-        assert!(!is_weak_iv_any([200, 255, 0], 13));
     }
 
     #[test]

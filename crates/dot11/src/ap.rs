@@ -187,19 +187,6 @@ impl ApMac {
         true
     }
 
-    /// Deauthenticate a station (ACL enforcement / administrative kick).
-    pub fn deauth_client(&mut self, now: SimTime, client: MacAddr, reason: u16) {
-        self.clients.remove(&client);
-        self.authed.remove(&client);
-        let f = Frame::new(
-            client,
-            self.cfg.bssid,
-            self.cfg.bssid,
-            FrameBody::Deauth { reason },
-        );
-        self.txq.push(now, f, Bitrate::B1, !client.is_multicast());
-    }
-
     /// The AP's receive filter, [`RxFilter::Ap`] on its configured
     /// BSSID.
     pub fn rx_filter(&self) -> RxFilter {
@@ -680,19 +667,6 @@ mod tests {
             0x0806,
             b"arp"
         ));
-    }
-
-    #[test]
-    fn deauth_client_removes_association() {
-        let mut a = ap();
-        let sta = join(&mut a, MacAddr::local(10));
-        assert!(a.is_associated(sta));
-        a.deauth_client(SimTime::from_millis(200), sta, 2);
-        assert!(!a.is_associated(sta));
-        let out = drive(&mut a, SimTime::from_millis(300));
-        assert!(tx_frames(&out)
-            .iter()
-            .any(|f| matches!(f.body, FrameBody::Deauth { .. }) && f.addr1 == sta));
     }
 
     fn join(a: &mut ApMac, sta: MacAddr) -> MacAddr {

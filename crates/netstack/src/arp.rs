@@ -132,11 +132,6 @@ impl ArpCache {
             .map(|(mac, _)| *mac)
     }
 
-    /// Drop expired entries (called opportunistically).
-    pub fn expire(&mut self, now: SimTime) {
-        self.entries.retain(|_, (_, exp)| *exp > now);
-    }
-
     /// All live (ip, mac) pairs — used by the parprouted daemon to learn
     /// which hosts live behind which interface.
     pub fn live_entries(&self, now: SimTime) -> Vec<(Ipv4Addr, MacAddr)> {
@@ -194,7 +189,6 @@ mod tests {
         );
         let late = t0 + ARP_TTL + SimDuration::from_secs(1);
         assert_eq!(c.lookup(late, Ipv4Addr::new(10, 0, 0, 1)), None);
-        c.expire(late);
         assert!(c.live_entries(late).is_empty());
     }
 

@@ -137,11 +137,6 @@ pub fn dbm_to_mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)
 }
 
-/// Milliwatts → dBm.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    10.0 * mw.log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,9 +166,6 @@ mod tests {
 
     #[test]
     fn dbm_mw_round_trip() {
-        for dbm in [-90.0, -30.0, 0.0, 15.0] {
-            assert!((mw_to_dbm(dbm_to_mw(dbm)) - dbm).abs() < 1e-9);
-        }
         assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
         assert!((dbm_to_mw(10.0) - 10.0).abs() < 1e-9);
     }

@@ -130,18 +130,6 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Exponentially distributed duration with the given mean, in
-    /// nanoseconds; used for Poisson traffic inter-arrival times.
-    pub fn exp_ns(&mut self, mean_ns: u64) -> u64 {
-        if mean_ns == 0 {
-            return 0;
-        }
-        // Inverse-CDF; clamp u away from 0 to avoid ln(0).
-        let u = self.f64().max(1e-12);
-        let x = -(u.ln()) * mean_ns as f64;
-        x.min(u64::MAX as f64 / 2.0) as u64
-    }
-
     /// Standard normal via Box–Muller: one value per call from exactly
     /// two draws, the paired value discarded. The fixed draw count is a
     /// contract: the medium's shadowing samples skip ahead with
@@ -245,19 +233,6 @@ mod tests {
     fn seed_fork_is_stable() {
         assert_eq!(Seed(5).fork(10), Seed(5).fork(10));
         assert_ne!(Seed(5).fork(10), Seed(5).fork(11));
-    }
-
-    #[test]
-    fn exp_ns_mean_is_close() {
-        let mut r = SimRng::new(Seed(3));
-        let n = 50_000u64;
-        let mean = 1_000_000u64;
-        let total: u64 = (0..n).map(|_| r.exp_ns(mean)).sum();
-        let got = total / n;
-        assert!(
-            (mean * 9 / 10..mean * 11 / 10).contains(&got),
-            "sample mean {got}"
-        );
     }
 
     #[test]
