@@ -62,10 +62,6 @@ impl App for ArpSpoofer {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn poll(&mut self, now: SimTime, host: &mut Host, _out: &mut Vec<AppEvent>) {
         while now >= self.next_tx {
             let my_mac = host.iface(self.iface).mac;

@@ -15,9 +15,10 @@
 //! determinism bug, not a data point. Each repeat's profile must also
 //! partition dispatch time (the phases other than `queue_pop` sum to the
 //! event kinds), and at full size its estimated overhead must stay within
-//! the 20 ‰ budget. Then print each repeat's wall time, CPU time
-//! (`rogue_bench::Stopwatch`) and events/s, the median and quartiles of
-//! events/s, and the last repeat's profiler breakdown.
+//! the 20 ‰ budget and the process's peak RSS within its ceiling. Then
+//! print each repeat's wall time, CPU time (`rogue_bench::Stopwatch`) and
+//! events/s, the median and quartiles of events/s beside the peak RSS,
+//! and the last repeat's profiler breakdown.
 //!
 //! A full run writes `BENCH_city_scale.json` at the workspace root, the
 //! committed recording. `-- --test` runs a downscaled smoke sweep (same
@@ -47,6 +48,11 @@ const REPEATS: usize = 3;
 /// full size is held to it: the smoke's events are short enough that even
 /// one clock read per phase boundary costs more.
 const OVERHEAD_BUDGET_PERMILLE: u64 = 20;
+
+/// The full size's peak RSS ceiling, in MiB: about 30 % over the
+/// recording (243 MiB, DESIGN §16.5). Each repeat drops its world, so the
+/// peak is one world's. The smoke is not held to it.
+const PEAK_RSS_CEILING_MIB: f64 = 320.0;
 
 /// What one repeat leaves behind.
 struct Repeat {
@@ -192,6 +198,11 @@ fn main() {
             p.overhead_permille()
         );
     }
+    let peak_rss_mib = rogue_bench::peak_rss_mib();
+    assert!(
+        smoke || peak_rss_mib <= PEAK_RSS_CEILING_MIB,
+        "peak RSS {peak_rss_mib:.1} MiB exceeds the {PEAK_RSS_CEILING_MIB} MiB ceiling"
+    );
     let events_per_sec = |r: &rogue_bench::Rep<Repeat>| r.out.events as f64 / r.wall_s;
     for (k, r) in runs.iter().enumerate() {
         println!(
@@ -205,7 +216,7 @@ fn main() {
     println!("    fingerprint: {:?}", first.fingerprint);
     let eps = spread(&runs, events_per_sec);
     println!(
-        "  median {:.0} events/s [{:.0}, {:.0}]",
+        "  median {:.0} events/s [{:.0}, {:.0}]; peak RSS {peak_rss_mib:.1} MiB",
         eps.0, eps.1, eps.2
     );
     let last = &runs[REPEATS - 1].out.profile;
@@ -238,6 +249,7 @@ fn main() {
         .int("events", first.events)
         .rate("events_per_sec", eps, 0)
         .timing(&runs)
+        .num("peak_rss_mib", peak_rss_mib, 1)
         .list("runs", &per_run)
         .obj("profile", profile_row(last));
     let head = Row::default()

@@ -12,7 +12,8 @@
 //! each rate's median and quartiles over the reps with [`spread`], and
 //! writes `BENCH_<name>.json` with [`record`]: `host_cpus`, `reps`, and
 //! per row every rate's median beside its `_q1` and `_q3`, then the
-//! median wall and CPU seconds ([`Row::timing`]).
+//! median wall and CPU seconds ([`Row::timing`]). [`peak_rss_mib`] reads
+//! the process's peak resident set for a bench that records its memory.
 
 use std::path::Path;
 use std::time::Instant;
@@ -213,6 +214,17 @@ fn cpu_ns() -> u64 {
         .sum()
 }
 
+/// Peak resident set of this process so far, in MiB: `VmHWM` from
+/// `/proc/self/status` (0 where that is absent).
+pub fn peak_rss_mib() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB")?.trim().parse::<u64>().ok())
+        .map_or(0.0, |kib| kib as f64 / 1024.0)
+}
+
 /// What one rep of a layer bench times: the sections its body runs
 /// through [`Stopwatch::time`], and nothing else (building the input,
 /// digesting and checking the output stay outside). A section's CPU
@@ -375,7 +387,7 @@ pub fn record(path: &Path, bench: &str, reps: usize, head: Row, results: &[Row])
 
 #[cfg(test)]
 mod tests {
-    use super::{quartiles, render, sample, spread, Rep, Row};
+    use super::{peak_rss_mib, quartiles, render, sample, spread, Rep, Row};
 
     #[test]
     fn quartiles_match_python_exclusive_method() {
@@ -407,6 +419,17 @@ mod tests {
             }
         }
         assert!(sample(0, |_| ()).is_empty());
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn peak_rss_covers_pages_the_process_touched() {
+        let before = peak_rss_mib();
+        let touched = vec![1u8; 32 << 20];
+        let after = peak_rss_mib();
+        std::hint::black_box(&touched);
+        assert!(before > 0.0, "VmHWM read {before}");
+        assert!(after >= before.max(32.0), "{before} MiB, then {after} MiB");
     }
 
     #[test]

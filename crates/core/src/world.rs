@@ -83,6 +83,9 @@ enum Event {
 // words (tag + payload) so a wheel slot stays cache-line friendly.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
+// A city world holds one `Node` per radio, inline (DESIGN §16.5).
+const _: () = assert!(std::mem::size_of::<Node>() <= 768);
+
 /// Profiler kind-cell index of an event (indexes [`World::prof_kinds`]).
 fn event_kind(ev: &Event) -> usize {
     match ev {
@@ -178,14 +181,16 @@ struct TunBinding {
     role: TunRole,
 }
 
+/// A machine. `Vec<Node>` holds every node of a world inline, so state
+/// that only a few nodes set (the VPN tun, the corp-switch monitor) sits
+/// behind a box, and the node's name is its host's (DESIGN §16.5).
 struct Node {
-    name: String,
     host: Host,
     radios: Vec<RadioBinding>,
     wired: Vec<(IfIndex, (usize, usize))>,
-    tun: Option<TunBinding>,
+    tun: Option<Box<TunBinding>>,
     apps: Vec<Box<dyn App>>,
-    wired_monitor: Option<WiredMonitor>,
+    wired_monitor: Option<Box<WiredMonitor>>,
     wire_tap: Option<WireTap>,
 }
 
@@ -663,7 +668,6 @@ impl World {
     pub fn add_node(&mut self, name: &str) -> NodeId {
         let host = Host::new(name, self.rng.fork(self.nodes.len() as u64 + 0x4000));
         self.nodes.push(Node {
-            name: name.to_string(),
             host,
             radios: Vec::new(),
             wired: Vec::new(),
@@ -678,7 +682,7 @@ impl World {
 
     /// Node name (diagnostics).
     pub fn node_name(&self, n: NodeId) -> &str {
-        &self.nodes[n.0].name
+        &self.nodes[n.0].host.name
     }
 
     /// Borrow a node's IP stack.
@@ -705,7 +709,11 @@ impl World {
             radio: idx as u32,
             filter: role.rx_filter(),
         });
-        self.nodes[node].radios.push(RadioBinding { radio, role });
+        // Exact: a first push would allocate room for four 576 B
+        // bindings, and nearly every node has one (DESIGN §16.5).
+        let radios = &mut self.nodes[node].radios;
+        radios.reserve_exact(1);
+        radios.push(RadioBinding { radio, role });
         idx
     }
 
@@ -879,12 +887,12 @@ impl World {
         self.switches[switch.0]
             .ports
             .push(PortTarget::Tap { node: n.0 });
-        self.nodes[n.0].wired_monitor = Some(monitor);
+        self.nodes[n.0].wired_monitor = Some(Box::new(monitor));
     }
 
     /// Borrow the node's wired monitor.
     pub fn wired_monitor(&self, n: NodeId) -> Option<&WiredMonitor> {
-        self.nodes[n.0].wired_monitor.as_ref()
+        self.nodes[n.0].wired_monitor.as_deref()
     }
 
     /// Attach a raw wired tap (span port) that buffers every frame the
@@ -916,25 +924,25 @@ impl World {
 
     /// Attach a VPN client to its tun interface.
     pub fn attach_vpn_client(&mut self, n: NodeId, iface: IfIndex, client: VpnClient) {
-        self.nodes[n.0].tun = Some(TunBinding {
+        self.nodes[n.0].tun = Some(Box::new(TunBinding {
             iface,
             role: TunRole::Client(client),
-        });
+        }));
         self.schedule_poll(n.0, self.queue.now());
     }
 
     /// Attach a VPN endpoint to its tun interface.
     pub fn attach_vpn_server(&mut self, n: NodeId, iface: IfIndex, server: VpnServer) {
-        self.nodes[n.0].tun = Some(TunBinding {
+        self.nodes[n.0].tun = Some(Box::new(TunBinding {
             iface,
             role: TunRole::Server(server),
-        });
+        }));
         self.schedule_poll(n.0, self.queue.now());
     }
 
     /// Borrow the node's VPN client.
     pub fn vpn_client(&self, n: NodeId) -> Option<&VpnClient> {
-        match &self.nodes[n.0].tun {
+        match self.nodes[n.0].tun.as_deref() {
             Some(TunBinding {
                 role: TunRole::Client(c),
                 ..
@@ -945,7 +953,7 @@ impl World {
 
     /// Borrow the node's VPN endpoint.
     pub fn vpn_server(&self, n: NodeId) -> Option<&VpnServer> {
-        match &self.nodes[n.0].tun {
+        match self.nodes[n.0].tun.as_deref() {
             Some(TunBinding {
                 role: TunRole::Server(s),
                 ..
@@ -1397,6 +1405,37 @@ mod tests {
             .mac_events
             .iter()
             .any(|(_, _, e)| matches!(e, MacEvent::Associated { .. })));
+    }
+
+    #[test]
+    fn every_radio_role_binds_into_an_exact_vector() {
+        let mut w = World::new(Seed(5), MediumParams::default());
+        let at = Pos::new(0.0, 0.0);
+        let sta = w.add_node("sta");
+        let cfg = StaConfig::typical(MacAddr::local(9), "NET", None);
+        w.add_sta(sta, at, 15.0, cfg, Ipv4Addr::new(10, 0, 0, 9), 24);
+        let local = w.add_node("ap-local");
+        let cfg = ApConfig::typical(MacAddr::local(2), "NET", 6, None);
+        w.add_ap_local(local, at, 15.0, cfg, Ipv4Addr::new(10, 0, 0, 1), 24);
+        let bridge = w.add_node("ap-bridge");
+        w.add_ap_bridge(bridge, at, 15.0, corp_ap_cfg(), None);
+        let mon = w.add_node("monitor");
+        w.add_monitor(mon, at, 1);
+        let inj = w.add_node("injector");
+        let period = SimDuration::from_millis(100);
+        let flooder = DeauthFlooder::new(
+            MacAddr::local(1),
+            None,
+            SimTime::ZERO,
+            period,
+            SimTime::ZERO,
+        );
+        w.add_injector(inj, at, 15.0, 1, flooder);
+        for (i, node) in w.nodes.iter().enumerate() {
+            assert_eq!(node.radios.len(), 1, "node {i}");
+            assert_eq!(node.radios.capacity(), node.radios.len(), "node {i}");
+        }
+        assert_eq!(w.node_name(bridge), "ap-bridge");
     }
 
     #[test]

@@ -49,10 +49,6 @@ impl App for Ticker {
     fn as_any(&self) -> &dyn Any {
         self
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Acts on every poll but never asks for one: breaks the contract.
@@ -66,10 +62,6 @@ impl App for Chatty {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -163,10 +155,6 @@ impl App for TwoPhase {
     fn as_any(&self) -> &dyn Any {
         self
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Sends one datagram to `X_IP` at each instant of `at` (latest first).
@@ -189,10 +177,6 @@ impl App for Sender {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }

@@ -40,8 +40,6 @@ pub struct Iface {
     pub ip: Ipv4Addr,
     /// Subnet prefix length.
     pub prefix_len: u8,
-    /// Accept frames not addressed to us (tcpdump-style).
-    pub promiscuous: bool,
 }
 
 /// Asynchronous host notifications.
@@ -144,11 +142,13 @@ impl Host {
     /// Add an interface; installs its connected-subnet route.
     pub fn add_iface(&mut self, mac: MacAddr, ip: Ipv4Addr, prefix_len: u8) -> IfIndex {
         let idx = self.ifaces.len();
+        // Exact: a first push would allocate room for four, and most
+        // hosts (every client) have one interface.
+        self.ifaces.reserve_exact(1);
         self.ifaces.push(Iface {
             mac,
             ip,
             prefix_len,
-            promiscuous: false,
         });
         self.routes.add_connected(ip, prefix_len, idx);
         idx
@@ -193,7 +193,7 @@ impl Host {
             return;
         }
         let iface = &self.ifaces[ifindex];
-        if eth.dst != iface.mac && !eth.dst.is_multicast() && !iface.promiscuous {
+        if eth.dst != iface.mac && !eth.dst.is_multicast() {
             return;
         }
         match eth.ethertype {
@@ -1109,7 +1109,14 @@ mod tests {
     }
 
     #[test]
-    fn promiscuous_iface_sees_foreign_frames() {
+    fn one_interface_host_holds_one_interface_slot() {
+        let mut h = Host::new("client", SimRng::new(Seed(9)));
+        h.add_iface(MacAddr::local(1), IP_A, 24);
+        assert_eq!(h.ifaces.capacity(), 1);
+    }
+
+    #[test]
+    fn foreign_unicast_frame_is_dropped() {
         let mut h = Host::new("sniffer", SimRng::new(Seed(9)));
         let i0 = h.add_iface(MacAddr::local(1), IP_A, 24);
         // A frame between two other hosts.
@@ -1126,7 +1133,7 @@ mod tests {
             ET_IPV4,
             pkt.encode(),
         );
-        // Not addressed to us: dropped without promiscuous mode.
+        // Not addressed to us: dropped.
         h.on_link_rx(SimTime::ZERO, i0, &eth.encode());
         assert_eq!(h.delivered, 0);
     }

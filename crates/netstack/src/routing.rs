@@ -47,7 +47,7 @@ impl RoutingTable {
 
     /// Add a connected-subnet route.
     pub fn add_connected(&mut self, network: Ipv4Addr, prefix_len: u8, ifindex: IfIndex) {
-        self.routes.push(Route {
+        self.push(Route {
             network,
             prefix_len,
             gateway: None,
@@ -58,7 +58,7 @@ impl RoutingTable {
     /// Add a /32 host route out an interface (parprouted's
     /// `route add -host X dev Y`).
     pub fn add_host(&mut self, host: Ipv4Addr, ifindex: IfIndex) {
-        self.routes.push(Route {
+        self.push(Route {
             network: host,
             prefix_len: 32,
             gateway: None,
@@ -68,7 +68,7 @@ impl RoutingTable {
 
     /// Set the default route via `gateway`.
     pub fn add_default(&mut self, gateway: Ipv4Addr, ifindex: IfIndex) {
-        self.routes.push(Route {
+        self.push(Route {
             network: Ipv4Addr::new(0, 0, 0, 0),
             prefix_len: 0,
             gateway: Some(gateway),
@@ -78,6 +78,13 @@ impl RoutingTable {
 
     /// Add an arbitrary route.
     pub fn add(&mut self, route: Route) {
+        self.push(route);
+    }
+
+    fn push(&mut self, route: Route) {
+        // Exact: a first push would allocate room for four, and most
+        // tables (every client's) hold one or two routes.
+        self.routes.reserve_exact(1);
         self.routes.push(route);
     }
 
@@ -140,6 +147,7 @@ mod tests {
         let nh = t.lookup(Ipv4Addr::new(8, 8, 8, 8)).unwrap();
         assert_eq!(nh.via, Ipv4Addr::new(192, 168, 0, 1));
         assert_eq!(nh.ifindex, 0);
+        assert_eq!(t.routes.capacity(), 3, "the table holds no spare routes");
     }
 
     #[test]

@@ -128,8 +128,10 @@ struct Radio {
 
 /// A source's audible set: `(radio index, received dBm)` sorted by
 /// index, shared between the per-source row cache and every sparse tx
-/// begun while the geometry holds.
-type AudibleRow = Arc<Vec<(u32, f64)>>;
+/// begun while the geometry holds. Exact: a cached row lives until its
+/// source's geometry changes, and the grid's candidate square holds
+/// several times the radios that clear the floor.
+type AudibleRow = Arc<[(u32, f64)]>;
 
 /// Radios per medium-RNG checkpoint in a shadowed transmission: reading
 /// a sample replays at most `2 * (CHECKPOINT_EVERY - 1)` draws, and a
@@ -267,6 +269,9 @@ pub struct Medium {
     begin_positions: Option<(u64, Arc<[Pos]>)>,
     /// Scratch for the grid query in [`Self::audible_row`] (reused).
     cand_scratch: Vec<u32>,
+    /// Scratch the audible row is sorted in before its exact copy
+    /// (reused).
+    row_scratch: Vec<(u32, f64)>,
     /// Scratch for the freed-source list in [`Self::prune`] (reused).
     prune_src_scratch: Vec<u32>,
     /// Scratch for [`Self::complete_tx`] (reused).
@@ -305,6 +310,7 @@ impl Medium {
             audible_rows: Vec::new(),
             begin_positions: None,
             cand_scratch: Vec::new(),
+            row_scratch: Vec::new(),
             prune_src_scratch: Vec::new(),
             complete_scratch: CompleteScratch::default(),
             geom_epoch: 0,
@@ -406,7 +412,8 @@ impl Medium {
             cand.extend(0..self.radios.len() as u32);
         }
         let (ref_loss, exponent) = (self.params.ref_loss_db, self.params.path_loss_exponent);
-        let mut audible = Vec::with_capacity(cand.len());
+        let mut audible = std::mem::take(&mut self.row_scratch);
+        audible.clear();
         for &ri in &cand {
             if ri == src {
                 continue;
@@ -419,7 +426,8 @@ impl Medium {
         }
         self.cand_scratch = cand;
         audible.sort_unstable_by_key(|e| e.0);
-        let row = Arc::new(audible);
+        let row: AudibleRow = Arc::from(audible.as_slice());
+        self.row_scratch = audible;
         self.audible_rows[src as usize] = Some((self.geom_epoch, Arc::clone(&row)));
         row
     }

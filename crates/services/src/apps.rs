@@ -32,9 +32,6 @@ pub trait App: std::any::Any + Send {
     /// Downcast support so experiment code can read results back out of
     /// a world-owned `Box<dyn App>`.
     fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
 /// Milestones emitted by applications.
@@ -88,10 +85,6 @@ impl HttpServerApp {
 
 impl App for HttpServerApp {
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 
@@ -210,10 +203,6 @@ impl DownloadClient {
 
 impl App for DownloadClient {
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 
@@ -378,10 +367,6 @@ impl App for BrowserApp {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn poll(&mut self, now: SimTime, host: &mut Host, out: &mut Vec<AppEvent>) {
         match &mut self.state {
             BrState::Waiting { next } => {
@@ -516,9 +501,6 @@ mod tests {
             fn poll(&mut self, _: SimTime, _: &mut Host, _: &mut Vec<AppEvent>) {}
 
             fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
                 self
             }
         }

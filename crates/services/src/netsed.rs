@@ -138,10 +138,6 @@ impl App for Netsed {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn poll(&mut self, now: SimTime, host: &mut Host, _out: &mut Vec<AppEvent>) {
         let listener = *self
             .listener

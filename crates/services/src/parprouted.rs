@@ -57,10 +57,6 @@ impl App for Parprouted {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn poll(&mut self, now: SimTime, host: &mut Host, _out: &mut Vec<AppEvent>) {
         // Active side of the bridge: an ARP request we could not answer
         // on one bridged interface triggers a probe on the other. (Real

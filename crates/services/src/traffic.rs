@@ -49,10 +49,6 @@ impl App for PingApp {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn poll(&mut self, now: SimTime, host: &mut Host, _out: &mut Vec<AppEvent>) {
         for ev in host.take_events() {
             if let HostEvent::PingReply { from, .. } = ev {
@@ -113,10 +109,6 @@ impl UdpCbrSource {
 
 impl App for UdpCbrSource {
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 
@@ -190,10 +182,6 @@ impl App for UdpSink {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn poll(&mut self, now: SimTime, host: &mut Host, _out: &mut Vec<AppEvent>) {
         let sock = *self.sock.get_or_insert_with(|| host.udp_bind(self.port));
         while let Some((_, _, payload)) = host.udp_recv(sock) {
@@ -252,9 +240,6 @@ mod tests {
         fn poll(&mut self, _: SimTime, _: &mut Host, _: &mut Vec<AppEvent>) {}
 
         fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
             self
         }
     }

@@ -280,10 +280,6 @@ impl App for VpnClient {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn poll(&mut self, now: SimTime, host: &mut Host, _out: &mut Vec<AppEvent>) {
         // Keep the tun gateway resolvable without real ARP.
         host.arp_cache

@@ -280,10 +280,6 @@ impl App for VpnServer {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn poll(&mut self, now: SimTime, host: &mut Host, _out: &mut Vec<AppEvent>) {
         // Clients on the tun link are resolved statically.
         let peer_mac = self.cfg.tun_peer_mac;
