@@ -1,15 +1,16 @@
-//! Airsnort: passive WEP key recovery and MAC harvesting.
+//! Airsnort: passive WEP key recovery.
 //!
 //! Consumes a promiscuous capture ([`rogue_dot11::monitor::Sniffer`]) and
 //! drives the FMS vote tables in `rogue-crypto`. The crack is *verified*
 //! the way the original tool did it: the candidate key must successfully
-//! decrypt (ICV-check) a captured frame before it is reported.
+//! decrypt (ICV-check) a captured frame before it is reported. The same
+//! capture also yields the client MACs for the ACL bypass
+//! ([`Sniffer::client_macs`]).
 
 use rogue_crypto::fms::{KeyRecovery, Sample};
 use rogue_crypto::wep::{self, WepKey};
 use rogue_dot11::frame::FrameBody;
 use rogue_dot11::monitor::Sniffer;
-use rogue_dot11::MacAddr;
 
 /// Passive cracker state.
 #[derive(Default)]
@@ -83,18 +84,13 @@ impl Airsnort {
     }
 }
 
-/// Harvest candidate client MACs for the ACL bypass: stations seen
-/// sending to-DS data toward `bssid`.
-pub fn harvest_client_macs(sniffer: &Sniffer, bssid: MacAddr) -> Vec<MacAddr> {
-    sniffer.client_macs(bssid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
     use rogue_crypto::fms::targeted_weak_ivs;
     use rogue_dot11::frame::{encode_llc, Frame};
+    use rogue_dot11::MacAddr;
     use rogue_sim::SimTime;
 
     fn protected_frame(key: &WepKey, iv: [u8; 3], seq: u16) -> Bytes {
@@ -164,19 +160,5 @@ mod tests {
     fn no_traffic_outcome() {
         let snort = Airsnort::new();
         assert_eq!(snort.crack(5), CrackOutcome::NoTraffic);
-    }
-
-    #[test]
-    fn harvests_macs_through_wrapper() {
-        let key = WepKey::new(b"KY#07");
-        let mut sniffer = Sniffer::new();
-        sniffer.on_receive(
-            SimTime::ZERO,
-            &protected_frame(&key, [1, 2, 3], 1),
-            -48.0,
-            1,
-        );
-        let macs = harvest_client_macs(&sniffer, MacAddr::local(1));
-        assert_eq!(macs, vec![MacAddr::local(2)]);
     }
 }

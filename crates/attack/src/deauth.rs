@@ -12,21 +12,29 @@ use rogue_dot11::MacAddr;
 use rogue_phy::Bitrate;
 use rogue_sim::{SimDuration, SimTime};
 
+use crate::inject::FrameInjector;
+
 /// Reason code "Class 3 frame received from nonassociated STA" — the one
 /// period tools sent.
 pub const REASON_CLASS3: u16 = 7;
 
-/// Periodic forged-deauth injector. Drive it like a MAC entity: call
-/// [`DeauthFlooder::poll`] at [`DeauthFlooder::next_wake`] and transmit
-/// the emitted frames on the attacker's radio (tuned to the victim BSS's
-/// channel).
+/// Forged-deauth injector: bursts of `burst_len` frames `intra` apart,
+/// one burst every `period`, between `start_at` and `stop_at`. A
+/// [`steady`](DeauthFlooder::steady) flood sends one frame per period; a
+/// [`pulsed`](DeauthFlooder::pulsed) one sizes and spaces its bursts to
+/// duck the WIDS flood detector's short window while its long-run rate
+/// stays flood-grade, which is what the detector's long horizon exists
+/// to catch. The world transmits the frames on the attacker's radio,
+/// tuned to the victim BSS's channel.
 pub struct DeauthFlooder {
     /// BSSID to impersonate.
     pub bssid: MacAddr,
     /// Victim (None = broadcast deauth, kicking everyone).
     pub target: Option<MacAddr>,
+    burst_len: u64,
+    intra: SimDuration,
     period: SimDuration,
-    next_tx: SimTime,
+    start_at: SimTime,
     stop_at: SimTime,
     /// Frames injected.
     pub injected: u64,
@@ -35,18 +43,43 @@ pub struct DeauthFlooder {
 impl DeauthFlooder {
     /// Flood `target` (or everyone) off `bssid`, every `period`, between
     /// `start_at` and `stop_at`.
-    pub fn new(
+    pub fn steady(
         bssid: MacAddr,
         target: Option<MacAddr>,
         start_at: SimTime,
         period: SimDuration,
         stop_at: SimTime,
     ) -> DeauthFlooder {
+        DeauthFlooder::pulsed(
+            bssid,
+            target,
+            1,
+            SimDuration::ZERO,
+            period,
+            start_at,
+            stop_at,
+        )
+    }
+
+    /// Bursts of `burst_len` frames `intra` apart, every `burst_period`,
+    /// between `start_at` and `stop_at`.
+    pub fn pulsed(
+        bssid: MacAddr,
+        target: Option<MacAddr>,
+        burst_len: u64,
+        intra: SimDuration,
+        burst_period: SimDuration,
+        start_at: SimTime,
+        stop_at: SimTime,
+    ) -> DeauthFlooder {
+        assert!(burst_len >= 1);
         DeauthFlooder {
             bssid,
             target,
-            period,
-            next_tx: start_at,
+            burst_len,
+            intra,
+            period: burst_period,
+            start_at,
             stop_at,
             injected: 0,
         }
@@ -65,18 +98,30 @@ impl DeauthFlooder {
         )
     }
 
-    /// Earliest instant this injector needs a poll.
-    pub fn next_wake(&self) -> SimTime {
-        if self.next_tx < self.stop_at {
-            self.next_tx
+    /// Transmit instant of frame `i` of the schedule.
+    fn schedule(&self, i: u64) -> SimTime {
+        let burst = i / self.burst_len;
+        let within = i % self.burst_len;
+        self.start_at + SimDuration(burst * self.period.0 + within * self.intra.0)
+    }
+}
+
+impl FrameInjector for DeauthFlooder {
+    fn next_wake(&self) -> SimTime {
+        let at = self.schedule(self.injected);
+        if at < self.stop_at {
+            at
         } else {
             SimTime::FOREVER
         }
     }
 
-    /// Emit due frames.
-    pub fn poll(&mut self, now: SimTime, out: &mut Vec<MacOutput>) {
-        while now >= self.next_tx && self.next_tx < self.stop_at {
+    fn poll(&mut self, now: SimTime, out: &mut Vec<MacOutput>) {
+        loop {
+            let at = self.schedule(self.injected);
+            if at > now || at >= self.stop_at {
+                break;
+            }
             let victim = self.target.unwrap_or(MacAddr::BROADCAST);
             let mut frame = Self::forge(self.bssid, victim);
             frame.seq = (self.injected % 4096) as u16;
@@ -85,7 +130,6 @@ impl DeauthFlooder {
                 bitrate: Bitrate::B1,
             });
             self.injected += 1;
-            self.next_tx += self.period;
         }
     }
 }
@@ -114,7 +158,7 @@ mod tests {
 
     #[test]
     fn flood_cadence_and_stop() {
-        let mut f = DeauthFlooder::new(
+        let mut f = DeauthFlooder::steady(
             MacAddr::local(1),
             Some(MacAddr::local(50)),
             SimTime::from_millis(10),
@@ -134,7 +178,7 @@ mod tests {
 
     #[test]
     fn broadcast_mode() {
-        let mut f = DeauthFlooder::new(
+        let mut f = DeauthFlooder::steady(
             MacAddr::local(1),
             None,
             SimTime::ZERO,

@@ -13,7 +13,7 @@
 //! * [`SpoofBeaconer`] — a bare beacon forger cloning an owned network,
 //!   meant to run at low transmit power with a long beacon interval so
 //!   the monitors barely hear it;
-//! * [`PulsedDeauthFlooder`] — deauth bursts sized and spaced to stay
+//! * [`crate::DeauthFlooder::pulsed`] — deauth bursts sized and spaced to stay
 //!   under the flood detector's short window.
 //!
 //! All four are [`FrameInjector`]s: pure, deterministic frame schedules
@@ -25,7 +25,6 @@ use rogue_dot11::MacAddr;
 use rogue_phy::Bitrate;
 use rogue_sim::{SimDuration, SimTime};
 
-use crate::deauth::DeauthFlooder;
 use crate::inject::FrameInjector;
 
 /// Deterministic "randomized" locally-administered BSSID for rotation
@@ -296,85 +295,10 @@ impl FrameInjector for SpoofBeaconer {
     }
 }
 
-/// Deauth bursts tuned to duck the flood detector's short window:
-/// `burst_len` frames `intra` apart, one burst every `burst_period`.
-/// The long-run rate is still flood-grade — that is what the detector's
-/// long horizon exists to catch.
-pub struct PulsedDeauthFlooder {
-    /// BSSID to impersonate.
-    pub bssid: MacAddr,
-    /// Victim (None = broadcast).
-    pub target: Option<MacAddr>,
-    burst_len: u64,
-    intra: SimDuration,
-    burst_period: SimDuration,
-    start_at: SimTime,
-    stop_at: SimTime,
-    /// Frames injected.
-    pub injected: u64,
-}
-
-impl PulsedDeauthFlooder {
-    /// Bursts of `burst_len` frames `intra` apart, every `burst_period`,
-    /// between `start_at` and `stop_at`.
-    pub fn new(
-        bssid: MacAddr,
-        target: Option<MacAddr>,
-        burst_len: u64,
-        intra: SimDuration,
-        burst_period: SimDuration,
-        start_at: SimTime,
-        stop_at: SimTime,
-    ) -> PulsedDeauthFlooder {
-        assert!(burst_len >= 1);
-        PulsedDeauthFlooder {
-            bssid,
-            target,
-            burst_len,
-            intra,
-            burst_period,
-            start_at,
-            stop_at,
-            injected: 0,
-        }
-    }
-
-    /// Transmit instant of frame `i` of the schedule.
-    fn schedule(&self, i: u64) -> SimTime {
-        let burst = i / self.burst_len;
-        let within = i % self.burst_len;
-        self.start_at + SimDuration(burst * self.burst_period.0 + within * self.intra.0)
-    }
-}
-
-impl FrameInjector for PulsedDeauthFlooder {
-    fn next_wake(&self) -> SimTime {
-        let at = self.schedule(self.injected);
-        if at < self.stop_at {
-            at
-        } else {
-            SimTime::FOREVER
-        }
-    }
-
-    fn poll(&mut self, now: SimTime, out: &mut Vec<MacOutput>) {
-        loop {
-            let at = self.schedule(self.injected);
-            if at > now || at >= self.stop_at {
-                break;
-            }
-            let victim = self.target.unwrap_or(MacAddr::BROADCAST);
-            let mut frame = DeauthFlooder::forge(self.bssid, victim);
-            frame.seq = (self.injected % 4096) as u16;
-            out.push(tx(frame));
-            self.injected += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeauthFlooder;
     use rogue_dot11::frame::Frame as F;
 
     fn drain(inj: &mut dyn FrameInjector) -> Vec<F> {
@@ -456,7 +380,7 @@ mod tests {
 
     #[test]
     fn pulsed_flooder_bursts_then_pauses() {
-        let mut p = PulsedDeauthFlooder::new(
+        let mut p = DeauthFlooder::pulsed(
             MacAddr::local(1),
             Some(MacAddr::local(50)),
             4,

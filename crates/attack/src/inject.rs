@@ -28,13 +28,3 @@ pub trait FrameInjector: Send {
     /// Emit every frame due at or before `now`.
     fn poll(&mut self, now: SimTime, out: &mut Vec<MacOutput>);
 }
-
-impl FrameInjector for crate::DeauthFlooder {
-    fn next_wake(&self) -> SimTime {
-        crate::DeauthFlooder::next_wake(self)
-    }
-
-    fn poll(&mut self, now: SimTime, out: &mut Vec<MacOutput>) {
-        crate::DeauthFlooder::poll(self, now, out)
-    }
-}

@@ -7,11 +7,11 @@
 //! network traffic." (§4)
 //!
 //! * [`airsnort`] — passive WEP key recovery driving the real FMS
-//!   mathematics in `rogue-crypto`, plus client-MAC harvesting for the
-//!   ACL bypass,
+//!   mathematics in `rogue-crypto` (the client-MAC harvest for the ACL
+//!   bypass is `Sniffer::client_macs` on the same capture),
 //! * [`deauth`] — forged deauthentication ("if the attacker knows the
 //!   target client's MAC address he could force the client's
-//!   disassociation from the legitimate AP"),
+//!   disassociation from the legitimate AP"), steady or in pulses,
 //! * [`rogue`] — cloning an observed AP's SSID/BSSID/privacy into a
 //!   rogue [`rogue_dot11::ApConfig`] (Figure 1),
 //! * [`gateway`] — the Appendix A bridge recipe: IP forwarding, proxy
@@ -20,7 +20,8 @@
 //! * [`inject`] — the [`inject::FrameInjector`] trait every raw-frame
 //!   schedule implements (the world's single injection attachment),
 //! * [`evasion`] — WIDS-evading attacker variants: MAC-randomizing and
-//!   karma/cloaked rogues, low-power spoof beaconing, pulsed deauth.
+//!   karma/cloaked rogues and low-power spoof beaconing (the pulsed
+//!   deauth flood is [`DeauthFlooder::pulsed`]).
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +36,7 @@ pub mod rogue;
 pub use airsnort::Airsnort;
 pub use arpspoof::ArpSpoofer;
 pub use deauth::DeauthFlooder;
-pub use evasion::{KarmaProbeRogue, MacRandomizingRogue, PulsedDeauthFlooder, SpoofBeaconer};
+pub use evasion::{KarmaProbeRogue, MacRandomizingRogue, SpoofBeaconer};
 pub use gateway::MitmGatewayConfig;
 pub use inject::FrameInjector;
 pub use rogue::clone_ap;

@@ -33,10 +33,7 @@ fn channel_ablation() -> String {
                     ..RogueCfg::default()
                 });
                 let r = run_download_mitm(
-                    &DownloadMitmConfig {
-                        scenario: cfg,
-                        ..DownloadMitmConfig::paper()
-                    },
+                    &DownloadMitmConfig { scenario: cfg },
                     Seed(0xAB1 + ch as u64 * 100 + rep),
                 );
                 r.victim_got_trojan && r.md5_check_passed
@@ -64,10 +61,7 @@ fn power_ablation() -> String {
                     ..RogueCfg::default()
                 });
                 let r = run_download_mitm(
-                    &DownloadMitmConfig {
-                        scenario: cfg,
-                        ..DownloadMitmConfig::paper()
-                    },
+                    &DownloadMitmConfig { scenario: cfg },
                     Seed((0xAB2 + (p as i64 as u64)) << 8 | rep),
                 );
                 r.victim_got_trojan && r.md5_check_passed

@@ -18,11 +18,11 @@
 //!   beaconing at a 800 ms interval from far out. Fewer, weaker frames
 //!   stretch detection latency but the spoof/divergence evidence still
 //!   lands;
-//! * **pulsed-deauth** — deauth bursts of 4 spaced 4 s apart: the
-//!   5-in-2-s burst window never fills. Caught by the flood detector's
-//!   long horizon (12 in 20 s).
+//! * **pulsed-deauth** — deauth bursts of 4 frames 450 ms apart, one
+//!   burst every 3 s: the 5-in-2-s burst window never fills. Caught by
+//!   the flood detector's long horizon (12 in 20 s).
 
-use rogue_attack::{KarmaProbeRogue, MacRandomizingRogue, PulsedDeauthFlooder, SpoofBeaconer};
+use rogue_attack::{DeauthFlooder, KarmaProbeRogue, MacRandomizingRogue, SpoofBeaconer};
 use rogue_dot11::MacAddr;
 use rogue_phy::Pos;
 use rogue_sim::{Seed, SimDuration, SimTime};
@@ -211,7 +211,7 @@ pub fn run_evasion_once_with(
                     .add_injector(attacker, Pos::new(50.0, 0.0), 8.0, 6, rogue);
             }
             EvasionVariant::PulsedDeauth => {
-                let flooder = PulsedDeauthFlooder::new(
+                let flooder = DeauthFlooder::pulsed(
                     corp_bssid(),
                     Some(victim_mac()),
                     4,

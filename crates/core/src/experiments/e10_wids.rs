@@ -30,6 +30,7 @@ use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimTime};
 use rogue_wids::{evaluate, EvalOutcome, IncidentCategory, TruthLabel, WidsConfig};
 
+use super::e2_download::DOWNLOAD_TIMEOUT;
 use super::replicate;
 use crate::report::Table;
 use crate::scenario::{addrs, build_corp, corp_bssid, victim_mac};
@@ -176,7 +177,7 @@ pub(crate) fn run_scored(
             addrs::TARGET,
             "/download.html",
             run.attack_start,
-            SimDuration::from_secs(25),
+            DOWNLOAD_TIMEOUT,
         )),
     );
     attacker(&mut sc);

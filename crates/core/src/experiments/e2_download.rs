@@ -20,17 +20,19 @@ use super::{rate, replicate};
 use crate::report::{pct, Table};
 use crate::scenario::{build_corp, CorpScenarioCfg};
 
-/// Experiment configuration.
+/// When the victim starts browsing.
+pub const DOWNLOAD_START: SimTime = SimTime::from_secs(2);
+/// Per-download timeout.
+pub const DOWNLOAD_TIMEOUT: SimDuration = SimDuration::from_secs(25);
+/// Total run time.
+pub const RUN_TIME: SimTime = SimTime::from_secs(30);
+
+/// Experiment configuration. The victim's clock is fixed:
+/// [`DOWNLOAD_START`], [`DOWNLOAD_TIMEOUT`] and [`RUN_TIME`].
 #[derive(Clone, Debug)]
 pub struct DownloadMitmConfig {
     /// Underlying topology.
     pub scenario: CorpScenarioCfg,
-    /// When the victim starts browsing.
-    pub download_start: SimTime,
-    /// Per-download timeout.
-    pub download_timeout: SimDuration,
-    /// Total run time.
-    pub run_time: SimTime,
 }
 
 impl DownloadMitmConfig {
@@ -38,9 +40,6 @@ impl DownloadMitmConfig {
     pub fn paper() -> DownloadMitmConfig {
         DownloadMitmConfig {
             scenario: CorpScenarioCfg::paper_attack(),
-            download_start: SimTime::from_secs(2),
-            download_timeout: SimDuration::from_secs(25),
-            run_time: SimTime::from_secs(30),
         }
     }
 
@@ -48,7 +47,6 @@ impl DownloadMitmConfig {
     pub fn baseline() -> DownloadMitmConfig {
         DownloadMitmConfig {
             scenario: CorpScenarioCfg::baseline(),
-            ..DownloadMitmConfig::paper()
         }
     }
 }
@@ -86,11 +84,11 @@ pub fn run_download_mitm(cfg: &DownloadMitmConfig, seed: Seed) -> DownloadMitmRe
         Box::new(DownloadClient::new(
             crate::scenario::addrs::TARGET,
             "/download.html",
-            cfg.download_start,
-            cfg.download_timeout,
+            DOWNLOAD_START,
+            DOWNLOAD_TIMEOUT,
         )),
     );
-    sc.world.run_until(cfg.run_time);
+    sc.world.run_until(RUN_TIME);
 
     let outcome = sc
         .world
@@ -124,7 +122,7 @@ pub fn run_download_mitm(cfg: &DownloadMitmConfig, seed: Seed) -> DownloadMitmRe
                 netsed_replacements,
                 download_secs: o
                     .completed_at
-                    .map(|t| t.since(cfg.download_start).as_secs_f64())
+                    .map(|t| t.since(DOWNLOAD_START).as_secs_f64())
                     .unwrap_or(f64::NAN),
                 error: o.error,
             }

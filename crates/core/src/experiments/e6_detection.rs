@@ -29,7 +29,6 @@
 use rogue_dot11::monitor::Sniffer;
 use rogue_phy::Pos;
 use rogue_sim::{Seed, SimDuration, SimTime};
-use rogue_wids::detectors::beacon::BeaconConfig;
 use rogue_wids::{
     AlertKind, BeaconDetector, Detector, RadioSensor, RawAlert, SensorId, SensorRing,
     SeqControlDetector,
@@ -56,7 +55,7 @@ fn audit_sweep(sniffer: &Sniffer) -> SweepAlerts {
     let mut ring = SensorRing::new(sniffer.captures.len().max(1));
     RadioSensor::new(SensorId(0)).drain(sniffer, &mut ring);
     let mut seq = SeqControlDetector::default();
-    let mut beacon = BeaconDetector::new(BeaconConfig::single_ap(corp_bssid(), 1));
+    let mut beacon = BeaconDetector::new(&[(corp_bssid(), 1)]);
     let (mut seq_alerts, mut beacon_alerts) = (Vec::new(), Vec::new());
     for ev in ring.drain() {
         seq.on_event(&ev, &mut seq_alerts);
@@ -131,10 +130,8 @@ pub fn run_detection_once(dwell: SimDuration, run_time: SimTime, seed: Seed) -> 
         .map(|a| a.at)
         .min();
 
-    let wired_alarmed = sc
-        .world
-        .wired_monitor(sc.monitor_node.expect("wired monitor deployed"))
-        .is_some_and(|m| !m.strangers.is_empty());
+    let census = sc.wired_census().expect("wired monitor deployed");
+    let wired_alarmed = !census.strangers.is_empty();
 
     let latency = |t: Option<SimTime>| {
         t.filter(|t| *t >= rogue_start)

@@ -64,7 +64,6 @@ pub fn defense_matrix_extended(reps: usize, seed: Seed) -> Vec<MatrixRow> {
         .map(|(policy, stream)| {
             let cfg = DownloadMitmConfig {
                 scenario: scenario_for(policy),
-                ..DownloadMitmConfig::paper()
             };
             (policy, stream, cfg)
         })

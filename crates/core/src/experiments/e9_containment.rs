@@ -20,6 +20,7 @@ use rogue_services::apps::DownloadClient;
 use rogue_sim::{Seed, SimDuration, SimTime};
 use rogue_wids::{IncidentCategory, WidsConfig};
 
+use super::e2_download::{DOWNLOAD_START, DOWNLOAD_TIMEOUT, RUN_TIME};
 use super::{rate, replicate};
 use crate::report::{pct, Table};
 use crate::scenario::{addrs, build_corp, corp_bssid, CorpScenarioCfg};
@@ -39,7 +40,8 @@ pub struct ContainmentOutcome {
 }
 
 /// Run one replication. `containment` enables the response; the rogue is
-/// on air from t = 0 and the victim browses at t = 2 s (as in E2).
+/// on air from t = 0 and the victim runs on E2's clock: it browses from
+/// [`DOWNLOAD_START`] and the run ends at [`RUN_TIME`].
 pub fn run_containment_once(
     containment: bool,
     sweep_dwell: SimDuration,
@@ -52,8 +54,8 @@ pub fn run_containment_once(
         Box::new(DownloadClient::new(
             addrs::TARGET,
             "/download.html",
-            SimTime::from_secs(2),
-            SimDuration::from_secs(25),
+            DOWNLOAD_START,
+            DOWNLOAD_TIMEOUT,
         )),
     );
     // The defender: one sweeping monitor feeding the WIDS (no span
@@ -78,13 +80,12 @@ pub fn run_containment_once(
     let mut contained_at = None;
     let mut ch_idx = 0usize;
     let mut now = SimTime::ZERO;
-    let run_time = SimTime::from_secs(30);
 
-    while now < run_time {
+    while now < RUN_TIME {
         sc.world
             .set_radio_channel(defender, mon, channels[ch_idx % channels.len()]);
         ch_idx += 1;
-        now = now.saturating_add(sweep_dwell).min(run_time);
+        now = now.saturating_add(sweep_dwell).min(RUN_TIME);
         sc.world.run_until(now);
 
         wids.feed(&sc.world, now);
@@ -103,12 +104,12 @@ pub fn run_containment_once(
                     // client that re-associates between frames gets
                     // usable airtime, and TCP happily trickles a
                     // download through those windows.
-                    let flooder = DeauthFlooder::new(
+                    let flooder = DeauthFlooder::steady(
                         corp_bssid(),
                         None,
                         now,
                         SimDuration::from_millis(15),
-                        run_time,
+                        RUN_TIME,
                     );
                     sc.world.add_injector(
                         defender,

@@ -101,7 +101,8 @@ pub struct CorpScenarioCfg {
     pub page_pad: usize,
     /// Log-normal shadowing sigma on the radio medium, dB.
     pub shadowing_sigma_db: f64,
-    /// Wired-side monitor tap on the corp LAN.
+    /// A span-port tap on the corp LAN for the wired monitor
+    /// ([`CorpScenario::wired_census`]).
     pub wired_monitor: bool,
 }
 
@@ -187,7 +188,8 @@ pub struct CorpScenario {
     pub gateway: Option<GatewayHandles>,
     /// VPN endpoint node, if deployed.
     pub vpn_endpoint: Option<NodeId>,
-    /// Wired monitor host node, if deployed.
+    /// Wired monitor host node, if deployed: a span-port tap on the
+    /// corp switch ([`CorpScenario::wired_census`]).
     pub monitor_node: Option<NodeId>,
     /// The corp LAN switch.
     pub corp_switch: SwitchId,
@@ -199,6 +201,26 @@ pub struct CorpScenario {
     pub trojan_md5: String,
     /// Pre-shared key provisioned for the victim's VPN.
     pub vpn_psk: [u8; PSK_LEN],
+}
+
+impl CorpScenario {
+    /// The §2.3 wired MAC census over everything the monitor node's
+    /// span port captured so far, against the site's device registry;
+    /// `None` without a wired monitor.
+    pub fn wired_census(&self) -> Option<WiredMonitor> {
+        let tap = self.world.wire_tap(self.monitor_node?)?;
+        let mut census = WiredMonitor::new([
+            MacAddr::local(254), // router
+            MacAddr::local(200), // vpn endpoint
+            victim_mac(),
+            employee_mac(),
+            corp_bssid(),
+        ]);
+        for (at, frame) in &tap.frames {
+            census.inspect(*at, frame);
+        }
+        Some(census)
+    }
 }
 
 /// Handles into the MITM gateway.
@@ -370,19 +392,11 @@ pub fn build_corp(cfg: &CorpScenarioCfg, seed: Seed) -> CorpScenario {
     }
 
     // --- wired monitor -------------------------------------------------
-    let mut monitor_node = None;
-    if cfg.wired_monitor {
+    let monitor_node = cfg.wired_monitor.then(|| {
         let mn = world.add_node("wired-monitor");
-        let known = [
-            MacAddr::local(254), // router
-            MacAddr::local(200), // vpn endpoint
-            victim_mac(),
-            employee_mac(),
-            corp_bssid(),
-        ];
-        world.add_wired_monitor(mn, corp_switch, WiredMonitor::new(known));
-        monitor_node = Some(mn);
-    }
+        world.add_wire_tap(mn, corp_switch);
+        mn
+    });
 
     // --- the MITM gateway (Figures 1 & 2) ------------------------------
     let mut gateway = None;
@@ -440,7 +454,7 @@ pub fn build_corp(cfg: &CorpScenarioCfg, seed: Seed) -> CorpScenario {
 
         // Targeted forged deauth, if requested.
         let injector_radio = if rogue.deauth_victim {
-            let flooder = rogue_attack::DeauthFlooder::new(
+            let flooder = rogue_attack::DeauthFlooder::steady(
                 corp_bssid(),
                 Some(victim_mac()),
                 rogue.start_at + SimDuration::from_millis(700),

@@ -38,7 +38,6 @@ use rogue_sim::queue::EventId;
 use rogue_sim::trace::Metrics;
 use rogue_sim::{EventQueue, Seed, SimDuration, SimRng, SimTime};
 use rogue_vpn::{VpnClient, VpnServer};
-use rogue_wids::WiredMonitor;
 
 /// Identifies a node in the world.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -84,7 +83,7 @@ enum Event {
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 // A city world holds one `Node` per radio, inline (DESIGN §16.5).
-const _: () = assert!(std::mem::size_of::<Node>() <= 768);
+const _: () = assert!(std::mem::size_of::<Node>() <= 760);
 
 /// Profiler kind-cell index of an event (indexes [`World::prof_kinds`]).
 fn event_kind(ev: &Event) -> usize {
@@ -182,15 +181,14 @@ struct TunBinding {
 }
 
 /// A machine. `Vec<Node>` holds every node of a world inline, so state
-/// that only a few nodes set (the VPN tun, the corp-switch monitor) sits
-/// behind a box, and the node's name is its host's (DESIGN §16.5).
+/// that only a few nodes set (the VPN tun) sits behind a box, and the
+/// node's name is its host's (DESIGN §16.5).
 struct Node {
     host: Host,
     radios: Vec<RadioBinding>,
     wired: Vec<(IfIndex, (usize, usize))>,
     tun: Option<Box<TunBinding>>,
     apps: Vec<Box<dyn App>>,
-    wired_monitor: Option<Box<WiredMonitor>>,
     wire_tap: Option<WireTap>,
 }
 
@@ -673,7 +671,6 @@ impl World {
             wired: Vec::new(),
             tun: None,
             apps: Vec::new(),
-            wired_monitor: None,
             wire_tap: None,
         });
         self.poll_clock.push(PollClock::default());
@@ -788,7 +785,7 @@ impl World {
     ) -> (usize, IfIndex) {
         let radio = self.medium.add_radio(pos, cfg.channel, tx_power_dbm);
         let iface = self.nodes[n.0].host.add_iface(cfg.bssid, ip, prefix_len);
-        let mac = ApMac::new_starting_at(cfg, self.rng.fork(radio.0 as u64), start_at);
+        let mac = ApMac::new(cfg, self.rng.fork(radio.0 as u64), start_at);
         let idx = self.bind_radio(n.0, radio, RadioRole::ApLocal { mac, iface });
         self.schedule_poll(n.0, self.queue.now());
         (idx, iface)
@@ -880,19 +877,6 @@ impl World {
         let idx = self.bind_radio(n.0, radio, RadioRole::Injector { injector });
         self.schedule_poll(n.0, self.queue.now());
         idx
-    }
-
-    /// Attach a wired-segment monitor as a switch tap (span port).
-    pub fn add_wired_monitor(&mut self, n: NodeId, switch: SwitchId, monitor: WiredMonitor) {
-        self.switches[switch.0]
-            .ports
-            .push(PortTarget::Tap { node: n.0 });
-        self.nodes[n.0].wired_monitor = Some(Box::new(monitor));
-    }
-
-    /// Borrow the node's wired monitor.
-    pub fn wired_monitor(&self, n: NodeId) -> Option<&WiredMonitor> {
-        self.nodes[n.0].wired_monitor.as_deref()
     }
 
     /// Attach a raw wired tap (span port) that buffers every frame the
@@ -1166,9 +1150,6 @@ impl World {
             }
             Event::TapDeliver(f) => {
                 start = self.prof.enter(Phase::Deliver);
-                if let Some(mon) = &mut self.nodes[f.node as usize].wired_monitor {
-                    mon.inspect(now, &f.bytes);
-                }
                 if let Some(tap) = &mut self.nodes[f.node as usize].wire_tap {
                     tap.frames.push((now, f.bytes));
                 }
@@ -1341,6 +1322,7 @@ mod tests {
     use rogue_attack::DeauthFlooder;
     use rogue_dot11::frame::FrameBody;
     use rogue_dot11::StaConfig;
+    use rogue_wids::WiredMonitor;
 
     fn corp_ap_cfg() -> ApConfig {
         ApConfig::typical(MacAddr::local(1), "NET", 1, None)
@@ -1355,15 +1337,22 @@ mod tests {
         let on_channel = w.add_monitor(snif, Pos::new(5.0, 0.0), 1);
         let off_channel = w.add_monitor(snif, Pos::new(5.0, 0.0), 6);
         w.run_until(SimTime::from_millis(550));
-        assert!(w.sniffer(snif, on_channel).beacons().len() >= 4);
-        assert!(w.sniffer(snif, off_channel).beacons().is_empty());
+        let beacons = |radio| {
+            let captures = &w.sniffer(snif, radio).captures;
+            captures
+                .iter()
+                .filter(|c| matches!(c.frame.body, FrameBody::Beacon(_)))
+                .count()
+        };
+        assert!(beacons(on_channel) >= 4);
+        assert_eq!(beacons(off_channel), 0);
     }
 
     #[test]
     fn injector_frames_reach_receivers() {
         let mut w = World::new(Seed(2), MediumParams::default());
         let atk = w.add_node("attacker");
-        let flooder = DeauthFlooder::new(
+        let flooder = DeauthFlooder::steady(
             MacAddr::local(1),
             None,
             SimTime::from_millis(10),
@@ -1423,7 +1412,7 @@ mod tests {
         w.add_monitor(mon, at, 1);
         let inj = w.add_node("injector");
         let period = SimDuration::from_millis(100);
-        let flooder = DeauthFlooder::new(
+        let flooder = DeauthFlooder::steady(
             MacAddr::local(1),
             None,
             SimTime::ZERO,
@@ -1502,13 +1491,16 @@ mod tests {
         let b = w.add_node("b");
         w.add_wired_iface(b, sw, MacAddr::local(2), Ipv4Addr::new(10, 0, 0, 2), 24);
         let m = w.add_node("monitor");
-        w.add_wired_monitor(m, sw, WiredMonitor::new([MacAddr::local(1)]));
+        w.add_wire_tap(m, sw);
         // a pings b: ARP + echo both cross the switch.
         w.host_mut(a)
             .ping(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 1);
         w.kick(a);
         w.run_until(SimTime::from_millis(100));
-        let mon = w.wired_monitor(m).expect("attached");
+        let mut mon = WiredMonitor::new([MacAddr::local(1)]);
+        for (at, frame) in &w.wire_tap(m).expect("attached").frames {
+            mon.inspect(*at, frame);
+        }
         assert!(mon.inspected >= 2, "tap must see the exchange");
         // b's MAC is unregistered: exactly one stranger.
         assert_eq!(mon.strangers.len(), 1);
@@ -1604,11 +1596,12 @@ mod tests {
         // The paper's download over the corp LAN with its wired monitor
         // dispatches all five event kinds: completions, polls, host and
         // bridge deliveries off the switches, and tap copies.
-        use crate::experiments::e2_download::DownloadMitmConfig;
+        use crate::experiments::e2_download::{
+            DownloadMitmConfig, DOWNLOAD_START, DOWNLOAD_TIMEOUT,
+        };
         use crate::scenario::{addrs, build_corp};
         use rogue_services::apps::DownloadClient;
-        let cfg = DownloadMitmConfig::paper();
-        let mut scenario = cfg.scenario.clone();
+        let mut scenario = DownloadMitmConfig::paper().scenario;
         scenario.wired_monitor = true;
         let mut sc = build_corp(&scenario, Seed(8));
         sc.world.add_app(
@@ -1616,8 +1609,8 @@ mod tests {
             Box::new(DownloadClient::new(
                 addrs::TARGET,
                 "/download.html",
-                cfg.download_start,
-                cfg.download_timeout,
+                DOWNLOAD_START,
+                DOWNLOAD_TIMEOUT,
             )),
         );
         // Several calls, as a tick loop makes them: each opens and closes

@@ -78,14 +78,10 @@ pub struct ApMac {
 }
 
 impl ApMac {
-    /// Create an AP; beaconing starts immediately.
-    pub fn new(cfg: ApConfig, rng: SimRng, now: SimTime) -> ApMac {
-        Self::new_starting_at(cfg, rng, now)
-    }
-
     /// Create an AP that stays silent (no beacons, no responses) until
-    /// `start_at` — a rogue brought up mid-run.
-    pub fn new_starting_at(cfg: ApConfig, mut rng: SimRng, start_at: SimTime) -> ApMac {
+    /// `start_at`, and beacons from then on: pass the current time to
+    /// start at once, or a later one for a rogue brought up mid-run.
+    pub fn new(cfg: ApConfig, mut rng: SimRng, start_at: SimTime) -> ApMac {
         let txq = TxQueue::new(rng.fork(2));
         ApMac {
             iv: IvSource::new(IvPolicy::Sequential(0)),

@@ -102,31 +102,12 @@ impl Sniffer {
         out.dedup();
         out
     }
-
-    /// Beacon observations: (time, bssid, ssid, claimed channel, heard-on
-    /// channel, rssi).
-    pub fn beacons(&self) -> Vec<(SimTime, MacAddr, String, u8, u8, f64)> {
-        self.captures
-            .iter()
-            .filter_map(|c| match &c.frame.body {
-                FrameBody::Beacon(info) => Some((
-                    c.at,
-                    c.frame.bssid(),
-                    info.ssid.clone(),
-                    info.channel,
-                    c.channel,
-                    c.rssi_dbm,
-                )),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_llc, MgmtInfo, CAP_ESS};
+    use crate::frame::encode_llc;
     use rogue_crypto::wep::WepKey;
 
     #[test]
@@ -186,32 +167,5 @@ mod tests {
         let macs = s.client_macs(bssid);
         assert_eq!(macs, vec![MacAddr::local(10), MacAddr::local(11)]);
         assert!(s.client_macs(MacAddr::local(42)).is_empty());
-    }
-
-    #[test]
-    fn beacon_observations() {
-        let mut s = Sniffer::new();
-        let f = Frame::new(
-            MacAddr::BROADCAST,
-            MacAddr::local(1),
-            MacAddr::local(1),
-            FrameBody::Beacon(MgmtInfo {
-                timestamp: 0,
-                beacon_interval_tu: 100,
-                capability: CAP_ESS,
-                ssid: "CORP".into(),
-                channel: 6,
-            }),
-        );
-        s.on_receive(SimTime::from_millis(7), &f.encode(), -51.0, 6);
-        let b = s.beacons();
-        assert_eq!(b.len(), 1);
-        let (at, bssid, ssid, claimed, heard, rssi) = &b[0];
-        assert_eq!(*at, SimTime::from_millis(7));
-        assert_eq!(*bssid, MacAddr::local(1));
-        assert_eq!(ssid, "CORP");
-        assert_eq!(*claimed, 6);
-        assert_eq!(*heard, 6);
-        assert_eq!(*rssi, -51.0);
     }
 }

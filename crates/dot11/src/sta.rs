@@ -35,20 +35,8 @@ pub struct StaConfig {
     pub wep: Option<WepKey>,
     /// IV generation policy (sequential = period-card default).
     pub iv_policy: IvPolicy,
-    /// Rescan and rejoin after losing the association.
-    pub auto_reconnect: bool,
-    /// Dwell time per channel while scanning (must exceed the beacon
-    /// interval to hear every AP).
-    pub scan_dwell: SimDuration,
     /// Channels to scan.
     pub channels: Vec<u8>,
-    /// Ignore APs weaker than this, dBm.
-    pub min_rssi_dbm: f64,
-    /// While associated, this many consecutive beacons below
-    /// `min_rssi_dbm` trigger a voluntary roam (rescan) — the behaviour
-    /// real drivers use so a walking client reattaches before losing
-    /// the link entirely.
-    pub roam_weak_beacons: u32,
 }
 
 impl StaConfig {
@@ -59,11 +47,7 @@ impl StaConfig {
             ssid: ssid.to_string(),
             wep,
             iv_policy: IvPolicy::Sequential(0),
-            auto_reconnect: true,
-            scan_dwell: SimDuration::from_millis(120),
             channels: vec![1, 6, 11],
-            min_rssi_dbm: -88.0,
-            roam_weak_beacons: 8,
         }
     }
 }
@@ -79,8 +63,6 @@ pub enum StaState {
     Associating,
     /// Joined a BSS.
     Associated,
-    /// Gave up (auto_reconnect = false and the association was lost).
-    Detached,
 }
 
 #[derive(Clone, Debug)]
@@ -91,6 +73,15 @@ struct Candidate {
     failures: u8,
 }
 
+/// Dwell time per channel while scanning (must exceed the beacon
+/// interval to hear every AP).
+const SCAN_DWELL: SimDuration = SimDuration::from_millis(120);
+/// Ignore APs weaker than this, dBm.
+const MIN_RSSI_DBM: f64 = -88.0;
+/// While associated, this many consecutive beacons below [`MIN_RSSI_DBM`]
+/// trigger a voluntary roam (rescan) — the behaviour real drivers use so
+/// a walking client reattaches before losing the link entirely.
+const ROAM_WEAK_BEACONS: u32 = 8;
 /// How long to wait for an Auth/Assoc response before abandoning an AP.
 const JOIN_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 /// Beacon-loss threshold: no beacon from our BSS for this long means the
@@ -139,13 +130,12 @@ impl StaMac {
         let txq = TxQueue::new(rng.fork(1));
         let iv = IvSource::new(cfg.iv_policy.clone());
         let channel = cfg.channels[0];
-        let dwell = cfg.scan_dwell;
         StaMac {
             cfg,
             state: StaState::Scanning,
             channel,
             scan_idx: 0,
-            state_deadline: now + dwell,
+            state_deadline: now + SCAN_DWELL,
             candidates: Vec::new(),
             target: None,
             bssid: None,
@@ -196,7 +186,6 @@ impl StaMac {
             StaState::Associated => {
                 wake = wake.min(self.last_beacon.saturating_add(BEACON_LOSS));
             }
-            StaState::Detached => {}
         }
         wake
     }
@@ -343,9 +332,9 @@ impl StaMac {
             // Voluntary roam: a run of weak beacons means we are walking
             // out of this AP's useful range — rescan before the link
             // dies outright.
-            if rssi_dbm < self.cfg.min_rssi_dbm {
+            if rssi_dbm < MIN_RSSI_DBM {
                 self.weak_beacons += 1;
-                if self.weak_beacons >= self.cfg.roam_weak_beacons {
+                if self.weak_beacons >= ROAM_WEAK_BEACONS {
                     self.weak_beacons = 0;
                     // Mark pending roam; executed below (needs &mut out).
                     self.pending_roam = true;
@@ -354,7 +343,7 @@ impl StaMac {
                 self.weak_beacons = 0;
             }
         }
-        if rssi_dbm < self.cfg.min_rssi_dbm {
+        if rssi_dbm < MIN_RSSI_DBM {
             return;
         }
         let bssid = frame.bssid();
@@ -494,19 +483,15 @@ impl StaMac {
         let bssid = self.bssid.take().unwrap_or(MacAddr::ZERO);
         self.txq.flush();
         out.push(MacOutput::Event(MacEvent::Disassociated { bssid, forced }));
-        if self.cfg.auto_reconnect {
-            self.candidates.clear();
-            self.start_scan(now, out);
-        } else {
-            self.state = StaState::Detached;
-        }
+        self.candidates.clear();
+        self.start_scan(now, out);
     }
 
     fn start_scan(&mut self, now: SimTime, out: &mut Vec<MacOutput>) {
         self.state = StaState::Scanning;
         self.scan_idx = 0;
         self.channel = self.cfg.channels[0];
-        self.state_deadline = now + self.cfg.scan_dwell;
+        self.state_deadline = now + SCAN_DWELL;
         out.push(MacOutput::SetChannel(self.channel));
     }
 
@@ -527,7 +512,7 @@ impl StaMac {
                     self.scan_idx += 1;
                     if self.scan_idx < self.cfg.channels.len() {
                         self.channel = self.cfg.channels[self.scan_idx];
-                        self.state_deadline = now + self.cfg.scan_dwell;
+                        self.state_deadline = now + SCAN_DWELL;
                         out.push(MacOutput::SetChannel(self.channel));
                     } else {
                         self.finish_scan(now, out);
@@ -544,7 +529,6 @@ impl StaMac {
                     self.lose_association(now, false, out);
                 }
             }
-            StaState::Detached => {}
         }
     }
 
@@ -817,19 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn no_auto_reconnect_detaches() {
-        let ap = MacAddr::local(99);
-        let mut c = cfg();
-        c.auto_reconnect = false;
-        let mut sta = associated_station_with(c, ap);
-        let mut out = Vec::new();
-        let deauth = Frame::new(sta.mac(), ap, ap, FrameBody::Deauth { reason: 7 }).encode();
-        sta.on_receive(SimTime::from_secs(1), &deauth, -60.0, 1, &mut out);
-        assert_eq!(*sta.state(), StaState::Detached);
-        assert_eq!(sta.next_wake(), SimTime::FOREVER);
-    }
-
-    #[test]
     fn beacon_loss_triggers_rescan() {
         let ap = MacAddr::local(99);
         let mut sta = associated_station(ap);
@@ -891,8 +862,7 @@ mod tests {
     fn wep_data_roundtrip_and_tamper_detection() {
         let key = WepKey::new(b"AB#12");
         let ap = MacAddr::local(99);
-        let mut c = StaConfig::typical(MacAddr::local(10), "CORP", Some(key.clone()));
-        c.auto_reconnect = true;
+        let c = StaConfig::typical(MacAddr::local(10), "CORP", Some(key.clone()));
         let mut sta = associated_station_with(c, ap);
 
         // Valid protected downlink frame.

@@ -24,8 +24,8 @@
 //!
 //! * a **uniform spatial grid** plus per-source **audible-row cache**, so
 //!   `begin_tx` stores a sparse `(radio, dBm)` list covering only radios
-//!   inside the decode/CCA horizon ([`crate::grid`],
-//!   [`propagation::max_range_m`]); a row is rebuilt, straight from
+//!   inside the decode/CCA horizon (the private `grid` module,
+//!   [`crate::propagation::max_range_m`]); a row is rebuilt, straight from
 //!   [`path_loss_db`], only after the geometry changed;
 //! * in-flight transmissions live in a **generation-checked slab** (a
 //!   [`TxHandle`] resolves with a bounds check, no hashing) and are

@@ -291,7 +291,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, Error> {
         let injector_radio = if r.deauth {
             // Same cadence as the §4 hand-coded attack: flood starts
             // 700 ms after the rogue is on air, on the victim channel.
-            let flooder = DeauthFlooder::new(
+            let flooder = DeauthFlooder::steady(
                 cloned.bssid,
                 r.deauth_target,
                 r.start + SimDuration::from_millis(700),

@@ -1,7 +1,7 @@
 //! The typed scenario: turning a parsed [`Table`] into a validated
 //! [`Scenario`].
 //!
-//! Every section is read through a [`Sect`] wrapper that records which
+//! Every section is read through a `Sect` wrapper that records which
 //! keys were consumed, so a typo'd or unsupported key fails loudly with
 //! its line/column instead of being silently ignored — the failure mode
 //! that makes config languages untrustworthy.
@@ -18,7 +18,7 @@ use rogue_sim::{Seed, SimDuration, SimTime};
 
 use crate::toml::{Error, Item, Span, Table, Value};
 
-/// A validated scenario, ready for [`crate::compile`] or the E-series
+/// A validated scenario, ready for [`crate::compile()`] or the E-series
 /// report drivers.
 #[derive(Clone, Debug)]
 pub struct Scenario {

@@ -21,7 +21,8 @@ use rogue_services::apps::{App, AppEvent};
 use rogue_sim::{SimDuration, SimRng, SimTime};
 
 use crate::protocol::{
-    authenticator, gen_keypair, transcript, Message, SessionCrypto, Transport, MAX_RECORD, PSK_LEN,
+    authenticator, frame_record, gen_keypair, transcript, Message, RecordStream, SessionCrypto,
+    Transport, PSK_LEN,
 };
 
 /// Ethertype for IPv4 (tun injection).
@@ -82,7 +83,7 @@ pub struct VpnClient {
     state: ClientState,
     udp_sock: Option<SocketHandle>,
     tcp_sock: Option<SocketHandle>,
-    tcp_rx: Vec<u8>,
+    tcp_rx: RecordStream,
     pending: Vec<Bytes>,
     auth_redelivery: Option<AuthRedelivery>,
     rng: SimRng,
@@ -105,7 +106,7 @@ impl VpnClient {
             state: ClientState::Idle,
             udp_sock: None,
             tcp_sock: None,
-            tcp_rx: Vec::new(),
+            tcp_rx: RecordStream::default(),
             pending: Vec::new(),
             auth_redelivery: None,
             rng,
@@ -177,10 +178,7 @@ impl VpnClient {
                 let sock = *self.tcp_sock.get_or_insert_with(|| {
                     host.tcp_connect(now, self.cfg.server.0, self.cfg.server.1)
                 });
-                let mut framed = Vec::with_capacity(4 + rec.len());
-                framed.extend_from_slice(&(rec.len() as u32).to_be_bytes());
-                framed.extend_from_slice(&rec);
-                host.tcp_send(now, sock, &framed);
+                host.tcp_send(now, sock, &frame_record(&rec));
             }
         }
     }
@@ -201,25 +199,11 @@ impl VpnClient {
             }
             Transport::Tcp => {
                 if let Some(sock) = self.tcp_sock {
-                    let chunk = host.tcp_recv(sock, 256 * 1024);
-                    self.tcp_rx.extend_from_slice(&chunk);
-                    while self.tcp_rx.len() >= 4 {
-                        let len = u32::from_be_bytes(self.tcp_rx[..4].try_into().unwrap()) as usize;
-                        if len > MAX_RECORD {
-                            // Stream desync or tampering: no valid record
-                            // is this large, so waiting for `len` bytes
-                            // would stall forever. Drop the buffer.
-                            self.tcp_rx.clear();
-                            break;
-                        }
-                        if self.tcp_rx.len() < 4 + len {
-                            break;
-                        }
-                        let rec = Bytes::copy_from_slice(&self.tcp_rx[4..4 + len]);
+                    self.tcp_rx.push(&host.tcp_recv(sock, 256 * 1024));
+                    while let Some(rec) = self.tcp_rx.next_record() {
                         if let Some(m) = Message::decode(&rec) {
                             msgs.push(m);
                         }
-                        self.tcp_rx.drain(..4 + len);
                     }
                 }
             }

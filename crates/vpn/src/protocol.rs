@@ -43,6 +43,47 @@ const DATA_HEADER: usize = 21;
 /// forever for bytes that never come.
 pub const MAX_RECORD: usize = 64 * 1024;
 
+/// One record as it travels over the TCP transport: a 4-byte big-endian
+/// length, then the record. This is the one place the stream framing
+/// forces a copy.
+pub fn frame_record(rec: &[u8]) -> Vec<u8> {
+    let mut framed = Vec::with_capacity(4 + rec.len());
+    framed.extend_from_slice(&(rec.len() as u32).to_be_bytes());
+    framed.extend_from_slice(rec);
+    framed
+}
+
+/// The receive half of the TCP transport: takes the stream in whatever
+/// chunks TCP delivers and yields each [`frame_record`]ed record whole,
+/// in order. The peer controls every byte, so a length prefix above
+/// [`MAX_RECORD`] drops the buffer instead of waiting forever for bytes
+/// that never come.
+#[derive(Default)]
+pub struct RecordStream {
+    buf: Vec<u8>,
+}
+
+impl RecordStream {
+    /// Append bytes received from the stream.
+    pub fn push(&mut self, chunk: &[u8]) {
+        self.buf.extend_from_slice(chunk);
+    }
+
+    /// The next whole record, or `None` until more bytes arrive.
+    pub fn next_record(&mut self) -> Option<Bytes> {
+        let prefix = self.buf.get(..4)?.try_into().expect("a 4-byte slice");
+        let len = u32::from_be_bytes(prefix) as usize;
+        if len > MAX_RECORD {
+            // Stream desync or tampering: no valid record is this large.
+            self.buf.clear();
+            return None;
+        }
+        let rec = Bytes::copy_from_slice(self.buf.get(4..4 + len)?);
+        self.buf.drain(..4 + len);
+        Some(rec)
+    }
+}
+
 /// Which encapsulation carries the records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transport {
@@ -85,7 +126,8 @@ pub enum Message {
         /// Truncated HMAC tag over `seq ∥ ciphertext`.
         tag: [u8; 12],
         /// ChaCha20 ciphertext of the inner IP packet — a zero-copy
-        /// slice of the received record when produced by [`decode`].
+        /// slice of the received record when produced by
+        /// [`Message::decode`].
         ciphertext: Bytes,
     },
 }
@@ -308,14 +350,6 @@ impl SessionCrypto {
         Bytes::from(rec)
     }
 
-    /// Protect one inner packet as a [`Message`] (decoded view of
-    /// [`seal_record`](Self::seal_record)'s buffer — same bytes, same
-    /// single allocation).
-    pub fn seal(&mut self, payload: &[u8]) -> Message {
-        let rec = self.seal_record(payload);
-        Message::decode(&rec).expect("self-encoded record parses")
-    }
-
     /// Verify and decrypt one record. Returns the inner packet, or `None`
     /// (counting the reason) for forgeries and replays. When `ciphertext`
     /// is the sole reference to its buffer — the steady state for a
@@ -414,6 +448,11 @@ mod tests {
         )
     }
 
+    /// Seal `payload` and decode the record into its [`Message`].
+    fn seal(crypto: &mut SessionCrypto, payload: &[u8]) -> Message {
+        Message::decode(&crypto.seal_record(payload)).expect("self-encoded record parses")
+    }
+
     #[test]
     fn message_codecs_roundtrip() {
         let mut rng = SimRng::new(Seed(2));
@@ -493,32 +532,21 @@ mod tests {
     }
 
     #[test]
-    fn seal_record_matches_seal_and_aliases_one_buffer() {
+    fn seal_record_aliases_one_buffer() {
         let (mut c, _) = established_pair();
         let (mut c2, _) = established_pair(); // same keys, fresh seq
         let rec = c.seal_record(b"one buffer");
-        let Message::Data {
-            seq,
-            tag,
-            ciphertext,
-        } = Message::decode(&rec).unwrap()
-        else {
+        let m = Message::decode(&rec).unwrap();
+        let Message::Data { ciphertext, .. } = &m else {
             unreachable!()
         };
         // The decoded ciphertext is a view of the record allocation,
         // not a copy.
         assert_eq!(ciphertext.as_ptr(), rec[DATA_HEADER..].as_ptr());
-        // Same keys, same seq: `seal` (via the compatibility path) and
-        // `seal_record` produce identical wire bytes.
-        let Message::Data {
-            seq: seq2,
-            tag: tag2,
-            ciphertext: ct2,
-        } = c2.seal(b"one buffer")
-        else {
-            unreachable!()
-        };
-        assert_eq!((seq, tag, &ciphertext), (seq2, tag2, &ct2));
+        // The record is the message's encoding, and the same keys at the
+        // same seq produce the same wire bytes.
+        assert_eq!(m.encode(), &rec[..]);
+        assert_eq!(&c2.seal_record(b"one buffer")[..], &rec[..]);
         assert_eq!(c.records_sealed, 1);
     }
 
@@ -574,7 +602,7 @@ mod tests {
     #[test]
     fn seal_open_roundtrip_both_directions() {
         let (mut c, mut s) = established_pair();
-        let m = c.seal(b"client to server");
+        let m = seal(&mut c, b"client to server");
         let Message::Data {
             seq,
             tag,
@@ -589,7 +617,7 @@ mod tests {
             b"client to server"[..]
         );
 
-        let m = s.seal(b"server to client");
+        let m = seal(&mut s, b"server to client");
         let Message::Data {
             seq,
             tag,
@@ -611,7 +639,7 @@ mod tests {
             seq,
             tag,
             ciphertext,
-        } = c.seal(b"do not touch")
+        } = seal(&mut c, b"do not touch")
         else {
             unreachable!()
         };
@@ -628,7 +656,7 @@ mod tests {
             seq,
             tag,
             ciphertext,
-        } = c.seal(b"once only")
+        } = seal(&mut c, b"once only")
         else {
             unreachable!()
         };
@@ -640,7 +668,9 @@ mod tests {
     #[test]
     fn out_of_order_within_window_accepted() {
         let (mut c, mut s) = established_pair();
-        let records: Vec<_> = (0..5).map(|i| c.seal(format!("r{i}").as_bytes())).collect();
+        let records: Vec<_> = (0..5)
+            .map(|i| seal(&mut c, format!("r{i}").as_bytes()))
+            .collect();
         // Deliver 4, 2, 0, 1, 3.
         for idx in [4usize, 2, 0, 1, 3] {
             let Message::Data {
@@ -686,7 +716,7 @@ mod tests {
         let (mut c, _s) = established_pair();
         let Message::Data {
             ciphertext: ct1, ..
-        } = c.seal(b"same plaintext")
+        } = seal(&mut c, b"same plaintext")
         else {
             unreachable!()
         };
@@ -695,7 +725,7 @@ mod tests {
         let (_, mut s) = established_pair();
         let Message::Data {
             ciphertext: ct2, ..
-        } = s.seal(b"same plaintext")
+        } = seal(&mut s, b"same plaintext")
         else {
             unreachable!()
         };

@@ -17,7 +17,8 @@ use rogue_services::apps::{App, AppEvent};
 use rogue_sim::{SimRng, SimTime};
 
 use crate::protocol::{
-    authenticator, gen_keypair, transcript, Message, SessionCrypto, Transport, MAX_RECORD, PSK_LEN,
+    authenticator, frame_record, gen_keypair, transcript, Message, RecordStream, SessionCrypto,
+    Transport, PSK_LEN,
 };
 
 const ET_IPV4: u16 = 0x0800;
@@ -75,7 +76,7 @@ pub struct VpnServer {
     cfg: VpnServerConfig,
     udp_sock: Option<SocketHandle>,
     tcp_listener: Option<SocketHandle>,
-    tcp_rx: HashMap<SocketHandle, Vec<u8>>,
+    tcp_rx: HashMap<SocketHandle, RecordStream>,
     sessions: HashMap<PeerKey, Session>,
     by_tun_ip: HashMap<Ipv4Addr, PeerKey>,
     rng: SimRng,
@@ -133,10 +134,7 @@ impl VpnServer {
                 }
             }
             PeerKey::Tcp(sock) => {
-                let mut framed = Vec::with_capacity(4 + rec.len());
-                framed.extend_from_slice(&(rec.len() as u32).to_be_bytes());
-                framed.extend_from_slice(&rec);
-                host.tcp_send(now, sock, &framed);
+                host.tcp_send(now, sock, &frame_record(&rec));
             }
         }
     }
@@ -302,32 +300,16 @@ impl App for VpnServer {
                     .tcp_listener
                     .get_or_insert_with(|| host.tcp_listen(port));
                 while let Some(h) = host.tcp_accept(listener) {
-                    self.tcp_rx.insert(h, Vec::new());
+                    self.tcp_rx.insert(h, RecordStream::default());
                 }
                 let conns: Vec<SocketHandle> = self.tcp_rx.keys().copied().collect();
                 for h in conns {
-                    let chunk = host.tcp_recv(h, 256 * 1024);
+                    let stream = self.tcp_rx.get_mut(&h).expect("tracked");
+                    stream.push(&host.tcp_recv(h, 256 * 1024));
                     let mut msgs = Vec::new();
-                    {
-                        let buf = self.tcp_rx.get_mut(&h).expect("tracked");
-                        buf.extend_from_slice(&chunk);
-                        while buf.len() >= 4 {
-                            let len = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
-                            if len > MAX_RECORD {
-                                // Desynced or hostile stream: no record is
-                                // this large, drop the buffer rather than
-                                // stall waiting for phantom bytes.
-                                buf.clear();
-                                break;
-                            }
-                            if buf.len() < 4 + len {
-                                break;
-                            }
-                            let rec = Bytes::copy_from_slice(&buf[4..4 + len]);
-                            if let Some(m) = Message::decode(&rec) {
-                                msgs.push(m);
-                            }
-                            buf.drain(..4 + len);
+                    while let Some(rec) = stream.next_record() {
+                        if let Some(m) = Message::decode(&rec) {
+                            msgs.push(m);
                         }
                     }
                     for m in msgs {

@@ -11,13 +11,19 @@
 //!   and the degenerate values 0, 1, p − 1 and everything ≥ p, and
 //!   otherwise returns `peer^x mod p` computed by a square-and-multiply
 //!   reference written here.
+//! - `RecordStream`, the TCP transport's receive half, yields framed
+//!   records whole and in order however the stream is split, drops its
+//!   buffer on a length prefix above `MAX_RECORD`, and takes arbitrary
+//!   bytes without panicking.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rogue_crypto::bigint::BigUint;
 use rogue_crypto::dh::{DhKeyPair, ELEMENT_LEN, EXPONENT_LEN, MODP_1024};
 use rogue_sim::{Seed, SimRng};
-use rogue_vpn::protocol::{gen_keypair, Message, SessionCrypto};
+use rogue_vpn::protocol::{
+    frame_record, gen_keypair, Message, RecordStream, SessionCrypto, MAX_RECORD,
+};
 
 /// Encoded length of each handshake kind; `Data` has a 21-byte minimum.
 fn exact_len(kind: u8) -> Option<usize> {
@@ -78,6 +84,13 @@ fn add_u64_be(a: &[u8], delta: u64) -> Vec<u8> {
     out
 }
 
+/// Every whole record `stream` holds now.
+fn drain(stream: &mut RecordStream) -> Vec<Vec<u8>> {
+    std::iter::from_fn(|| stream.next_record())
+        .map(|r| r.to_vec())
+        .collect()
+}
+
 proptest! {
     /// Decoding never panics, and whatever it accepts re-encodes to the
     /// exact input bytes (no silently ignored trailing data).
@@ -116,8 +129,9 @@ proptest! {
         prop_assert!(server.open(seq, &tag, Bytes::from(ciphertext)).is_none());
         prop_assert_eq!(server.integrity_failures, 1);
         prop_assert_eq!(server.records_opened, 0);
-        let Message::Data { seq, tag, ciphertext } = client.seal(b"genuine") else {
-            unreachable!("seal returns a data record")
+        let genuine = Message::decode(&client.seal_record(b"genuine"));
+        let Some(Message::Data { seq, tag, ciphertext }) = genuine else {
+            unreachable!("seal_record returns a data record")
         };
         prop_assert_eq!(server.open(seq, &tag, ciphertext), Some(Bytes::from_static(b"genuine")));
     }
@@ -155,6 +169,85 @@ proptest! {
             x[0] |= 0x80;
             let want = pow_mod_reference(&value, &BigUint::from_be_bytes(&x), &p);
             prop_assert_eq!(got, Some(want.to_be_bytes(ELEMENT_LEN)));
+        }
+    }
+
+    /// Framed records split at arbitrary points come out whole and in
+    /// order, and no stray byte is left: a record framed after them
+    /// comes out next.
+    #[test]
+    fn framed_records_survive_any_split(records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=300), 0..8),
+                                        cuts in proptest::collection::vec(any::<u16>(), 0..12)) {
+        let wire: Vec<u8> = records.iter().flat_map(|r| frame_record(r)).collect();
+        let mut at: Vec<usize> = cuts.iter().map(|&c| c as usize % (wire.len() + 1)).collect();
+        at.extend([0, wire.len()]);
+        at.sort_unstable();
+        let mut stream = RecordStream::default();
+        let mut got = Vec::new();
+        for w in at.windows(2) {
+            stream.push(&wire[w[0]..w[1]]);
+            got.extend(drain(&mut stream));
+        }
+        prop_assert_eq!(got, records);
+        stream.push(&frame_record(b"next"));
+        prop_assert_eq!(drain(&mut stream), vec![b"next".to_vec()]);
+    }
+
+    /// A length prefix above `MAX_RECORD` drops the buffer: the records
+    /// framed before it come out, the bytes after it are gone, and a
+    /// record framed afresh comes out whole. A prefix of exactly
+    /// `MAX_RECORD` is legal: it waits for its bytes.
+    #[test]
+    fn oversized_length_prefix_clears_the_buffer(before in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=64), 0..4),
+                                                  sel in 0u8..4,
+                                                  raw_len in any::<u32>(),
+                                                  tail in proptest::collection::vec(any::<u8>(), 0..=300),
+                                                  after in proptest::collection::vec(any::<u8>(), 0..=64)) {
+        let max = MAX_RECORD as u32;
+        let len = match sel {
+            0 => max,
+            1 => max + 1,
+            _ => raw_len.max(max + 1),
+        };
+        let mut wire: Vec<u8> = before.iter().flat_map(|r| frame_record(r)).collect();
+        wire.extend_from_slice(&len.to_be_bytes());
+        wire.extend_from_slice(&tail);
+        let mut stream = RecordStream::default();
+        stream.push(&wire);
+        prop_assert_eq!(drain(&mut stream), before);
+        if len == max {
+            prop_assert!(stream.next_record().is_none());
+            stream.push(&vec![0xA5; MAX_RECORD - tail.len()]);
+            let rec = stream.next_record().expect("a maximal record is legal");
+            prop_assert_eq!(rec.len(), MAX_RECORD);
+            prop_assert_eq!(&rec[..tail.len()], &tail[..]);
+        } else {
+            stream.push(&frame_record(&after));
+            prop_assert_eq!(drain(&mut stream), vec![after]);
+        }
+    }
+
+    /// Arbitrary bytes in arbitrary chunks, with small length prefixes
+    /// mixed in so whole records form too, never panic, never yield a
+    /// record above `MAX_RECORD`, and never yield more bytes than were
+    /// pushed.
+    #[test]
+    fn arbitrary_stream_bytes_never_panic(chunks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=64), 0..8),
+                                          small in proptest::collection::vec(0u32..=80, 0..8)) {
+        let mut stream = RecordStream::default();
+        let (mut pushed, mut taken) = (0, 0);
+        for (i, chunk) in chunks.iter().enumerate() {
+            if let Some(len) = small.get(i) {
+                stream.push(&len.to_be_bytes());
+                pushed += 4;
+            }
+            stream.push(chunk);
+            pushed += chunk.len();
+            for rec in drain(&mut stream) {
+                prop_assert!(rec.len() <= MAX_RECORD);
+                taken += 4 + rec.len();
+            }
+            prop_assert!(taken <= pushed);
         }
     }
 }

@@ -87,28 +87,14 @@ pub struct Incident {
     pub detectors: Vec<&'static str>,
 }
 
-/// Correlation tuning.
-#[derive(Clone, Debug)]
-pub struct CorrelatorConfig {
-    /// Repeats of an identical claim inside this window are counted as
-    /// duplicates rather than fresh evidence.
-    pub dedup_window: SimDuration,
-    /// Evidence older than this no longer corroborates a case file that
-    /// has not yet opened.
-    pub fuse_window: SimDuration,
-    /// Fused score needed to open an incident.
-    pub open_threshold: f64,
-}
-
-impl Default for CorrelatorConfig {
-    fn default() -> Self {
-        CorrelatorConfig {
-            dedup_window: SimDuration::from_millis(500),
-            fuse_window: SimDuration::from_secs(5),
-            open_threshold: 0.8,
-        }
-    }
-}
+/// Repeats of an identical claim inside this window are counted as
+/// duplicates rather than fresh evidence.
+pub const DEDUP_WINDOW: SimDuration = SimDuration::from_millis(500);
+/// Evidence older than this no longer corroborates a case file that has
+/// not yet opened.
+pub const FUSE_WINDOW: SimDuration = SimDuration::from_secs(5);
+/// Fused score needed to open an incident.
+pub const OPEN_THRESHOLD: f64 = 0.8;
 
 /// Per-(category, subject) evidence accumulator.
 #[derive(Default)]
@@ -148,7 +134,6 @@ type CaseKey = (IncidentCategory, MacAddr);
 
 /// The correlation engine.
 pub struct Correlator {
-    cfg: CorrelatorConfig,
     /// When each (detector, subject, kind) claim last counted.
     last_claim: BoundedTable<(&'static str, MacAddr, AlertKind), Option<SimTime>>,
     /// Case files still below the open threshold.
@@ -158,18 +143,18 @@ pub struct Correlator {
     incidents: Vec<Incident>,
 }
 
-impl Correlator {
-    /// Engine with the given tuning.
-    pub fn new(cfg: CorrelatorConfig) -> Correlator {
+impl Default for Correlator {
+    fn default() -> Self {
         Correlator {
-            cfg,
             last_claim: BoundedTable::new(CASE_GROUPS, CASE_WAYS),
             pending: BoundedTable::new(CASE_GROUPS, CASE_WAYS),
             opened: HashMap::new(),
             incidents: Vec::new(),
         }
     }
+}
 
+impl Correlator {
     /// Feed one raw alert; updates metrics and possibly opens or
     /// reinforces an incident.
     pub fn ingest(&mut self, alert: &RawAlert, metrics: &mut Metrics) {
@@ -184,9 +169,7 @@ impl Correlator {
             || None,
         );
         if let Some(prev) = *last {
-            if alert.at.as_nanos().saturating_sub(prev.as_nanos())
-                < self.cfg.dedup_window.as_nanos()
-            {
+            if alert.at.as_nanos().saturating_sub(prev.as_nanos()) < DEDUP_WINDOW.as_nanos() {
                 metrics.incr("wids.alerts_deduped");
                 return;
             }
@@ -210,15 +193,10 @@ impl Correlator {
             .pending
             .entry(alert.at, case_hash, key, CaseFile::default);
         // Until the case opens, stale witnesses age out of the window.
-        let horizon = SimTime(
-            alert
-                .at
-                .as_nanos()
-                .saturating_sub(self.cfg.fuse_window.as_nanos()),
-        );
+        let horizon = SimTime(alert.at.as_nanos().saturating_sub(FUSE_WINDOW.as_nanos()));
         case.witnesses.retain(|&(_, _, t)| t >= horizon);
         let score = case.fuse(alert);
-        if score < self.cfg.open_threshold {
+        if score < OPEN_THRESHOLD {
             return;
         }
         let case = self
@@ -291,7 +269,7 @@ mod tests {
 
     #[test]
     fn strong_single_witness_opens_immediately() {
-        let mut c = Correlator::new(CorrelatorConfig::default());
+        let mut c = Correlator::default();
         let mut m = Metrics::default();
         c.ingest(
             &alert(
@@ -312,7 +290,7 @@ mod tests {
 
     #[test]
     fn weak_witnesses_corroborate() {
-        let mut c = Correlator::new(CorrelatorConfig::default());
+        let mut c = Correlator::default();
         let mut m = Metrics::default();
         let s = MacAddr::local(1);
         c.ingest(
@@ -332,7 +310,7 @@ mod tests {
 
     #[test]
     fn duplicate_claims_dedup_not_stack() {
-        let mut c = Correlator::new(CorrelatorConfig::default());
+        let mut c = Correlator::default();
         let mut m = Metrics::default();
         let s = MacAddr::local(1);
         // The same 0.7 claim repeated fast must never cross 0.8.
@@ -348,7 +326,7 @@ mod tests {
 
     #[test]
     fn distinct_subjects_get_distinct_incidents() {
-        let mut c = Correlator::new(CorrelatorConfig::default());
+        let mut c = Correlator::default();
         let mut m = Metrics::default();
         c.ingest(
             &alert(
@@ -377,7 +355,7 @@ mod tests {
 
     #[test]
     fn stale_evidence_ages_out_before_opening() {
-        let mut c = Correlator::new(CorrelatorConfig::default());
+        let mut c = Correlator::default();
         let mut m = Metrics::default();
         let s = MacAddr::local(1);
         c.ingest(
@@ -394,7 +372,7 @@ mod tests {
 
     #[test]
     fn corroboration_updates_open_incident() {
-        let mut c = Correlator::new(CorrelatorConfig::default());
+        let mut c = Correlator::default();
         let mut m = Metrics::default();
         let s = MacAddr::local(1);
         c.ingest(

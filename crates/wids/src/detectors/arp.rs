@@ -33,28 +33,14 @@ fn hash_ip(ip: Ipv4Addr) -> u64 {
     mix64(u32::from_be_bytes(o) as u64)
 }
 
-/// Spoof tuning.
-#[derive(Clone, Debug)]
-pub struct ArpSpoofConfig {
-    /// Gratuitous replies from one source within
-    /// [`ArpSpoofConfig::window`] needed for a burst alert.
-    pub gratuitous_threshold: u32,
-    /// Sliding window for the gratuitous-burst count.
-    pub window: SimDuration,
-}
-
-impl Default for ArpSpoofConfig {
-    fn default() -> Self {
-        ArpSpoofConfig {
-            gratuitous_threshold: 4,
-            window: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Gratuitous replies from one source within [`GRATUITOUS_WINDOW`]
+/// needed for a burst alert.
+pub const GRATUITOUS_THRESHOLD: u32 = 4;
+/// Sliding window for the gratuitous-burst count.
+pub const GRATUITOUS_WINDOW: SimDuration = SimDuration::from_secs(5);
 
 /// The ARP spoof detector.
 pub struct ArpSpoofDetector {
-    cfg: ArpSpoofConfig,
     /// Learned IP -> hardware bindings, first claim wins.
     bindings: BoundedTable<Ipv4Addr, MacAddr>,
     /// Once-only latches for already-reported (IP, claimant) conflicts.
@@ -65,19 +51,19 @@ pub struct ArpSpoofDetector {
     pub arps_seen: u64,
 }
 
-impl ArpSpoofDetector {
-    /// Detector with the given tuning.
-    pub fn new(cfg: ArpSpoofConfig) -> ArpSpoofDetector {
+impl Default for ArpSpoofDetector {
+    fn default() -> Self {
         ArpSpoofDetector {
-            gratuitous: WindowCounter::new(cfg.window, 10, 512, 4),
-            cfg,
             bindings: BoundedTable::new(BIND_GROUPS, BIND_WAYS),
             alerted_conflicts: BoundedTable::new(BIND_GROUPS, BIND_WAYS),
+            gratuitous: WindowCounter::new(GRATUITOUS_WINDOW, 10, 512, 4),
             alerted_bursts: BoundedTable::new(BIND_GROUPS, BIND_WAYS),
             arps_seen: 0,
         }
     }
+}
 
+impl ArpSpoofDetector {
     /// Pre-seed a trusted IP -> MAC binding (from the site inventory),
     /// so the first spoofed claim conflicts instead of being learned.
     pub fn trust(&mut self, ip: Ipv4Addr, mac: MacAddr) {
@@ -98,12 +84,6 @@ impl ArpSpoofDetector {
             + self.alerted_conflicts.resident_bytes()
             + self.gratuitous.resident_bytes()
             + self.alerted_bursts.resident_bytes()
-    }
-}
-
-impl Default for ArpSpoofDetector {
-    fn default() -> Self {
-        ArpSpoofDetector::new(ArpSpoofConfig::default())
     }
 }
 
@@ -148,7 +128,7 @@ impl Detector for ArpSpoofDetector {
         }
         let mh = hash_mac(&e.src_mac.0);
         let count = self.gratuitous.observe(e.at, mh);
-        if count >= self.cfg.gratuitous_threshold
+        if count >= GRATUITOUS_THRESHOLD
             && self.alerted_bursts.get_touch(e.at, mh, e.src_mac).is_none()
         {
             self.alerted_bursts.entry(e.at, mh, e.src_mac, || ());
@@ -158,7 +138,7 @@ impl Detector for ArpSpoofDetector {
                 subject: e.src_mac,
                 kind: AlertKind::ArpSpoof,
                 weight: 0.6,
-                detail: format!("{count} gratuitous replies within {}", self.cfg.window),
+                detail: format!("{count} gratuitous replies within {GRATUITOUS_WINDOW}"),
             });
         }
     }

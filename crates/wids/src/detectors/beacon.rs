@@ -78,6 +78,11 @@ impl OwnedSsids {
         true
     }
 
+    /// Is `bssid` in the registry, on any channel?
+    pub(crate) fn registers(&self, bssid: MacAddr) -> bool {
+        self.registry.iter().any(|&(b, _)| b == bssid)
+    }
+
     /// Does the site own `ssid`?
     pub(crate) fn contains(&self, ssid: &str) -> bool {
         self.names.iter().any(|n| n.as_deref() == Some(ssid))
@@ -101,43 +106,17 @@ impl OwnedSsids {
     }
 }
 
-/// Registry-driven tuning.
-#[derive(Clone, Debug)]
-pub struct BeaconConfig {
-    /// Authorized (BSSID, channel) pairs.
-    pub authorized: Vec<(MacAddr, u8)>,
-    /// Distinct unregistered BSSIDs advertising one owned SSID within
-    /// [`BeaconConfig::churn_window`] needed for a churn alert.
-    pub churn_threshold: u32,
-    /// Sliding window for the churn count.
-    pub churn_window: SimDuration,
-}
-
-impl Default for BeaconConfig {
-    fn default() -> Self {
-        BeaconConfig {
-            authorized: Vec::new(),
-            churn_threshold: 6,
-            churn_window: SimDuration::from_secs(10),
-        }
-    }
-}
-
-impl BeaconConfig {
-    /// Registry with one authorized AP.
-    pub fn single_ap(bssid: MacAddr, channel: u8) -> BeaconConfig {
-        BeaconConfig {
-            authorized: vec![(bssid, channel)],
-            ..BeaconConfig::default()
-        }
-    }
-}
+/// Distinct unregistered BSSIDs advertising one owned SSID within
+/// [`CHURN_WINDOW`] needed for a churn alert.
+pub const CHURN_THRESHOLD: u32 = 6;
+/// Sliding window for the churn count.
+pub const CHURN_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// The beacon detector.
 pub struct BeaconDetector {
-    cfg: BeaconConfig,
-    /// SSIDs owned by registered APs, learned from beacons of authorized
-    /// BSSIDs on their registered channels (an empty name included).
+    /// The authorized (BSSID, channel) registry, and the SSIDs its APs
+    /// own, learned from beacons of authorized BSSIDs on their registered
+    /// channels (an empty name included).
     owned_ssids: OwnedSsids,
     /// Once-only latches per (BSSID, channel) spoof. Keys are drawn from
     /// the registry, so the set stays registry-sized.
@@ -154,12 +133,11 @@ pub struct BeaconDetector {
 }
 
 impl BeaconDetector {
-    /// Detector over the given registry.
-    pub fn new(cfg: BeaconConfig) -> BeaconDetector {
+    /// Detector over the authorized (BSSID, channel) registry.
+    pub fn new(authorized: &[(MacAddr, u8)]) -> BeaconDetector {
         BeaconDetector {
-            churn: WindowCounter::new(cfg.churn_window, 10, 512, 4),
-            owned_ssids: OwnedSsids::new(&cfg.authorized),
-            cfg,
+            churn: WindowCounter::new(CHURN_WINDOW, 10, 512, 4),
+            owned_ssids: OwnedSsids::new(authorized),
             alerted_spoof: HashSet::new(),
             alerted_clone: BoundedTable::new(CLONE_GROUPS, CLONE_WAYS),
             alerted_churn: HashSet::new(),
@@ -203,7 +181,7 @@ impl Detector for BeaconDetector {
             return; // directed advertisements belong to probe-audit
         }
         self.beacons_seen += 1;
-        let bssid_known = self.cfg.authorized.iter().any(|(b, _)| *b == e.bssid);
+        let bssid_known = self.owned_ssids.registers(e.bssid);
         if self.owned_ssids.learn(e.bssid, e.channel, ssid) {
             // A registered AP where it belongs: its SSID is learned.
             return;
@@ -247,7 +225,7 @@ impl Detector for BeaconDetector {
         // A fresh pair also feeds the churn count for this SSID: one
         // rotating rogue looks like a stream of new weak clone claims.
         let fresh = self.churn.observe(e.at, sh);
-        if fresh >= self.cfg.churn_threshold && self.alerted_churn.insert(sh) {
+        if fresh >= CHURN_THRESHOLD && self.alerted_churn.insert(sh) {
             out.push(RawAlert {
                 at: e.at,
                 detector: "beacon-audit",
@@ -255,8 +233,7 @@ impl Detector for BeaconDetector {
                 kind: AlertKind::SsidChurn,
                 weight: 0.95,
                 detail: format!(
-                    "{fresh} distinct unregistered BSSIDs advertising owned SSID {ssid:?} within {}",
-                    self.cfg.churn_window
+                    "{fresh} distinct unregistered BSSIDs advertising owned SSID {ssid:?} within {CHURN_WINDOW}"
                 ),
             });
         }
@@ -292,7 +269,7 @@ mod tests {
     #[test]
     fn cloned_bssid_on_wrong_channel_alerts_once() {
         let corp = MacAddr::local(1);
-        let mut d = BeaconDetector::new(BeaconConfig::single_ap(corp, 1));
+        let mut d = BeaconDetector::new(&[(corp, 1)]);
         let mut out = Vec::new();
         d.on_event(&beacon(0, corp, "CORP", 1), &mut out);
         assert!(out.is_empty(), "registered AP is fine");
@@ -307,7 +284,7 @@ mod tests {
     fn cloned_bssid_on_second_channel_alarms() {
         // Figure 1: the same BSSID beaconing on channels 1 and 6.
         let bssid = MacAddr::local(1);
-        let mut d = BeaconDetector::new(BeaconConfig::single_ap(bssid, 1));
+        let mut d = BeaconDetector::new(&[(bssid, 1)]);
         let mut out = Vec::new();
         d.on_event(&beacon(0, bssid, "CORP", 1), &mut out);
         d.on_event(&beacon(120, bssid, "CORP", 6), &mut out);
@@ -321,10 +298,7 @@ mod tests {
     fn clean_network_no_alarms() {
         // Two registered members of one ESS, each on its own channel.
         let (a, b) = (MacAddr::local(1), MacAddr::local(2));
-        let mut d = BeaconDetector::new(BeaconConfig {
-            authorized: vec![(a, 1), (b, 6)],
-            ..BeaconConfig::default()
-        });
+        let mut d = BeaconDetector::new(&[(a, 1), (b, 6)]);
         let mut out = Vec::new();
         d.on_event(&beacon(0, a, "CORP", 1), &mut out);
         d.on_event(&beacon(100, b, "CORP", 6), &mut out);
@@ -336,7 +310,7 @@ mod tests {
     fn evil_twin_ssid_alerts() {
         let corp = MacAddr::local(1);
         let twin = MacAddr::local(9);
-        let mut d = BeaconDetector::new(BeaconConfig::single_ap(corp, 1));
+        let mut d = BeaconDetector::new(&[(corp, 1)]);
         let mut out = Vec::new();
         d.on_event(&beacon(0, corp, "CORP", 1), &mut out);
         d.on_event(&beacon(50, twin, "CORP", 11), &mut out);
@@ -349,7 +323,7 @@ mod tests {
     fn unrelated_networks_ignored() {
         let corp = MacAddr::local(1);
         let cafe = MacAddr::local(7);
-        let mut d = BeaconDetector::new(BeaconConfig::single_ap(corp, 1));
+        let mut d = BeaconDetector::new(&[(corp, 1)]);
         let mut out = Vec::new();
         d.on_event(&beacon(0, corp, "CORP", 1), &mut out);
         d.on_event(&beacon(10, cafe, "CAFE", 11), &mut out);
@@ -360,7 +334,7 @@ mod tests {
     fn probe_responses_are_not_audited_here() {
         let corp = MacAddr::local(1);
         let twin = MacAddr::local(9);
-        let mut d = BeaconDetector::new(BeaconConfig::single_ap(corp, 1));
+        let mut d = BeaconDetector::new(&[(corp, 1)]);
         let mut out = Vec::new();
         d.on_event(&beacon(0, corp, "CORP", 1), &mut out);
         let mut pr = beacon(50, twin, "CORP", 11);
@@ -377,7 +351,7 @@ mod tests {
     #[test]
     fn rotating_bssids_raise_churn() {
         let corp = MacAddr::local(1);
-        let mut d = BeaconDetector::new(BeaconConfig::single_ap(corp, 1));
+        let mut d = BeaconDetector::new(&[(corp, 1)]);
         let mut out = Vec::new();
         d.on_event(&beacon(0, corp, "CORP", 1), &mut out);
         // A rogue rotating its BSSID every 500 ms under the owned name.
@@ -406,7 +380,7 @@ mod tests {
     fn a_single_stable_twin_does_not_churn() {
         let corp = MacAddr::local(1);
         let twin = MacAddr::local(9);
-        let mut d = BeaconDetector::new(BeaconConfig::single_ap(corp, 1));
+        let mut d = BeaconDetector::new(&[(corp, 1)]);
         let mut out = Vec::new();
         d.on_event(&beacon(0, corp, "CORP", 1), &mut out);
         for i in 0..100u64 {

@@ -26,30 +26,15 @@ use crate::sketch::{hash_mac, BoundedTable, WindowCounter};
 const FLAG_GROUPS: usize = 4096;
 const FLAG_WAYS: usize = 4;
 
-/// Flood tuning.
-#[derive(Clone, Debug)]
-pub struct DeauthFloodConfig {
-    /// Deauths within [`DeauthFloodConfig::window`] needed to alert.
-    pub threshold: u32,
-    /// Sliding evidence window.
-    pub window: SimDuration,
-    /// Deauths within [`DeauthFloodConfig::pulse_window`] needed for a
-    /// pulsed-flood alert when the short window never fills.
-    pub pulse_threshold: u32,
-    /// Long horizon for the pulsed-flood count.
-    pub pulse_window: SimDuration,
-}
-
-impl Default for DeauthFloodConfig {
-    fn default() -> Self {
-        DeauthFloodConfig {
-            threshold: 5,
-            window: SimDuration::from_secs(2),
-            pulse_threshold: 12,
-            pulse_window: SimDuration::from_secs(20),
-        }
-    }
-}
+/// Deauths within [`FLOOD_WINDOW`] needed to alert.
+pub const FLOOD_THRESHOLD: u32 = 5;
+/// Sliding evidence window.
+pub const FLOOD_WINDOW: SimDuration = SimDuration::from_secs(2);
+/// Deauths within [`PULSE_WINDOW`] needed for a pulsed-flood alert when
+/// the short window never fills.
+pub const PULSE_THRESHOLD: u32 = 12;
+/// Long horizon for the pulsed-flood count.
+pub const PULSE_WINDOW: SimDuration = SimDuration::from_secs(20);
 
 /// Per-transmitter once-only alert latches.
 #[derive(Default)]
@@ -60,7 +45,6 @@ struct DeauthFlags {
 
 /// The flood detector.
 pub struct DeauthFloodDetector {
-    cfg: DeauthFloodConfig,
     short: WindowCounter,
     long: WindowCounter,
     flags: BoundedTable<rogue_dot11::MacAddr, DeauthFlags>,
@@ -68,18 +52,18 @@ pub struct DeauthFloodDetector {
     pub deauths_seen: u64,
 }
 
-impl DeauthFloodDetector {
-    /// Detector with the given tuning.
-    pub fn new(cfg: DeauthFloodConfig) -> DeauthFloodDetector {
+impl Default for DeauthFloodDetector {
+    fn default() -> Self {
         DeauthFloodDetector {
-            short: WindowCounter::new(cfg.window, 16, 1024, 4),
-            long: WindowCounter::new(cfg.pulse_window, 20, 1024, 4),
+            short: WindowCounter::new(FLOOD_WINDOW, 16, 1024, 4),
+            long: WindowCounter::new(PULSE_WINDOW, 20, 1024, 4),
             flags: BoundedTable::new(FLAG_GROUPS, FLAG_WAYS),
-            cfg,
             deauths_seen: 0,
         }
     }
+}
 
+impl DeauthFloodDetector {
     /// Bound on the state footprint (sketches plus latch table), in
     /// bytes.
     pub fn state_bytes(&self) -> usize {
@@ -89,12 +73,6 @@ impl DeauthFloodDetector {
     /// State allocated so far, in bytes.
     pub(crate) fn resident_bytes(&self) -> usize {
         self.short.resident_bytes() + self.long.resident_bytes() + self.flags.resident_bytes()
-    }
-}
-
-impl Default for DeauthFloodDetector {
-    fn default() -> Self {
-        DeauthFloodDetector::new(DeauthFloodConfig::default())
     }
 }
 
@@ -113,7 +91,7 @@ impl Detector for DeauthFloodDetector {
         let short = self.short.observe(e.at, h);
         let long = self.long.observe(e.at, h);
         let st = self.flags.entry(e.at, h, e.ta, DeauthFlags::default);
-        if short >= self.cfg.threshold && !st.flood {
+        if short >= FLOOD_THRESHOLD && !st.flood {
             st.flood = true;
             out.push(RawAlert {
                 at: e.at,
@@ -121,12 +99,9 @@ impl Detector for DeauthFloodDetector {
                 subject: e.ta,
                 kind: AlertKind::DeauthFlood,
                 weight: 0.85,
-                detail: format!(
-                    "{short} deauths within {} (last reason {reason})",
-                    self.cfg.window
-                ),
+                detail: format!("{short} deauths within {FLOOD_WINDOW} (last reason {reason})"),
             });
-        } else if long >= self.cfg.pulse_threshold && !st.flood && !st.pulse {
+        } else if long >= PULSE_THRESHOLD && !st.flood && !st.pulse {
             st.pulse = true;
             out.push(RawAlert {
                 at: e.at,
@@ -135,8 +110,7 @@ impl Detector for DeauthFloodDetector {
                 kind: AlertKind::DeauthFlood,
                 weight: 0.85,
                 detail: format!(
-                    "pulsed flood: {long} deauths within {} (last reason {reason})",
-                    self.cfg.pulse_window
+                    "pulsed flood: {long} deauths within {PULSE_WINDOW} (last reason {reason})"
                 ),
             });
         }

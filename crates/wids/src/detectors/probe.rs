@@ -28,28 +28,11 @@ use crate::sketch::{hash_mac, mix64, BoundedTable, WindowCounter};
 const PROBE_GROUPS: usize = 4096;
 const PROBE_WAYS: usize = 4;
 
-/// Probe-audit tuning.
-#[derive(Clone, Debug)]
-pub struct ProbeAuditConfig {
-    /// Authorized (BSSID, channel) pairs — registered APs are exempt,
-    /// and owned SSIDs are learned from their beacons.
-    pub authorized: Vec<(MacAddr, u8)>,
-    /// Distinct SSIDs probe-responded by one BSSID within
-    /// [`ProbeAuditConfig::karma_window`] needed for a karma alert.
-    pub karma_threshold: u32,
-    /// Sliding window for the karma count.
-    pub karma_window: SimDuration,
-}
-
-impl Default for ProbeAuditConfig {
-    fn default() -> Self {
-        ProbeAuditConfig {
-            authorized: Vec::new(),
-            karma_threshold: 4,
-            karma_window: SimDuration::from_secs(10),
-        }
-    }
-}
+/// Distinct SSIDs probe-responded by one BSSID within [`KARMA_WINDOW`]
+/// needed for a karma alert.
+pub const KARMA_THRESHOLD: u32 = 4;
+/// Sliding window for the karma count.
+pub const KARMA_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// Per-BSSID advertisement posture (one bounded slot).
 #[derive(Default)]
@@ -64,9 +47,9 @@ struct ProbeFlags {
 
 /// The probe-response auditor.
 pub struct ProbeAuditDetector {
-    cfg: ProbeAuditConfig,
-    /// SSIDs owned by registered APs, learned as the beacon auditor
-    /// learns them but never an empty (cloaked) name.
+    /// The authorized (BSSID, channel) registry, whose APs are exempt,
+    /// and the SSIDs they own, learned as the beacon auditor learns them
+    /// but never an empty (cloaked) name.
     owned_ssids: OwnedSsids,
     flags: BoundedTable<MacAddr, ProbeFlags>,
     /// Dedup of (BSSID, SSID) probe-response pairs feeding the karma
@@ -78,12 +61,11 @@ pub struct ProbeAuditDetector {
 }
 
 impl ProbeAuditDetector {
-    /// Detector with the given tuning.
-    pub fn new(cfg: ProbeAuditConfig) -> ProbeAuditDetector {
+    /// Detector over the authorized (BSSID, channel) registry.
+    pub fn new(authorized: &[(MacAddr, u8)]) -> ProbeAuditDetector {
         ProbeAuditDetector {
-            karma: WindowCounter::new(cfg.karma_window, 10, 512, 4),
-            owned_ssids: OwnedSsids::new(&cfg.authorized),
-            cfg,
+            karma: WindowCounter::new(KARMA_WINDOW, 10, 512, 4),
+            owned_ssids: OwnedSsids::new(authorized),
             flags: BoundedTable::new(PROBE_GROUPS, PROBE_WAYS),
             seen_pairs: BoundedTable::new(PROBE_GROUPS, PROBE_WAYS),
             responses_seen: 0,
@@ -107,12 +89,6 @@ impl ProbeAuditDetector {
     /// SSIDs learned as owned (at most one per registry entry).
     pub fn owned_ssid_count(&self) -> usize {
         self.owned_ssids.len()
-    }
-}
-
-impl Default for ProbeAuditDetector {
-    fn default() -> Self {
-        ProbeAuditDetector::new(ProbeAuditConfig::default())
     }
 }
 
@@ -145,7 +121,7 @@ impl Detector for ProbeAuditDetector {
             return;
         }
         self.responses_seen += 1;
-        if self.cfg.authorized.iter().any(|(b, _)| *b == e.bssid) {
+        if self.owned_ssids.registers(e.bssid) {
             return; // registered APs answer probes for their own name
         }
         let st = self.flags.entry(e.at, bh, e.bssid, ProbeFlags::default);
@@ -174,7 +150,7 @@ impl Detector for ProbeAuditDetector {
             self.seen_pairs.entry(e.at, ph, pair, || ());
             let distinct = self.karma.observe(e.at, bh);
             let st = self.flags.entry(e.at, bh, e.bssid, ProbeFlags::default);
-            if distinct >= self.cfg.karma_threshold && !st.karma_alerted {
+            if distinct >= KARMA_THRESHOLD && !st.karma_alerted {
                 st.karma_alerted = true;
                 out.push(RawAlert {
                     at: e.at,
@@ -183,8 +159,7 @@ impl Detector for ProbeAuditDetector {
                     kind: AlertKind::KarmaProbe,
                     weight: 0.9,
                     detail: format!(
-                        "probe-responded {distinct} distinct SSIDs within {}",
-                        self.cfg.karma_window
+                        "probe-responded {distinct} distinct SSIDs within {KARMA_WINDOW}"
                     ),
                 });
             }
@@ -222,18 +197,16 @@ mod tests {
         })
     }
 
-    fn registry(corp: MacAddr) -> ProbeAuditConfig {
-        ProbeAuditConfig {
-            authorized: vec![(corp, 1)],
-            ..ProbeAuditConfig::default()
-        }
+    /// An auditor whose registry holds `corp` on channel 1.
+    fn auditor(corp: MacAddr) -> ProbeAuditDetector {
+        ProbeAuditDetector::new(&[(corp, 1)])
     }
 
     #[test]
     fn cloaked_twin_responding_owned_ssid_alerts() {
         let corp = MacAddr::local(1);
         let rogue = MacAddr::local(9);
-        let mut d = ProbeAuditDetector::new(registry(corp));
+        let mut d = auditor(corp);
         let mut out = Vec::new();
         d.on_event(&advert(0, corp, "CORP", false), &mut out);
         d.on_event(&advert(100, rogue, "", false), &mut out);
@@ -253,7 +226,7 @@ mod tests {
         // the beacon auditor's business (SsidClone), not ours.
         let corp = MacAddr::local(1);
         let twin = MacAddr::local(9);
-        let mut d = ProbeAuditDetector::new(registry(corp));
+        let mut d = auditor(corp);
         let mut out = Vec::new();
         d.on_event(&advert(0, corp, "CORP", false), &mut out);
         d.on_event(&advert(100, twin, "CORP", false), &mut out);
@@ -270,7 +243,7 @@ mod tests {
         // we ever hear its beacon. No cloaked beacon seen -> no alert.
         let corp = MacAddr::local(1);
         let cafe = MacAddr::local(7);
-        let mut d = ProbeAuditDetector::new(registry(corp));
+        let mut d = auditor(corp);
         let mut out = Vec::new();
         d.on_event(&advert(0, corp, "CORP", false), &mut out);
         d.on_event(&advert(50, cafe, "CAFE", true), &mut out);
@@ -282,7 +255,7 @@ mod tests {
     fn karma_responder_alerts_on_distinct_ssids() {
         let corp = MacAddr::local(1);
         let rogue = MacAddr::local(9);
-        let mut d = ProbeAuditDetector::new(registry(corp));
+        let mut d = auditor(corp);
         let mut out = Vec::new();
         for (i, name) in ["HOME", "AIRPORT", "HOTEL", "COFFEE", "DORM"]
             .iter()
@@ -304,7 +277,7 @@ mod tests {
     fn single_name_responder_never_triggers_karma() {
         let corp = MacAddr::local(1);
         let cafe = MacAddr::local(7);
-        let mut d = ProbeAuditDetector::new(registry(corp));
+        let mut d = auditor(corp);
         let mut out = Vec::new();
         for i in 0..50u64 {
             d.on_event(&advert(i * 100, cafe, "CAFE", true), &mut out);

@@ -27,29 +27,14 @@ const RSSI_GROUPS: usize = 4096;
 /// transmitter's group; a handful of ways absorbs them.
 const RSSI_WAYS: usize = 8;
 
-/// Plausibility tuning.
-#[derive(Clone, Debug)]
-pub struct RssiSplitConfig {
-    /// Swing between consecutive readings (same TA, same sensor, same
-    /// channel) counted as implausible, in dB. Should sit well above the
-    /// channel's shadowing sigma; ~3 sigma plus margin.
-    pub swing_db: f64,
-    /// Implausible swings within [`RssiSplitConfig::window`] needed to
-    /// alert.
-    pub threshold: u32,
-    /// Sliding evidence window.
-    pub window: SimDuration,
-}
-
-impl Default for RssiSplitConfig {
-    fn default() -> Self {
-        RssiSplitConfig {
-            swing_db: 12.0,
-            threshold: 4,
-            window: SimDuration::from_secs(2),
-        }
-    }
-}
+/// Swing between consecutive readings (same TA, same sensor, same
+/// channel) counted as implausible, in dB. Sits well above the channel's
+/// shadowing sigma: about 3 sigma plus margin.
+pub const SWING_DB: f64 = 12.0;
+/// Implausible swings within [`SWING_WINDOW`] needed to alert.
+pub const SWING_THRESHOLD: u32 = 4;
+/// Sliding evidence window.
+pub const SWING_WINDOW: SimDuration = SimDuration::from_secs(2);
 
 /// Per-(TA, sensor, channel) reading state (one bounded slot).
 struct RssiEntry {
@@ -72,21 +57,20 @@ impl RssiEntry {
 
 /// The signal-strength inconsistency detector.
 pub struct RssiSplitDetector {
-    cfg: RssiSplitConfig,
     // Keyed by (ta, sensor, channel): comparing readings across sensors
     // or channels would just measure geometry, not inconsistency.
     table: BoundedTable<(MacAddr, u16, u8), RssiEntry>,
 }
 
-impl RssiSplitDetector {
-    /// Detector with the given tuning.
-    pub fn new(cfg: RssiSplitConfig) -> RssiSplitDetector {
+impl Default for RssiSplitDetector {
+    fn default() -> Self {
         RssiSplitDetector {
-            cfg,
             table: BoundedTable::new(RSSI_GROUPS, RSSI_WAYS),
         }
     }
+}
 
+impl RssiSplitDetector {
     /// Vantage points currently tracked (bounded by table capacity).
     pub fn tracked_sources(&self) -> usize {
         self.table.tracked()
@@ -108,12 +92,6 @@ impl RssiSplitDetector {
     }
 }
 
-impl Default for RssiSplitDetector {
-    fn default() -> Self {
-        RssiSplitDetector::new(RssiSplitConfig::default())
-    }
-}
-
 impl Detector for RssiSplitDetector {
     fn name(&self) -> &'static str {
         "rssi-split"
@@ -124,7 +102,6 @@ impl Detector for RssiSplitDetector {
         if e.kind == Dot11Kind::Ack {
             return; // no transmitter address to attribute the reading to
         }
-        let cfg = &self.cfg;
         let h = hash_mac(&e.ta.0);
         let st = self
             .table
@@ -133,16 +110,16 @@ impl Detector for RssiSplitDetector {
             return; // first reading from this vantage point: baseline only
         };
         let swing = (e.rssi_dbm - last).abs();
-        if swing < cfg.swing_db {
+        if swing < SWING_DB {
             return;
         }
-        if st.swings.len() >= cfg.threshold as usize {
+        if st.swings.len() >= SWING_THRESHOLD as usize {
             st.swings.remove(0);
         }
         st.swings.push(e.at);
-        let window_start = SimTime(e.at.as_nanos().saturating_sub(cfg.window.as_nanos()));
+        let window_start = SimTime(e.at.as_nanos().saturating_sub(SWING_WINDOW.as_nanos()));
         st.swings.retain(|&t| t >= window_start);
-        if st.swings.len() as u32 >= cfg.threshold && !st.alerted {
+        if st.swings.len() as u32 >= SWING_THRESHOLD && !st.alerted {
             st.alerted = true;
             out.push(RawAlert {
                 at: e.at,
@@ -151,10 +128,8 @@ impl Detector for RssiSplitDetector {
                 kind: AlertKind::RssiInconsistent,
                 weight: 0.5,
                 detail: format!(
-                    "{} swings > {:.0} dB within {} on channel {}",
+                    "{} swings > {SWING_DB:.0} dB within {SWING_WINDOW} on channel {}",
                     st.swings.len(),
-                    cfg.swing_db,
-                    cfg.window,
                     e.channel
                 ),
             });

@@ -28,30 +28,15 @@ use crate::sketch::{hash_mac, BoundedTable};
 const TA_GROUPS: usize = 4096;
 const TA_WAYS: usize = 4;
 
-/// Detector tuning.
-#[derive(Clone, Debug)]
-pub struct SeqMonConfig {
-    /// Forward deltas up to this are normal (allows missed frames).
-    pub max_normal_gap: u16,
-    /// Backward steps of at most this many counts are tolerated as
-    /// reordered captures rather than counted as anomalies.
-    pub reorder_tolerance: u16,
-    /// Anomalies within [`SeqMonConfig::window`] needed to alert.
-    pub alarm_threshold: u32,
-    /// Sliding evidence window.
-    pub window: SimDuration,
-}
-
-impl Default for SeqMonConfig {
-    fn default() -> Self {
-        SeqMonConfig {
-            max_normal_gap: 64,
-            reorder_tolerance: 8,
-            alarm_threshold: 3,
-            window: SimDuration::from_secs(2),
-        }
-    }
-}
+/// Forward sequence deltas up to this are normal (allows missed frames).
+pub const MAX_NORMAL_GAP: u16 = 64;
+/// Backward steps of at most this many counts are tolerated as
+/// reordered captures rather than counted as anomalies.
+pub const REORDER_TOLERANCE: u16 = 8;
+/// Anomalies within [`ANOMALY_WINDOW`] needed to alert.
+pub const ANOMALY_THRESHOLD: u32 = 3;
+/// Sliding evidence window.
+pub const ANOMALY_WINDOW: SimDuration = SimDuration::from_secs(2);
 
 /// Per-transmitter counter state (one bounded slot).
 struct SeqEntry {
@@ -81,21 +66,20 @@ impl SeqEntry {
 
 /// Streaming sequence-control monitor over bounded per-source state.
 pub struct SeqControlDetector {
-    cfg: SeqMonConfig,
     table: BoundedTable<MacAddr, SeqEntry>,
     observed: u64,
 }
 
-impl SeqControlDetector {
-    /// Detector with the given tuning.
-    pub fn new(cfg: SeqMonConfig) -> SeqControlDetector {
+impl Default for SeqControlDetector {
+    fn default() -> Self {
         SeqControlDetector {
-            cfg,
             table: BoundedTable::new(TA_GROUPS, TA_WAYS),
             observed: 0,
         }
     }
+}
 
+impl SeqControlDetector {
     /// Frames observed so far.
     pub fn observed(&self) -> u64 {
         self.observed
@@ -122,12 +106,6 @@ impl SeqControlDetector {
     }
 }
 
-impl Default for SeqControlDetector {
-    fn default() -> Self {
-        SeqControlDetector::new(SeqMonConfig::default())
-    }
-}
-
 impl Detector for SeqControlDetector {
     fn name(&self) -> &'static str {
         "seq-control"
@@ -139,7 +117,6 @@ impl Detector for SeqControlDetector {
             return; // no sequence counter, no transmitter address
         }
         self.observed += 1;
-        let cfg = &self.cfg;
         let (at, ta, channel) = (e.at, e.ta, e.channel);
         let st = self.table.entry(at, hash_mac(&ta.0), ta, SeqEntry::new);
         st.is_ap |= ta == e.bssid;
@@ -174,15 +151,15 @@ impl Detector for SeqControlDetector {
             // forward delta and stays clean.
             let delta = e.seq.wrapping_sub(last) & 0x0FFF;
             let is_anomaly = (delta == 0 && !e.retry)
-                || (delta > cfg.max_normal_gap && delta < 4096 - cfg.reorder_tolerance);
+                || (delta > MAX_NORMAL_GAP && delta < 4096 - REORDER_TOLERANCE);
             if is_anomaly {
-                if st.anomaly_times.len() >= cfg.alarm_threshold as usize {
+                if st.anomaly_times.len() >= ANOMALY_THRESHOLD as usize {
                     st.anomaly_times.remove(0);
                 }
                 st.anomaly_times.push(at);
-                let window_start = SimTime(at.as_nanos().saturating_sub(cfg.window.as_nanos()));
+                let window_start = SimTime(at.as_nanos().saturating_sub(ANOMALY_WINDOW.as_nanos()));
                 st.anomaly_times.retain(|&t| t >= window_start);
-                if st.anomaly_times.len() as u32 >= cfg.alarm_threshold && !st.alarmed_seq {
+                if st.anomaly_times.len() as u32 >= ANOMALY_THRESHOLD && !st.alarmed_seq {
                     st.alarmed_seq = true;
                     out.push(RawAlert {
                         at,
@@ -193,7 +170,7 @@ impl Detector for SeqControlDetector {
                         detail: format!(
                             "{} interleaved-counter jumps within {}",
                             st.anomaly_times.len(),
-                            cfg.window
+                            ANOMALY_WINDOW
                         ),
                     });
                 }
@@ -232,22 +209,15 @@ mod tests {
         frame_from(MacAddr::local(1), ms, seq, channel, false)
     }
 
-    /// The alerts a fresh detector tuned by `cfg` raises over `(ms, seq,
-    /// retry)` frames from one AP on channel 1.
-    fn alerts_with(
-        cfg: SeqMonConfig,
-        frames: impl IntoIterator<Item = (u64, u16, bool)>,
-    ) -> Vec<RawAlert> {
-        let mut d = SeqControlDetector::new(cfg);
+    /// The alerts a fresh detector raises over `(ms, seq, retry)` frames
+    /// from one AP on channel 1.
+    fn alerts(frames: impl IntoIterator<Item = (u64, u16, bool)>) -> Vec<RawAlert> {
+        let mut d = SeqControlDetector::default();
         let mut out = Vec::new();
         for (ms, seq, retry) in frames {
             d.on_event(&frame_from(MacAddr::local(1), ms, seq, 1, retry), &mut out);
         }
         out
-    }
-
-    fn alerts(frames: impl IntoIterator<Item = (u64, u16, bool)>) -> Vec<RawAlert> {
-        alerts_with(SeqMonConfig::default(), frames)
     }
 
     fn first(out: &[RawAlert], kind: AlertKind) -> Option<&RawAlert> {
@@ -379,8 +349,8 @@ mod tests {
     #[test]
     fn gaps_from_missed_frames_tolerated() {
         // A monitor that misses most frames sees forward deltas up to
-        // `max_normal_gap`; one count more is an anomaly.
-        let gap = SeqMonConfig::default().max_normal_gap;
+        // `MAX_NORMAL_GAP`; one count more is an anomaly.
+        let gap = MAX_NORMAL_GAP;
         let stream =
             |step: u16| (0..100u16).map(move |i| (u64::from(i) * 100, (i * step) & 0x0FFF, false));
         for step in [40, gap] {
@@ -415,15 +385,14 @@ mod tests {
 
     #[test]
     fn anomalies_outside_window_do_not_accumulate() {
-        // One big jump every second: three within the default 2 s window
-        // alert, but never three within 100 ms.
-        let jumps = || (0..20u64).map(|i| (i * 1000, ((i * 2000) % 4096) as u16, false));
-        assert!(first(&alerts(jumps()), AlertKind::SequenceAnomaly).is_some());
-        let cfg = SeqMonConfig {
-            window: SimDuration::from_millis(100),
-            ..SeqMonConfig::default()
-        };
-        let out = alerts_with(cfg, jumps());
+        // One big jump every `gap` ms. Half the 2 s window apart, the
+        // third jump still sees the first inside the window and alerts;
+        // 1 ms further apart, the oldest of any three has aged out.
+        let half = ANOMALY_WINDOW.as_millis() / 2;
+        let jumps =
+            |gap: u64| (0..20u64).map(move |i| (i * gap, ((i * 2000) % 4096) as u16, false));
+        assert!(first(&alerts(jumps(half)), AlertKind::SequenceAnomaly).is_some());
+        let out = alerts(jumps(half + 1));
         assert!(out.is_empty(), "{out:?}");
     }
 

@@ -47,7 +47,7 @@ pub mod pipeline;
 pub mod sensors;
 pub mod sketch;
 
-pub use correlate::{Correlator, CorrelatorConfig, Incident, IncidentCategory};
+pub use correlate::{Correlator, Incident, IncidentCategory};
 pub use detector::{AlertKind, Detector, RawAlert};
 pub use detectors::{
     ArpSpoofDetector, BeaconDetector, DeauthFloodDetector, ProbeAuditDetector, RssiSplitDetector,

@@ -19,17 +19,17 @@ use rogue_netstack::Ipv4Addr;
 use rogue_sim::trace::Metrics;
 use rogue_sim::SimTime;
 
-use crate::correlate::{Correlator, CorrelatorConfig, Incident};
+use crate::correlate::{Correlator, Incident};
 use crate::detector::{Detector, RawAlert};
-use crate::detectors::arp::{ArpSpoofConfig, ArpSpoofDetector};
-use crate::detectors::beacon::{BeaconConfig, BeaconDetector};
-use crate::detectors::deauth::{DeauthFloodConfig, DeauthFloodDetector};
-use crate::detectors::probe::{ProbeAuditConfig, ProbeAuditDetector};
-use crate::detectors::rssi::{RssiSplitConfig, RssiSplitDetector};
-use crate::detectors::seq::{SeqControlDetector, SeqMonConfig};
+use crate::detectors::{
+    ArpSpoofDetector, BeaconDetector, DeauthFloodDetector, ProbeAuditDetector, RssiSplitDetector,
+    SeqControlDetector,
+};
 use crate::event::{SensorId, SensorRing};
 
-/// Whole-pipeline configuration.
+/// Whole-pipeline configuration: what a deployment knows about its site.
+/// The detectors' and the correlator's thresholds are constants beside
+/// the code that reads them (DESIGN §8).
 #[derive(Clone, Debug)]
 pub struct WidsConfig {
     /// Bounded ring capacity between sensors and detectors.
@@ -39,19 +39,6 @@ pub struct WidsConfig {
     pub authorized_aps: Vec<(MacAddr, u8)>,
     /// Trusted wired IP -> MAC bindings for the ARP detector.
     pub trusted_bindings: Vec<(Ipv4Addr, MacAddr)>,
-    /// Sequence-control monitor tuning.
-    pub seqmon: SeqMonConfig,
-    /// Deauth-flood tuning.
-    pub deauth: DeauthFloodConfig,
-    /// RSSI-consistency tuning.
-    pub rssi: RssiSplitConfig,
-    /// ARP-spoof tuning.
-    pub arp: ArpSpoofConfig,
-    /// Probe-response audit tuning (its registry is overridden by
-    /// [`WidsConfig::authorized_aps`] at construction).
-    pub probe: ProbeAuditConfig,
-    /// Correlation tuning.
-    pub correlator: CorrelatorConfig,
 }
 
 impl Default for WidsConfig {
@@ -60,12 +47,6 @@ impl Default for WidsConfig {
             ring_capacity: 4096,
             authorized_aps: Vec::new(),
             trusted_bindings: Vec::new(),
-            seqmon: SeqMonConfig::default(),
-            deauth: DeauthFloodConfig::default(),
-            rssi: RssiSplitConfig::default(),
-            arp: ArpSpoofConfig::default(),
-            probe: ProbeAuditConfig::default(),
-            correlator: CorrelatorConfig::default(),
         }
     }
 }
@@ -92,25 +73,19 @@ pub struct WidsPipeline {
 impl WidsPipeline {
     /// Pipeline with the standard six-detector suite.
     pub fn new(cfg: WidsConfig) -> WidsPipeline {
-        let mut arp = ArpSpoofDetector::new(cfg.arp);
+        let mut arp = ArpSpoofDetector::default();
         for (ip, mac) in &cfg.trusted_bindings {
             arp.trust(*ip, *mac);
         }
         WidsPipeline {
             ring: SensorRing::new(cfg.ring_capacity),
-            seq: SeqControlDetector::new(cfg.seqmon),
-            beacon: BeaconDetector::new(BeaconConfig {
-                authorized: cfg.authorized_aps.clone(),
-                ..BeaconConfig::default()
-            }),
-            deauth: DeauthFloodDetector::new(cfg.deauth),
-            rssi: RssiSplitDetector::new(cfg.rssi),
+            seq: SeqControlDetector::default(),
+            beacon: BeaconDetector::new(&cfg.authorized_aps),
+            deauth: DeauthFloodDetector::default(),
+            rssi: RssiSplitDetector::default(),
             arp,
-            probe: ProbeAuditDetector::new(ProbeAuditConfig {
-                authorized: cfg.authorized_aps,
-                ..cfg.probe
-            }),
-            correlator: Correlator::new(cfg.correlator),
+            probe: ProbeAuditDetector::new(&cfg.authorized_aps),
+            correlator: Correlator::default(),
             metrics: Metrics::default(),
             next_sensor: 0,
             drops_reported: 0,

@@ -266,7 +266,6 @@ fn pipeline(ring_capacity: usize) -> WidsPipeline {
         ring_capacity,
         authorized_aps: vec![(AP, 1)],
         trusted_bindings: vec![(GATEWAY, AP)],
-        ..WidsConfig::default()
     })
 }
 

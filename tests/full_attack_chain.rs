@@ -10,7 +10,7 @@
 //! Every stage consumes the previous stage's output — the recovered key
 //! bytes configure the rogue AP, not the scenario's ground truth.
 
-use rogue_attack::airsnort::{harvest_client_macs, Airsnort, CrackOutcome};
+use rogue_attack::airsnort::{Airsnort, CrackOutcome};
 use rogue_core::experiments::e2_download::{run_download_mitm, DownloadMitmConfig};
 use rogue_core::scenario::{addrs, corp_bssid, CorpScenarioCfg, RogueCfg};
 use rogue_core::world::World;
@@ -77,7 +77,7 @@ fn sniff_and_crack(seed: Seed) -> (WepKey, Vec<MacAddr>) {
         CrackOutcome::Recovered(k) => k,
         other => panic!("Airsnort failed with {} samples: {other:?}", snort.samples),
     };
-    let macs = harvest_client_macs(sniffer, corp_bssid());
+    let macs = sniffer.client_macs(corp_bssid());
     (key, macs)
 }
 
@@ -101,13 +101,7 @@ fn sniff_crack_clone_mitm_trojan() {
     cfg.wep = Some(recovered_key); // ← the cracked key, not ground truth
     cfg.mac_filter = true; // the harvested MAC defeats it
     cfg.rogue = Some(RogueCfg::default());
-    let result = run_download_mitm(
-        &DownloadMitmConfig {
-            scenario: cfg,
-            ..DownloadMitmConfig::paper()
-        },
-        Seed(0xC4A17),
-    );
+    let result = run_download_mitm(&DownloadMitmConfig { scenario: cfg }, Seed(0xC4A17));
     assert!(result.completed, "error: {:?}", result.error);
     assert!(result.victim_on_rogue);
     assert!(result.victim_got_trojan);

@@ -3,7 +3,9 @@
 //! is generated from.
 
 use rogue_core::experiments::e1_association::capture_with_deauth;
-use rogue_core::experiments::e2_download::{run_download_mitm, DownloadMitmConfig};
+use rogue_core::experiments::e2_download::{
+    run_download_mitm, DownloadMitmConfig, DOWNLOAD_START, DOWNLOAD_TIMEOUT, RUN_TIME,
+};
 use rogue_core::experiments::e3_vpn::{run_vpn_defense, VpnMode};
 use rogue_core::experiments::e4_wep::{crack_once, random_key};
 use rogue_core::experiments::e5_tcp_over_tcp::{tunnel_comparison, InnerFlow};
@@ -31,14 +33,12 @@ fn claim_wep_provides_no_protection() {
     let with_wep = run_download_mitm(
         &DownloadMitmConfig {
             scenario: scenario_for(ClientPolicy::Wep),
-            ..DownloadMitmConfig::paper()
         },
         Seed(2),
     );
     let without = run_download_mitm(
         &DownloadMitmConfig {
             scenario: scenario_for(ClientPolicy::Open),
-            ..DownloadMitmConfig::paper()
         },
         Seed(2),
     );
@@ -53,7 +53,6 @@ fn claim_mac_filtering_is_defeated_by_cloning() {
     let r = run_download_mitm(
         &DownloadMitmConfig {
             scenario: scenario_for(ClientPolicy::WepMacFilter),
-            ..DownloadMitmConfig::paper()
         },
         Seed(3),
     );
@@ -135,8 +134,7 @@ fn claim_detection_asymmetry() {
 /// without MAC filtering (which makes the gateway's uplink clone the
 /// employee MAC).
 fn wired_census_under_download(mac_filter: bool) -> (u64, Vec<(SimTime, MacAddr)>) {
-    let cfg = DownloadMitmConfig::paper();
-    let mut scenario = cfg.scenario.clone();
+    let mut scenario = DownloadMitmConfig::paper().scenario;
     scenario.wired_monitor = true;
     scenario.mac_filter = mac_filter;
     let mut sc = build_corp(&scenario, Seed(8));
@@ -145,16 +143,13 @@ fn wired_census_under_download(mac_filter: bool) -> (u64, Vec<(SimTime, MacAddr)
         Box::new(DownloadClient::new(
             addrs::TARGET,
             "/download.html",
-            cfg.download_start,
-            cfg.download_timeout,
+            DOWNLOAD_START,
+            DOWNLOAD_TIMEOUT,
         )),
     );
-    sc.world.run_until(cfg.run_time);
-    let monitor = sc
-        .world
-        .wired_monitor(sc.monitor_node.expect("wired monitor deployed"))
-        .expect("attached to the corp switch");
-    (monitor.inspected, monitor.strangers.clone())
+    sc.world.run_until(RUN_TIME);
+    let census = sc.wired_census().expect("wired monitor deployed");
+    (census.inspected, census.strangers)
 }
 
 /// The thesis, in one table: only the VPN rows defeat the attack,
